@@ -1,0 +1,110 @@
+"""Golden reports: the exact CSV and JSONL bytes of small runs, pinned by hash.
+
+Each case exercises a different path of the simulator (plain W/F/U replay,
+secure mode with idle flushes and I/D requests, slot reclaim with LRU
+eviction, NAND erase fallback). A refactor that claims to keep behaviour
+must keep these hashes; a deliberate change of report bytes updates them.
+"""
+
+import random
+import hashlib
+from collections import Counter
+
+import pytest
+
+from ddnsim import parse_config_text, parse_trace, run, synthetic_trace
+
+
+def _payload(rng, cfg):
+    slot_bits = cfg.cells_per_cache_slot * cfg.bits_per_cell
+    return f"0x{rng.getrandbits(slot_bits):0{slot_bits // 4}X}"
+
+
+def _readme_synthetic(cfg):
+    """The README's ``--synthetic`` command, shortened to 200 writes."""
+    return synthetic_trace(200, 1.0, cfg.seed, cfg.cells_per_cache_slot, cfg.bits_per_cell)
+
+
+def _secure_trace(cfg):
+    """Batches of writes, I/D on some still-valid ids, idle gaps that let the
+    idle flush and the secure scrub fire."""
+    rng = random.Random(5)
+    lines, previous, next_id = [], [], 0
+    for _ in range(6):
+        for cache_id in sorted(rng.sample(previous, len(previous) // 3)):
+            lines.append(f"{rng.choice('ID')} {cache_id}")
+        previous = list(range(next_id, next_id + 8))
+        next_id += 8
+        lines += [f"W {cache_id} {_payload(rng, cfg)}" for cache_id in previous]
+        lines.append("T 12")
+    lines.append("T 40")
+    return "\n".join(lines) + "\n"
+
+
+def _reclaim_trace(cfg):
+    """More ids than DRAM lines, random updates, periodic flushes."""
+    rng = random.Random(9)
+    lines = [f"W {cache_id} {_payload(rng, cfg)}" for cache_id in range(40)]
+    for update in range(80):
+        if update % 20 == 0:
+            lines += ["F", "T 1"]
+        lines.append(f"U {rng.randrange(40)} {_payload(rng, cfg)}")
+    return "\n".join(lines) + "\n"
+
+
+def _update_trace(cfg):
+    """W i / F / U i rounds with seeded payloads."""
+    rng = random.Random(3)
+    lines = []
+    for cache_id in range(40):
+        lines += [f"W {cache_id} {_payload(rng, cfg)}", "F"]
+        lines.append(f"U {cache_id} {_payload(rng, cfg)}")
+    return "\n".join(lines) + "\n"
+
+
+# name -> (config text, trace builder, actions the case must produce,
+#          sha256 of the CSV report, sha256 of the JSONL report)
+CASES = {
+    "readme-synthetic": (
+        "seed = 12345\n",
+        _readme_synthetic,
+        {"mark-only", "gc-erase", "ddn-overwrite"},
+        "f3ad85284509015dc68f804c1534f604d29a883482f5d7b589267d7f44ef4cb5",
+        "bcecbe1b174b98c3cc45b7c6ca54e9e3e1488c280414da71bf3e94002ba8bfcb",
+    ),
+    "secure-mode": (
+        "seed = 7\nt_secure = 20\nflush_idle_threshold = 3\n",
+        _secure_trace,
+        {"secure-scrub", "ddn-overwrite", "gc-erase", "mark-only"},
+        "5b7997af4fd9595879191c5a1be2aa462135740f66e4b2ac587edf2a6dc0ab39",
+        "b94bea5cc5f150b43cb5340dcd39b9fd38d0dcd19dd1bb21068ae07d11ace201",
+    ),
+    "overwritable-reclaim": (
+        "seed = 11\ndevice_kind = overwritable\nreclaim_invalid_slots = true\n"
+        "dram_capacity = 8\nblocks = 16\n",
+        _reclaim_trace,
+        {"ddn-overwrite", "gc-erase"},
+        "4c72db974d05a0d87c96e7a8e32133067cd71bd56ccf93aba9f04300f4d91450",
+        "d6eb3fae03a98149ac9a728e8366c9f51202da15574d485a719b13e317ac101b",
+    ),
+    "nand-erase-fallback": (
+        "seed = 13\nnop_limit = 1\npolicies = DdnRandom,DdnNonRandom,EraseBased\n",
+        _update_trace,
+        {"ddn-overwrite", "erase-fallback", "gc-erase"},
+        "a2cb2c4020cf3e154a3ef415d682a0030c3236909aa39348915db578aeaf6c0e",
+        "7a52e04b8295697aacd0f40afe24d52dd5bd3819ab5271c1f3d8ca9c4574b98c",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_golden_report(name):
+    config_text, build_trace, actions, csv_sha, jsonl_sha = CASES[name]
+    cfg = parse_config_text(config_text)
+    events = parse_trace(build_trace(cfg), cfg.cells_per_cache_slot, cfg.bits_per_cell)
+    report = run(cfg, events)
+    seen = Counter(d.action for r in report.runs for d in r.collector.deletions)
+    assert actions <= set(seen), f"case no longer exercises {actions - set(seen)}"
+    assert not [d.error for r in report.runs for d in r.collector.deletions if d.error]
+    assert hashlib.sha256(report.csv_text.encode()).hexdigest() == csv_sha
+    assert hashlib.sha256(report.jsonl_text.encode()).hexdigest() == jsonl_sha
