@@ -54,7 +54,6 @@ from .device import (
 )
 from .host import DramSlot, Host, TraceError, TraceEvent, parse_trace
 from .metrics import (
-    CostBreakdown,
     LatencyLedger,
     MetricsCollector,
     PolicyRun,

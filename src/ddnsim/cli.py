@@ -7,8 +7,7 @@ allocation failure.
 import sys
 import argparse
 
-from .config import ConfigError, RunConfig, format_config, load_config
-from .controller import parse_policy
+from .config import ConfigError, RunConfig, format_config, load_config, parse_policies
 from .device import DeviceError
 from .host import TraceError, parse_trace
 from .runner import run, synthetic_trace
@@ -63,14 +62,12 @@ def main(argv=None) -> int:
     try:
         cfg = load_config(args.config) if args.config else RunConfig()
         if args.policy:
-            cfg.policies = tuple(
-                parse_policy(part) for part in args.policy.split(",") if part.strip()
-            )
+            cfg.policies = parse_policies(args.policy)
         if args.seed is not None:
             cfg.seed = args.seed
         if args.out_format:
             cfg.out_format = args.out_format
-    except (ConfigError, ValueError) as exc:
+    except ConfigError as exc:
         print(f"ddnsim: config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

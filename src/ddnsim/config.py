@@ -83,6 +83,9 @@ class RunConfig:
             raise ConfigError("dram_capacity must be >= 1")
         if self.t_secure is not None and self.t_secure < 1:
             raise ConfigError("t_secure must be >= 1")
+        if self.reclaim_invalid_slots and self.device_kind is not DeviceKind.OVERWRITABLE:
+            # Reclaimed slots keep their old levels, which NAND cannot program down.
+            raise ConfigError("reclaim_invalid_slots needs device_kind = overwritable")
 
 
 def _parse_int(value: str) -> int:
@@ -123,33 +126,25 @@ def _parse_optional_int(value: str):
     return _parse_int(value)
 
 
-def _parse_policies(value: str) -> tuple:
+def parse_policies(value: str) -> tuple:
+    """Comma-separated policy names, as in the ``policies`` key and ``--policy``."""
     try:
         return tuple(parse_policy(part) for part in value.split(",") if part.strip())
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
 
-_PARSERS = {
-    "blocks": _parse_int,
-    "pages_per_block": _parse_int,
-    "cells_per_page": _parse_int,
-    "bits_per_cell": _parse_int,
-    "cells_per_cache_slot": _parse_int,
-    "device_kind": _parse_device_kind,
-    "t_read_us": _parse_float,
-    "t_program_us": _parse_float,
-    "t_gen_us": _parse_float,
-    "t_erase_us": _parse_float,
-    "nop_limit": _parse_int,
-    "flush_idle_threshold": _parse_int,
-    "dram_capacity": _parse_int,
-    "t_secure": _parse_optional_int,
-    "reclaim_invalid_slots": _parse_bool,
-    "policies": _parse_policies,
-    "seed": _parse_optional_int,
-    "out_format": str,
+# A RunConfig field's type picks its parser, so a new key is one new field.
+_TYPE_PARSERS = {
+    int: _parse_int,
+    float: _parse_float,
+    bool: _parse_bool,
+    DeviceKind: _parse_device_kind,
+    int | None: _parse_optional_int,
+    tuple: parse_policies,
+    str: str,
 }
+_PARSERS = {f.name: _TYPE_PARSERS[f.type] for f in fields(RunConfig)}
 
 
 def parse_config_text(text: str, base: RunConfig = None) -> RunConfig:

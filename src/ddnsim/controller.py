@@ -34,6 +34,7 @@ from .device import (
     PageStatus,
     PhysAddr,
 )
+from .metrics import LatencyLedger
 
 
 class ProtocolError(Exception):
@@ -126,10 +127,11 @@ def parse_policy(text: str) -> DeletionPolicy:
     return DeletionPolicy(kind, fill)
 
 
-@dataclass
+@dataclass(slots=True)
 class DeletionOutcome:
     """What one deletion did: action taken, cost by category, residual data.
 
+    ``cost`` is the device ledger's difference across the deletion.
     ``residual_cells`` counts cells of the deleted slot that still hold their
     pre-deletion level afterwards; a slot whose page was erased retains
     nothing.
@@ -139,19 +141,11 @@ class DeletionOutcome:
     tick: int
     policy: str
     action: str
-    rd_us: float = 0.0
-    wr_us: float = 0.0
-    gen_us: float = 0.0
-    erase_us: float = 0.0
-    gc_us: float = 0.0
+    cost: LatencyLedger
     residual_cells: int = 0
     slot_cells: int = 0
     fallback: bool = False
     error: str | None = None
-
-    @property
-    def total_us(self) -> float:
-        return self.rd_us + self.wr_us + self.gen_us + self.erase_us + self.gc_us
 
 
 class NvmController:
@@ -221,19 +215,14 @@ class NvmController:
         fill = self.policy.fill if self.policy.kind is PolicyKind.DDN_NON_RANDOM else None
         if fill is not None:
             word = gen_fill_word(fill, g.cells_per_cache_slot, g.bits_per_cell)
-            if dev.kind is DeviceKind.OVERWRITABLE:
-                dev.program_slot(addr, word)
-            else:
-                dev.partial_program(addr, word)
         elif dev.kind is DeviceKind.OVERWRITABLE:
             dev.ledger.charge_gen(dev.latency.t_gen_us)
             word = gen_uniform_word(g.cells_per_cache_slot, g.bits_per_cell, self.rng)
-            dev.program_slot(addr, word)
         else:
             current = dev.read_slot(addr)
             dev.ledger.charge_gen(dev.latency.t_gen_us)
             word = gen_upward_word(current, self.rng)
-            dev.partial_program(addr, word)
+        dev.program_slot(addr, word)
         return word
 
     def _scrub(self, cache_id: int, entry, now: int, secure: bool) -> DeletionOutcome:
@@ -267,7 +256,7 @@ class NvmController:
                 dev.garbage_collect(addr.block)
             except NoFreePages as exc:
                 error = str(exc)
-        delta = dev.ledger.snapshot() - before
+        cost = dev.ledger - before
         if dev.page_status(addr) is PageStatus.FREE:
             residual = 0
         else:
@@ -278,11 +267,7 @@ class NvmController:
             tick=now,
             policy=self.policy.label,
             action=action,
-            rd_us=delta.rd_us,
-            wr_us=delta.wr_us,
-            gen_us=delta.gen_us,
-            erase_us=delta.erase_us,
-            gc_us=delta.gc_us,
+            cost=cost,
             residual_cells=residual,
             slot_cells=len(pre),
             fallback=fallback,

@@ -328,10 +328,6 @@ class NvmDevice:
         page.status = PageStatus.PROGRAMMED
         self.ledger.charge_program(self.latency.t_program_us)
 
-    def partial_program(self, addr: PhysAddr, data: DataWord):
-        """In-place overwrite of one slot among the page's slots."""
-        self.program_slot(addr, data)
-
     def erase_block(self, block: int):
         """Reset every cell of the block to level 0; the only downward path."""
         self._check_block(block)

@@ -8,6 +8,7 @@ identical runs.
 """
 
 import json
+from operator import attrgetter, sub
 from dataclasses import dataclass
 
 
@@ -15,9 +16,19 @@ class ReportError(Exception):
     """Raised when report inputs are inconsistent (e.g. different traces)."""
 
 
-@dataclass(frozen=True)
-class CostBreakdown:
-    """Microseconds per operation category."""
+# The five device-time categories, in report column order.
+COST_FIELDS = ("rd_us", "wr_us", "gen_us", "erase_us", "gc_us")
+_costs = attrgetter(*COST_FIELDS)
+
+
+@dataclass(slots=True)
+class LatencyLedger:
+    """Device time in microseconds per operation category.
+
+    The one cost type: a device charges its run's ledger, a deletion's cost
+    is the ledger minus a snapshot taken before it, and a policy's mean cost
+    per deletion is a ledger as well.
+    """
 
     rd_us: float = 0.0
     wr_us: float = 0.0
@@ -25,35 +36,11 @@ class CostBreakdown:
     erase_us: float = 0.0
     gc_us: float = 0.0
 
-    @property
-    def total_us(self) -> float:
-        return self.rd_us + self.wr_us + self.gen_us + self.erase_us + self.gc_us
-
-    def __sub__(self, other: "CostBreakdown") -> "CostBreakdown":
-        return CostBreakdown(
-            self.rd_us - other.rd_us,
-            self.wr_us - other.wr_us,
-            self.gen_us - other.gen_us,
-            self.erase_us - other.erase_us,
-            self.gc_us - other.gc_us,
-        )
-
-
-class LatencyLedger:
-    """Running per-category device-time totals in microseconds."""
-
-    def __init__(self):
-        self.read_us = 0.0
-        self.program_us = 0.0
-        self.gen_us = 0.0
-        self.erase_us = 0.0
-        self.gc_migration_us = 0.0
-
     def charge_read(self, us: float):
-        self.read_us += us
+        self.rd_us += us
 
     def charge_program(self, us: float):
-        self.program_us += us
+        self.wr_us += us
 
     def charge_gen(self, us: float):
         self.gen_us += us
@@ -62,26 +49,17 @@ class LatencyLedger:
         self.erase_us += us
 
     def charge_gc_migration(self, us: float):
-        self.gc_migration_us += us
+        self.gc_us += us
 
     @property
     def total_us(self) -> float:
-        return (
-            self.read_us
-            + self.program_us
-            + self.gen_us
-            + self.erase_us
-            + self.gc_migration_us
-        )
+        return self.rd_us + self.wr_us + self.gen_us + self.erase_us + self.gc_us
 
-    def snapshot(self) -> CostBreakdown:
-        return CostBreakdown(
-            self.read_us,
-            self.program_us,
-            self.gen_us,
-            self.erase_us,
-            self.gc_migration_us,
-        )
+    def snapshot(self) -> "LatencyLedger":
+        return LatencyLedger(*_costs(self))
+
+    def __sub__(self, other: "LatencyLedger") -> "LatencyLedger":
+        return LatencyLedger(*map(sub, _costs(self), _costs(other)))
 
 
 @dataclass(frozen=True)
@@ -122,17 +100,13 @@ class MetricsCollector:
             return 0.0
         return self.residual_cells / self.invalidated_cells_total
 
-    def mean_costs(self) -> CostBreakdown:
+    def mean_costs(self) -> LatencyLedger:
         """Mean per-deletion cost over the recorded deletions."""
         n = len(self.deletions)
         if not n:
-            return CostBreakdown()
-        return CostBreakdown(
-            sum(d.rd_us for d in self.deletions) / n,
-            sum(d.wr_us for d in self.deletions) / n,
-            sum(d.gen_us for d in self.deletions) / n,
-            sum(d.erase_us for d in self.deletions) / n,
-            sum(d.gc_us for d in self.deletions) / n,
+            return LatencyLedger()
+        return LatencyLedger(
+            *(sum(getattr(d.cost, f) for d in self.deletions) / n for f in COST_FIELDS)
         )
 
 
@@ -165,11 +139,7 @@ def comparison_rows(runs) -> list:
         rows.append(
             {
                 "policy": r.label,
-                "rd_us": mean.rd_us,
-                "wr_us": mean.wr_us,
-                "gen_us": mean.gen_us,
-                "erase_us": mean.erase_us,
-                "gc_us": mean.gc_us,
+                **{f: getattr(mean, f) for f in COST_FIELDS},
                 "total_us": r.collector.ledger.total_us,
                 "remanence": r.collector.final_remanence_rate,
             }
@@ -179,21 +149,9 @@ def comparison_rows(runs) -> list:
 
 def render_comparison_csv(runs) -> str:
     lines = ["POLICY,RD,WR,GEN,ERASE,GC,TOTAL_US,REMANENCE"]
+    columns = (*COST_FIELDS, "total_us", "remanence")
     for row in comparison_rows(runs):
-        lines.append(
-            ",".join(
-                [
-                    row["policy"],
-                    _fmt(row["rd_us"]),
-                    _fmt(row["wr_us"]),
-                    _fmt(row["gen_us"]),
-                    _fmt(row["erase_us"]),
-                    _fmt(row["gc_us"]),
-                    _fmt(row["total_us"]),
-                    _fmt(row["remanence"]),
-                ]
-            )
-        )
+        lines.append(",".join([row["policy"], *(_fmt(row[c]) for c in columns)]))
     return "\n".join(lines) + "\n"
 
 
@@ -208,11 +166,7 @@ def render_deletions_jsonl(runs) -> str:
                         "tick": d.tick,
                         "cache_id": d.cache_id,
                         "policy": r.label,
-                        "rd_us": d.rd_us,
-                        "wr_us": d.wr_us,
-                        "gen_us": d.gen_us,
-                        "erase_us": d.erase_us,
-                        "gc_us": d.gc_us,
+                        **{f: getattr(d.cost, f) for f in COST_FIELDS},
                         "residual_cells": d.residual_cells,
                         "slot_cells": d.slot_cells,
                     }

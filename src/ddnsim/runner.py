@@ -8,6 +8,7 @@ function of (config, trace, seed).
 import random
 import hashlib
 from dataclasses import dataclass
+from functools import cached_property
 
 from .cells import word_to_hex
 from .config import RunConfig
@@ -26,10 +27,19 @@ from .metrics import (
 
 @dataclass
 class RunReport:
+    """Every policy's run and the comparison rows; each report text is
+    rendered on first access, so a run pays only for the format it reads."""
+
     runs: list
     rows: list
-    csv_text: str
-    jsonl_text: str
+
+    @cached_property
+    def csv_text(self) -> str:
+        return render_comparison_csv(self.runs)
+
+    @cached_property
+    def jsonl_text(self) -> str:
+        return render_deletions_jsonl(self.runs)
 
 
 def canonical_event(event: TraceEvent) -> str:
@@ -80,12 +90,7 @@ def run(config: RunConfig, events) -> RunReport:
         PolicyRun(policy.label, run_policy(config, policy, events), fingerprint)
         for policy in config.run_policies()
     ]
-    return RunReport(
-        runs=runs,
-        rows=comparison_rows(runs),
-        csv_text=render_comparison_csv(runs),
-        jsonl_text=render_deletions_jsonl(runs),
-    )
+    return RunReport(runs=runs, rows=comparison_rows(runs))
 
 
 def synthetic_trace(

@@ -55,6 +55,7 @@ def test_validate_requires_seed():
         {"dram_capacity": 0},
         {"nop_limit": -1},
         {"cells_per_page": 10, "cells_per_cache_slot": 4},
+        {"reclaim_invalid_slots": True},
     ],
 )
 def test_validate_rejects_bad_values(patch):
@@ -221,6 +222,14 @@ def test_cli_device_full_exit_code(tmp_path, capsys):
     rc = main(["--config", str(cfg_file), "--synthetic", "3", "--seed", "1"])
     assert rc == 4
     assert "device error" in capsys.readouterr().err
+
+
+def test_cli_rejects_reclaim_on_nand(tmp_path, capsys):
+    cfg_file = tmp_path / "reclaim.cfg"
+    cfg_file.write_text("reclaim_invalid_slots = true\n")
+    rc = main(["--config", str(cfg_file), "--synthetic", "5", "--seed", "1"])
+    assert rc == 2
+    assert "reclaim_invalid_slots" in capsys.readouterr().err
 
 
 def test_module_entry_point_runs():

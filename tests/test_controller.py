@@ -79,7 +79,7 @@ def test_flush_write_registers_and_charges():
     addr = controller.flush_write(5, w(1, 2, 3), now=4)
     entry = controller.entry(5)
     assert entry.valid and entry.addr == addr and entry.written_at == 4
-    assert controller.device.ledger.program_us == 600.0
+    assert controller.device.ledger.wr_us == 600.0
     assert controller.device.peek_slot(addr) == w(1, 2, 3)
 
 
@@ -90,7 +90,7 @@ def test_mark_only_leaves_data_in_place():
     assert not controller.entry(1).valid
     assert controller.entry(1).invalidated_at == 2
     assert outcome.action == "mark-only"
-    assert outcome.total_us == 0.0
+    assert outcome.cost.total_us == 0.0
     assert outcome.residual_cells == 3
     assert outcome.slot_cells == 3
     assert controller.device.peek_slot(addr) == w(4, 7, 0)
@@ -101,9 +101,9 @@ def test_erase_based_empty_victim_costs_one_erase():
     addr = controller.flush_write(1, w(4, 7, 0), now=0)
     outcome = invalidate(controller, 1)
     assert outcome.action == "gc-erase"
-    assert (outcome.rd_us, outcome.wr_us, outcome.gen_us) == (0.0, 0.0, 0.0)
-    assert outcome.erase_us == 4000.0
-    assert outcome.gc_us == 0.0
+    assert (outcome.cost.rd_us, outcome.cost.wr_us, outcome.cost.gen_us) == (0.0, 0.0, 0.0)
+    assert outcome.cost.erase_us == 4000.0
+    assert outcome.cost.gc_us == 0.0
     assert outcome.residual_cells == 0
     assert controller.device.page_status(addr) is PageStatus.FREE
 
@@ -113,8 +113,8 @@ def test_erase_based_migrates_valid_neighbor():
     controller.flush_write(1, w(4, 7, 0), now=0)
     controller.flush_write(2, w(1, 2, 3), now=0)  # same page, slot 1
     outcome = invalidate(controller, 1)
-    assert outcome.gc_us == 649.0
-    assert outcome.erase_us == 4000.0
+    assert outcome.cost.gc_us == 649.0
+    assert outcome.cost.erase_us == 4000.0
     moved = controller.entry(2)
     assert moved.valid and moved.addr.block != 0
     assert controller.device.peek_slot(moved.addr) == w(1, 2, 3)
@@ -129,8 +129,8 @@ def test_ddn_random_on_nand_example_slot():
     assert post.levels[1] == 7
     assert 1 <= post.levels[2] <= 7
     assert outcome.residual_cells == 1  # only the already-max cell survives
-    assert (outcome.rd_us, outcome.wr_us, outcome.gen_us) == (49.0, 600.0, 100.0)
-    assert outcome.total_us == 749.0
+    assert (outcome.cost.rd_us, outcome.cost.wr_us, outcome.cost.gen_us) == (49.0, 600.0, 100.0)
+    assert outcome.cost.total_us == 749.0
     assert outcome.action == "ddn-overwrite"
 
 
@@ -157,8 +157,8 @@ def test_ddn_non_random_all_max():
     addr = controller.flush_write(1, w(4, 7, 0), now=0)
     outcome = invalidate(controller, 1)
     assert controller.device.peek_slot(addr) == w(7, 7, 7)
-    assert (outcome.rd_us, outcome.wr_us, outcome.gen_us) == (0.0, 600.0, 0.0)
-    assert outcome.total_us == 600.0
+    assert (outcome.cost.rd_us, outcome.cost.wr_us, outcome.cost.gen_us) == (0.0, 600.0, 0.0)
+    assert outcome.cost.total_us == 600.0
     assert outcome.residual_cells == 1
 
 
@@ -185,8 +185,8 @@ def test_overwritable_ddn_random_full_range():
     controller = build("DdnRandom", kind=DeviceKind.OVERWRITABLE, seed=3)
     controller.flush_write(1, w(7, 7, 7), now=0)
     outcome = invalidate(controller, 1)
-    assert (outcome.rd_us, outcome.wr_us, outcome.gen_us) == (0.0, 600.0, 100.0)
-    assert outcome.total_us == 700.0
+    assert (outcome.cost.rd_us, outcome.cost.wr_us, outcome.cost.gen_us) == (0.0, 600.0, 100.0)
+    assert outcome.cost.total_us == 700.0
 
 
 def test_overwritable_ddn_non_random():
@@ -194,7 +194,7 @@ def test_overwritable_ddn_non_random():
     addr = controller.flush_write(1, w(3, 3, 3), now=0)
     outcome = invalidate(controller, 1)
     assert controller.device.peek_slot(addr) == w(7, 7, 7)
-    assert outcome.total_us == 600.0
+    assert outcome.cost.total_us == 600.0
 
 
 def test_unknown_and_double_invalidation_rejected():
@@ -216,7 +216,7 @@ def test_nop_exhaustion_falls_back_to_erase():
     outcome = invalidate(controller, 1)
     assert outcome.fallback
     assert outcome.action == "erase-fallback"
-    assert outcome.erase_us == 4000.0
+    assert outcome.cost.erase_us == 4000.0
     assert outcome.residual_cells == 0
     assert controller.device.page_status(addr) is PageStatus.FREE
 
@@ -235,7 +235,7 @@ def test_de_identify_is_handled_like_invalidate():
         outcome = controller.handle_invalidation(
             InvalidationRequest(1, kind), now=0
         )
-        outcomes.append((outcome.total_us, controller.device.peek_slot(addr)))
+        outcomes.append((outcome.cost.total_us, controller.device.peek_slot(addr)))
     assert outcomes[0] == outcomes[1]
 
 

@@ -68,16 +68,16 @@ def test_read_after_program(make_device):
 def test_read_free_page_is_all_zero_and_charged(make_device):
     device = make_device()
     assert device.read_slot(PhysAddr(1, 2, 1)) == w(0, 0, 0, 0)
-    assert device.ledger.read_us == 49.0
+    assert device.ledger.rd_us == 49.0
 
 
 def test_program_charges_and_read_charges(make_device):
     device = make_device()
     addr = PhysAddr(0, 0, 0)
     device.program_slot(addr, w(1, 1, 1, 1))
-    assert device.ledger.program_us == 600.0
+    assert device.ledger.wr_us == 600.0
     device.read_slot(addr)
-    assert device.ledger.read_us == 49.0
+    assert device.ledger.rd_us == 49.0
     assert device.ledger.total_us == 649.0
 
 
@@ -114,11 +114,11 @@ def test_partial_program_budget(make_device):
     device.program_slot(addr, w(0, 0, 0, 0))  # full program of a free page
     page = device.blocks[0][0]
     assert page.partial_program_count == 0
-    device.partial_program(addr, w(1, 1, 1, 1))
-    device.partial_program(addr, w(2, 2, 2, 2))
+    device.program_slot(addr, w(1, 1, 1, 1))
+    device.program_slot(addr, w(2, 2, 2, 2))
     assert page.partial_program_count == 2
     with pytest.raises(NopExceeded):
-        device.partial_program(addr, w(3, 3, 3, 3))
+        device.program_slot(addr, w(3, 3, 3, 3))
     assert device.peek_slot(addr) == w(2, 2, 2, 2)
 
 
@@ -136,7 +136,7 @@ def test_partial_program_leaves_other_slots_identical(make_device):
     device.program_slot(a, w(1, 2, 3, 4))
     device.program_slot(b, w(5, 6, 7, 0))
     snapshot = list(device.blocks[0][0].cells)
-    device.partial_program(a, w(2, 3, 4, 5))
+    device.program_slot(a, w(2, 3, 4, 5))
     after = device.blocks[0][0].cells
     assert after[4:] == snapshot[4:]  # slot b untouched
     assert device.peek_slot(b) == w(5, 6, 7, 0)
@@ -154,7 +154,7 @@ def test_erase_block(make_device):
     device = make_device()
     addr = PhysAddr(1, 0, 0)
     device.program_slot(addr, w(3, 3, 3, 3))
-    device.partial_program(addr, w(4, 4, 4, 4))
+    device.program_slot(addr, w(4, 4, 4, 4))
     before = device.ledger.total_us
     device.erase_block(1)
     assert device.ledger.total_us - before == 4000.0
@@ -280,11 +280,11 @@ def test_ledger_replay_identical(make_device):
     def replay(device):
         device.program_slot(PhysAddr(0, 0, 0), w(1, 1, 1, 1))
         device.read_slot(PhysAddr(0, 0, 0))
-        device.partial_program(PhysAddr(0, 0, 0), w(2, 2, 2, 2))
+        device.program_slot(PhysAddr(0, 0, 0), w(2, 2, 2, 2))
         device.erase_block(0)
         return (
-            device.ledger.read_us,
-            device.ledger.program_us,
+            device.ledger.rd_us,
+            device.ledger.wr_us,
             device.ledger.erase_us,
             device.ledger.total_us,
         )

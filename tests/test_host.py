@@ -127,9 +127,9 @@ def test_flush_idle_inclusive_boundary(host):
 def test_clean_slots_never_reflushed(host):
     host.apply_event(ev_w(5))
     host.apply_event(TraceEvent("F"))
-    programs = host.controller.device.ledger.program_us
+    programs = host.controller.device.ledger.wr_us
     host.apply_event(TraceEvent("T", ticks=50))
-    assert host.controller.device.ledger.program_us == programs
+    assert host.controller.device.ledger.wr_us == programs
 
 
 def test_idle_flush_order_is_ascending(host):

@@ -3,7 +3,6 @@ import json
 import pytest
 
 from ddnsim import (
-    CostBreakdown,
     DeletionOutcome,
     LatencyLedger,
     MetricsCollector,
@@ -22,9 +21,9 @@ def outcome(policy="MarkOnly", tick=0, cache_id=1, residual=8, slot=8, **costs):
         tick=tick,
         policy=policy,
         action="test",
+        cost=LatencyLedger(**costs),
         residual_cells=residual,
         slot_cells=slot,
-        **costs,
     )
 
 
@@ -44,7 +43,7 @@ def test_ledger_accumulates_by_category():
     ledger.charge_gc_migration(649)
     assert ledger.total_us == 5398.0
     snap = ledger.snapshot()
-    assert snap == CostBreakdown(49, 600, 100, 4000, 649)
+    assert snap == LatencyLedger(49, 600, 100, 4000, 649)
     assert snap.total_us == ledger.total_us
 
 
@@ -55,7 +54,7 @@ def test_snapshot_delta():
     ledger.charge_program(600)
     ledger.charge_read(49)
     delta = ledger.snapshot() - before
-    assert delta == CostBreakdown(rd_us=49, wr_us=600)
+    assert delta == LatencyLedger(rd_us=49, wr_us=600)
 
 
 def test_record_deletion_accumulates_residuals():
@@ -74,7 +73,7 @@ def test_record_deletion_accumulates_residuals():
 def test_empty_collector():
     collector = collector_with([])
     assert collector.final_remanence_rate == 0.0
-    assert collector.mean_costs() == CostBreakdown()
+    assert collector.mean_costs() == LatencyLedger()
 
 
 def test_remanence_curve_is_cumulative_per_tick():

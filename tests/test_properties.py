@@ -197,5 +197,5 @@ def test_ledger_additivity_over_a_run(seed):
     (policy_run,) = run(cfg, events).runs
     ledger = policy_run.collector.ledger
     assert ledger.total_us == ledger.snapshot().total_us
-    deletion_total = sum(d.total_us for d in policy_run.collector.deletions)
+    deletion_total = sum(d.cost.total_us for d in policy_run.collector.deletions)
     assert deletion_total <= ledger.total_us
