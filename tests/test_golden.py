@@ -1,7 +1,8 @@
 """Golden reports: the exact CSV and JSONL bytes of small runs, pinned by hash.
 
 Each case exercises a different path of the simulator (plain W/F/U replay,
-secure mode with idle flushes and I/D requests, slot reclaim with LRU
+secure mode with idle flushes and I/D requests, flushes and scrubs on the
+same tick across zero, one-tick and long time gaps, slot reclaim with LRU
 eviction, NAND erase fallback). A refactor that claims to keep behaviour
 must keep these hashes; a deliberate change of report bytes updates them.
 """
@@ -38,6 +39,34 @@ def _secure_trace(cfg):
         lines += [f"W {cache_id} {_payload(rng, cfg)}" for cache_id in previous]
         lines.append("T 12")
     lines.append("T 40")
+    return "\n".join(lines) + "\n"
+
+
+def _same_tick_trace(cfg):
+    """With threshold 0, t_secure 1 and 4 DRAM lines, each batch of 5 fresh
+    ids evicts its smallest (dirty) id on the write tick. One tick later the
+    idle flush writes the other 4 on the tick that scrubs the evicted one and
+    the batch before. I/D/U then hit copies flushed on that tick, still
+    valid; a U on the evicted, already scrubbed id evicts again. ``T 0``
+    ticks nothing, and one ``T 100000`` gap drains everything."""
+    rng = random.Random(21)
+    lines, next_id = ["T 0"], 0
+    for batch_no in range(10):
+        batch = list(range(next_id, next_id + 5))
+        next_id += 5
+        lines += [f"W {cache_id} {_payload(rng, cfg)}" for cache_id in batch]
+        lines.append("T 1")
+        invalidated, deidentified, updated = rng.sample(batch[1:], 3)
+        lines += [
+            f"I {invalidated}",
+            f"D {deidentified}",
+            f"U {updated} {_payload(rng, cfg)}",
+            f"U {batch[0]} {_payload(rng, cfg)}",
+            "T 0",
+        ]
+        if batch_no == 5:
+            lines.append("T 100000")
+    lines.append("T 3")
     return "\n".join(lines) + "\n"
 
 
@@ -78,6 +107,13 @@ CASES = {
         {"secure-scrub", "ddn-overwrite", "gc-erase", "mark-only"},
         "5b7997af4fd9595879191c5a1be2aa462135740f66e4b2ac587edf2a6dc0ab39",
         "b94bea5cc5f150b43cb5340dcd39b9fd38d0dcd19dd1bb21068ae07d11ace201",
+    ),
+    "same-tick-flush-scrub": (
+        "seed = 17\nt_secure = 1\nflush_idle_threshold = 0\ndram_capacity = 4\n",
+        _same_tick_trace,
+        {"secure-scrub", "ddn-overwrite", "gc-erase", "mark-only"},
+        "f55db867276d72193a8c50fd926cf906b386d25573b61f169bcc19d59f0047df",
+        "c744e27dd069362646f81cf031cf6d3920ac8ee6afe665c71c17390ea1778552",
     ),
     "overwritable-reclaim": (
         "seed = 11\ndevice_kind = overwritable\nreclaim_invalid_slots = true\n"
