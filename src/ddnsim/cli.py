@@ -1,7 +1,9 @@
 """Command-line entry point.
 
 Exit codes: 0 success, 2 config/usage error, 3 trace error, 4 device
-allocation failure.
+allocation failure. Deletions that failed inside a run leave the report and
+the exit code as they are; each policy with such failures gets one warning
+line on stderr.
 """
 
 import sys
@@ -110,6 +112,16 @@ def main(argv=None) -> int:
     except DeviceError as exc:
         print(f"ddnsim: device error: {exc}", file=sys.stderr)
         return EXIT_DEVICE
+
+    for policy_run in report.runs:
+        deletions = policy_run.collector.deletions
+        errors = [d.error for d in deletions if d.error is not None]
+        if errors:
+            print(
+                f"ddnsim: warning: {policy_run.label}: {len(errors)} of "
+                f"{len(deletions)} deletions failed; first: {errors[0]}",
+                file=sys.stderr,
+            )
 
     payload = report.csv_text if cfg.out_format == "csv" else report.jsonl_text
     if args.out:

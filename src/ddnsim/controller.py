@@ -14,6 +14,8 @@ once it has sat in NVM for that many ticks.
 """
 
 import re
+import heapq
+import itertools
 from enum import Enum
 from dataclasses import dataclass
 
@@ -156,6 +158,11 @@ class NvmController:
         self.policy = policy
         self.rng = rng
         self.collector = collector
+        # (written_at, sequence, cache_id, entry) per flushed copy while secure
+        # mode is on. An item is stale once its entry is invalid or no longer
+        # the table's entry for cache_id; stale items are skipped lazily.
+        self._resident = []
+        self._sequence = itertools.count()
 
     # -- host-facing --------------------------------------------------------
 
@@ -166,7 +173,14 @@ class NvmController:
         """Store a flushed cache line: allocate, program, register as valid."""
         addr = self.device.allocate_slot()
         self.device.program_slot(addr, payload)
-        self.device.cache_table.register(cache_id, addr, now)
+        table = self.device.cache_table
+        table.register(cache_id, addr, now)
+        if self.policy.t_secure is not None:
+            item = (now, next(self._sequence), cache_id, table.get(cache_id))
+            heapq.heappush(self._resident, item)
+            if len(self._resident) > 2 * len(table):
+                self._resident = [item for item in self._resident if self._live(item)]
+                heapq.heapify(self._resident)
         return addr
 
     def handle_invalidation(self, req: InvalidationRequest, now: int) -> DeletionOutcome:
@@ -183,19 +197,33 @@ class NvmController:
         return self._scrub(req.cache_id, entry, now, secure=False)
 
     def secure_tick(self, now: int) -> list:
-        """Scrub every valid entry that has resided at least t_secure ticks.
+        """Scrub every valid copy stored by ``flush_write`` that has resided
+        at least t_secure ticks.
 
         Scrubbed entries go invalid, so each is scrubbed exactly once.
         Outcomes come back in ascending cache_id order.
         """
         if self.policy.t_secure is None:
             raise ProtocolError("secure mode not configured")
-        due = [
-            (cid, entry)
-            for cid, entry in self.device.cache_table.valid_entries()
-            if now - entry.written_at >= self.policy.t_secure
-        ]
+        resident = self._resident
+        due = []
+        while resident and now - resident[0][0] >= self.policy.t_secure:
+            item = heapq.heappop(resident)
+            if self._live(item):
+                due.append(item[2:])
+        due.sort(key=lambda pair: pair[0])
         return [self._scrub(cid, entry, now, secure=True) for cid, entry in due]
+
+    def next_scrub_due(self) -> int | None:
+        """Earliest tick at which ``secure_tick`` scrubs something, if any."""
+        resident = self._resident
+        while resident and not self._live(resident[0]):
+            heapq.heappop(resident)
+        return resident[0][0] + self.policy.t_secure if resident else None
+
+    def _live(self, item) -> bool:
+        _, _, cache_id, entry = item
+        return entry.valid and self.device.cache_table.get(cache_id) is entry
 
     # -- deletion machinery -------------------------------------------------
 

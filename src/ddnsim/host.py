@@ -3,8 +3,9 @@
 Writes land in DRAM. Dirty lines that sit unused for the idle threshold are
 flushed to NVM; updating a line whose flushed copy is still valid sends the
 controller an invalidation request for that copy. The host owns the tick
-clock: ``T n`` advances it one tick at a time, running idle flushes and (when
-configured) secure-mode scrubs at every tick.
+clock: ``T n`` advances it by next-event steps, visiting only the ticks where
+an idle flush or (when configured) a secure-mode scrub falls due, and the
+last tick; each visited tick runs the idle flush, then the secure scrub.
 
 Trace grammar, one event per line (``#`` starts a comment):
 
@@ -19,6 +20,8 @@ Trace grammar, one event per line (``#`` starts a comment):
 as wide as one cache slot.
 """
 
+import heapq
+from collections import OrderedDict
 from dataclasses import dataclass
 
 from .cells import DataWord, word_from_hex
@@ -116,7 +119,12 @@ class Host:
         self.capacity = capacity
         self.flush_idle_threshold = flush_idle_threshold
         self.slots = {}
-        self._dirty = set()  # ids with slot.dirty, kept in sync for O(dirty) flushes
+        # id -> last_used for dirty slots, oldest first: writes stamp the
+        # never-decreasing clock and move the id to the end.
+        self._dirty = OrderedDict()
+        # (last_used, id) for every slot, plus stale items skipped lazily;
+        # built at the first eviction, so a DRAM that never fills keeps none.
+        self._lru = None
         self.now = 0
         self.request_log = []
 
@@ -156,17 +164,34 @@ class Host:
             self.controller.handle_invalidation(req, self.now)
             return [req]
         if kind == "T":
-            secure = self.controller.policy.t_secure is not None
-            for _ in range(event.ticks):
-                self.now += 1
-                self.flush_idle(self.now)
-                if secure:
-                    self.controller.secure_tick(self.now)
+            self._advance(self.now + event.ticks)
             return []
         if kind == "F":
             self.flush_all(self.now)
             return []
         raise TraceError(f"unhandled event kind {kind!r}", event.line)
+
+    def _advance(self, end: int):
+        """Move the clock to ``end``, stopping only at ticks where a dirty line
+        reaches the idle threshold or a flushed copy reaches ``t_secure``.
+
+        Nothing happens on the ticks skipped, so the result is that of running
+        the idle flush and the secure scrub on every tick.
+        """
+        controller = self.controller
+        secure = controller.policy.t_secure is not None
+        while self.now < end:
+            due = end
+            if self._dirty:
+                due = min(due, next(iter(self._dirty.values())) + self.flush_idle_threshold)
+            if secure:
+                scrub_due = controller.next_scrub_due()
+                if scrub_due is not None:
+                    due = min(due, scrub_due)
+            self.now = max(due, self.now + 1)
+            self.flush_idle(self.now)
+            if secure:
+                controller.secure_tick(self.now)
 
     # -- DRAM side ----------------------------------------------------------
 
@@ -180,15 +205,32 @@ class Host:
             slot.payload = payload
             slot.dirty = True
             slot.last_used = self.now
-        self._dirty.add(cache_id)
+        self._dirty[cache_id] = self.now
+        self._dirty.move_to_end(cache_id)
+        lru = self._lru
+        if lru is not None:
+            heapq.heappush(lru, (self.now, cache_id))
+            if len(lru) > 2 * len(self.slots):
+                self._rebuild_lru()
+
+    def _rebuild_lru(self):
+        self._lru = [(slot.last_used, cid) for cid, slot in self.slots.items()]
+        heapq.heapify(self._lru)
 
     def _evict_one(self):
-        # LRU victim; ties go to the smallest id for determinism.
-        victim = min(self.slots.items(), key=lambda kv: (kv[1].last_used, kv[0]))[0]
-        if self.slots[victim].dirty:
+        # LRU victim; ties go to the smallest id for determinism. An item is
+        # stale once its id left DRAM or was used again.
+        if self._lru is None:
+            self._rebuild_lru()
+        lru, slots = self._lru, self.slots
+        while True:
+            last_used, victim = heapq.heappop(lru)
+            slot = slots.get(victim)
+            if slot is not None and slot.last_used == last_used:
+                break
+        if slot.dirty:
             self._flush(victim, self.now)
-        del self.slots[victim]
-        self._dirty.discard(victim)
+        del slots[victim]
 
     def _invalidate_if_valid(self, cache_id: int, req_kind: RequestKind):
         entry = self.controller.entry(cache_id)
@@ -203,15 +245,16 @@ class Host:
         slot = self.slots[cache_id]
         self.controller.flush_write(cache_id, slot.payload, now)
         slot.dirty = False
-        self._dirty.discard(cache_id)
+        del self._dirty[cache_id]
 
     def flush_idle(self, now: int) -> list:
         """Flush dirty lines idle for at least the threshold, ascending id."""
-        due = sorted(
-            cid
-            for cid in self._dirty
-            if now - self.slots[cid].last_used >= self.flush_idle_threshold
-        )
+        due = []
+        for cid, last_used in self._dirty.items():
+            if now - last_used < self.flush_idle_threshold:
+                break
+            due.append(cid)
+        due.sort()
         for cid in due:
             self._flush(cid, now)
         return due

@@ -240,3 +240,17 @@ def test_module_entry_point_runs():
     )
     assert result.returncode == 0
     assert result.stdout.startswith("POLICY,RD,WR,GEN,ERASE,GC,TOTAL_US,REMANENCE")
+
+
+def test_cli_warns_once_per_policy_with_failed_deletions(capsys):
+    args = ["--synthetic", "300", "--seed", "1"]
+    assert main([*args, "--policy", "DdnNonRandom(Level=1),DdnRandom"]) == 0
+    out, err = capsys.readouterr()
+    assert out.splitlines()[1] == "DdnNonRandom(Level=1),0,0,0,0,0,359400,1"
+    (warning,) = err.splitlines()
+    assert warning.startswith(
+        "ddnsim: warning: DdnNonRandom(Level=1): 300 of 300 deletions failed; first: "
+    )
+    assert "would drop" in warning
+    assert main([*args, "--policy", "DdnRandom"]) == 0
+    assert capsys.readouterr().err == ""
