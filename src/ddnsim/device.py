@@ -433,16 +433,19 @@ class NvmDevice:
         raise DeviceFull("no writable slot available")
 
     def _allocate_with_reclaim(self) -> PhysAddr:
+        # An allocated slot is reusable only when no valid entry points at
+        # it; stale invalid entries may share the slot with a valid one (an
+        # erased block's old entries, say), and reuse drops all of them.
         holders = {}
         for cid, entry in self.cache_table.items():
-            holders[self._linear(entry.addr)] = (cid, entry)
+            holders.setdefault(self._linear(entry.addr), []).append((cid, entry))
         for linear in range(self.geometry.total_slots):
             if self._allocated[linear]:
-                held = holders.get(linear)
-                if held is not None and held[1].valid:
+                held = holders.get(linear, ())
+                if any(entry.valid for _, entry in held):
                     continue
-                if held is not None:
-                    self.cache_table.drop(held[0])
+                for cid, _ in held:
+                    self.cache_table.drop(cid)
                 self._allocated[linear] = False
             if self._slot_writable(linear):
                 self._allocated[linear] = True

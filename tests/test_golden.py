@@ -120,8 +120,8 @@ CASES = {
         "dram_capacity = 8\nblocks = 16\n",
         _reclaim_trace,
         {"ddn-overwrite", "gc-erase"},
-        "4c72db974d05a0d87c96e7a8e32133067cd71bd56ccf93aba9f04300f4d91450",
-        "d6eb3fae03a98149ac9a728e8366c9f51202da15574d485a719b13e317ac101b",
+        "c99ca8334e9d6d340a5663e69ed0df74656a98fce892824dee2346ab95e0972f",
+        "f1aa7af4c4709b472ec800200da460859c54f56e7a965bdd5a6166790c29818b",
     ),
     "nand-erase-fallback": (
         "seed = 13\nnop_limit = 1\npolicies = DdnRandom,DdnNonRandom,EraseBased\n",
