@@ -47,7 +47,7 @@ from .device import (
     NoFreePages,
     NopExceeded,
     NvmDevice,
-    Page,
+    PageState,
     PageStatus,
     PhysAddr,
     UnknownCacheId,

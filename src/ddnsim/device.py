@@ -5,10 +5,19 @@ accepts any new cell levels; NAND-like memory only moves cells upward between
 erases and budgets how many times a page may be reprogrammed in place. Every
 timed operation charges the device's latency ledger, so a run's cost is the
 sum of the charges it caused.
+
+Device state is flat. Pages are numbered ``block * pages_per_block + page``
+and slots ``page_number * slots_per_page + slot``; one ``bytearray`` holds
+every cell level (a level fits in a byte, so ``bits_per_cell <= 8``), one
+holds each page's status, one each slot's occupancy, and a list holds each
+page's partial-program count. An erase is a slice assignment and a GC
+migration a slice copy.
 """
 
+import heapq
 from enum import Enum
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .cells import DataWord
 from .metrics import LatencyLedger
@@ -52,6 +61,9 @@ class PageStatus(Enum):
     PROGRAMMED = "programmed"
 
 
+_STATUS = (PageStatus.FREE, PageStatus.PROGRAMMED)  # by the stored status byte
+
+
 @dataclass(frozen=True)
 class Geometry:
     blocks: int = 256
@@ -70,6 +82,11 @@ class Geometry:
         ):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if self.bits_per_cell > 8:
+            raise ValueError(
+                f"bits_per_cell must be <= 8 (a level is stored in one byte), "
+                f"got {self.bits_per_cell}"
+            )
         if self.cells_per_page % self.cells_per_cache_slot:
             raise ValueError(
                 f"cells_per_page ({self.cells_per_page}) must be a multiple of "
@@ -97,8 +114,7 @@ class Geometry:
         return self.cells_per_cache_slot * self.bits_per_cell
 
 
-@dataclass(frozen=True)
-class PhysAddr:
+class PhysAddr(NamedTuple):
     """Physical location of one cache-slot-sized region."""
 
     block: int
@@ -126,11 +142,12 @@ class LatencyParams:
         return self.t_read_us + self.t_program_us
 
 
-@dataclass
-class Page:
+class PageState(NamedTuple):
+    """A copy of one page's state, as ``NvmDevice.page`` reads it."""
+
     cells: list
-    status: PageStatus = PageStatus.FREE
-    partial_program_count: int = 0
+    status: PageStatus
+    partial_program_count: int
 
 
 @dataclass
@@ -144,13 +161,18 @@ class CacheEntry:
 class CacheTable:
     """cache_id -> physical slot, valid/invalid bit, timestamps.
 
-    Keeps a per-block index of valid ids so garbage collection does not scan
-    the whole table.
+    Two indexes spare callers a scan of the whole table: the valid ids per
+    block, for garbage collection, and every id per slot address, valid or
+    not, for slot reclaim. ``on_release(addr)`` is called whenever a valid
+    entry stops holding its address (it goes invalid, is replaced or is
+    dropped), because the slot may have become reusable.
     """
 
-    def __init__(self):
+    def __init__(self, on_release=None):
         self._entries = {}
         self._valid_by_block = {}
+        self._ids_by_addr = {}
+        self._on_release = on_release
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -161,18 +183,38 @@ class CacheTable:
     def get(self, cache_id) -> CacheEntry | None:
         return self._entries.get(cache_id)
 
+    def _attach(self, cache_id: int, addr: PhysAddr):
+        self._ids_by_addr.setdefault(addr, set()).add(cache_id)
+
+    def _detach(self, cache_id: int, addr: PhysAddr):
+        ids = self._ids_by_addr[addr]
+        ids.discard(cache_id)
+        if not ids:
+            del self._ids_by_addr[addr]
+
+    def _release(self, cache_id: int, entry: CacheEntry):
+        """A valid entry stops holding entry.addr."""
+        self._valid_by_block[entry.addr.block].discard(cache_id)
+        if self._on_release is not None:
+            self._on_release(entry.addr)
+
     def register(self, cache_id: int, addr: PhysAddr, now: int):
         """Insert or replace the entry for cache_id as valid at addr."""
         old = self._entries.get(cache_id)
-        if old is not None and old.valid:
-            self._valid_by_block[old.addr.block].discard(cache_id)
+        if old is not None:
+            self._detach(cache_id, old.addr)
+            if old.valid:
+                self._release(cache_id, old)
         self._entries[cache_id] = CacheEntry(addr, True, now)
         self._valid_by_block.setdefault(addr.block, set()).add(cache_id)
+        self._attach(cache_id, addr)
 
     def drop(self, cache_id: int):
         entry = self._entries.pop(cache_id, None)
-        if entry is not None and entry.valid:
-            self._valid_by_block[entry.addr.block].discard(cache_id)
+        if entry is not None:
+            self._detach(cache_id, entry.addr)
+            if entry.valid:
+                self._release(cache_id, entry)
 
     def set_valid(self, cache_id: int, valid: bool, now: int):
         entry = self._entries.get(cache_id)
@@ -180,22 +222,32 @@ class CacheTable:
             raise UnknownCacheId(f"cache_id {cache_id} not in cache table")
         if entry.valid and not valid:
             entry.invalidated_at = now
-            self._valid_by_block[entry.addr.block].discard(cache_id)
+            self._release(cache_id, entry)
         elif not entry.valid and valid:
             entry.invalidated_at = None
             self._valid_by_block.setdefault(entry.addr.block, set()).add(cache_id)
         entry.valid = valid
 
     def move(self, cache_id: int, addr: PhysAddr):
-        """Point a valid entry at a new physical slot (GC migration)."""
+        """Point an entry at a new physical slot (GC migration).
+
+        The old slot is not released: garbage collection erases its block
+        right after the move, and the erase frees every slot of the block.
+        """
         entry = self._entries[cache_id]
+        self._detach(cache_id, entry.addr)
         if entry.valid:
             self._valid_by_block[entry.addr.block].discard(cache_id)
             self._valid_by_block.setdefault(addr.block, set()).add(cache_id)
         entry.addr = addr
+        self._attach(cache_id, addr)
 
     def valid_ids_in_block(self, block: int) -> set:
         return set(self._valid_by_block.get(block, ()))
+
+    def holders(self, addr: PhysAddr) -> list:
+        """(cache_id, entry) for every entry pointing at addr, valid or not."""
+        return [(cid, self._entries[cid]) for cid in self._ids_by_addr.get(addr, ())]
 
     def valid_entries(self):
         """(cache_id, entry) pairs for valid entries, ascending cache_id."""
@@ -213,7 +265,8 @@ class NvmDevice:
     Slot occupancy is tracked separately from the cache table: an allocated
     slot stays occupied (even after its data is invalidated) until the block
     is erased, unless ``reclaim_invalid_slots`` lets the allocator hand
-    invalid slots back out.
+    invalid slots back out. Reclaim needs an overwritable device, because a
+    reclaimed slot keeps its old levels and NAND cannot program them down.
     """
 
     def __init__(
@@ -230,19 +283,27 @@ class NvmDevice:
         self.latency = latency if latency is not None else LatencyParams()
         if nop_limit < 0:
             raise ValueError(f"nop_limit must be >= 0, got {nop_limit}")
+        if reclaim_invalid_slots and kind is not DeviceKind.OVERWRITABLE:
+            raise ValueError("reclaim_invalid_slots needs an overwritable device")
         self.nop_limit = nop_limit
         self.ledger = ledger if ledger is not None else LatencyLedger()
         self.reclaim_invalid_slots = reclaim_invalid_slots
-        self.cache_table = CacheTable()
+        self.cache_table = CacheTable(self._release if reclaim_invalid_slots else None)
         g = self.geometry
-        self.blocks = [
-            [Page([0] * g.cells_per_page) for _ in range(g.pages_per_block)]
-            for _ in range(g.blocks)
-        ]
+        pages = g.blocks * g.pages_per_block
+        self._cells = bytearray(pages * g.cells_per_page)
+        self._programmed = bytearray(pages)  # page status: 0 free, 1 programmed
+        self._program_counts = [0] * pages
+        self._allocated = bytearray(g.total_slots)
         self.erase_counts = [0] * g.blocks
-        self._allocated = [False] * g.total_slots
         self._alloc_hint = 0
         self._dest_page_hint = 0
+        # Reclaim: a min-heap of slots that may have become reusable (checked
+        # when they reach the top), a flag per slot that is in the heap, and
+        # the lowest slot the allocator has not yet handed out.
+        self._reusable = []
+        self._queued = bytearray(g.total_slots if reclaim_invalid_slots else 0)
+        self._high_water = 0
 
     # -- addressing ---------------------------------------------------------
 
@@ -250,7 +311,8 @@ class NvmDevice:
         if not 0 <= block < self.geometry.blocks:
             raise AddressError(f"block {block} out of range")
 
-    def _check_addr(self, addr: PhysAddr) -> Page:
+    def _check_addr(self, addr: PhysAddr) -> int:
+        """The page number of a valid address."""
         g = self.geometry
         if not (
             0 <= addr.block < g.blocks
@@ -258,7 +320,7 @@ class NvmDevice:
             and 0 <= addr.slot < g.slots_per_page
         ):
             raise AddressError(f"{addr} outside geometry")
-        return self.blocks[addr.block][addr.page]
+        return addr.block * g.pages_per_block + addr.page
 
     def _linear(self, addr: PhysAddr) -> int:
         g = self.geometry
@@ -270,20 +332,27 @@ class NvmDevice:
         block, page = divmod(page_index, g.pages_per_block)
         return PhysAddr(block, page, slot)
 
-    def _slot_range(self, addr: PhysAddr):
-        start = addr.slot * self.geometry.cells_per_cache_slot
-        return start, start + self.geometry.cells_per_cache_slot
-
     def page_status(self, addr: PhysAddr) -> PageStatus:
-        return self._check_addr(addr).status
+        return _STATUS[self._programmed[self._check_addr(addr)]]
+
+    def page(self, block: int, page: int) -> PageState:
+        """A copy of one page's cells, status and partial-program count."""
+        index = self._check_addr(PhysAddr(block, page, 0))
+        n = self.geometry.cells_per_page
+        return PageState(
+            list(self._cells[index * n : (index + 1) * n]),
+            _STATUS[self._programmed[index]],
+            self._program_counts[index],
+        )
 
     # -- data path ----------------------------------------------------------
 
     def peek_slot(self, addr: PhysAddr) -> DataWord:
         """Slot contents without any latency charge (instrumentation only)."""
-        page = self._check_addr(addr)
-        start, end = self._slot_range(addr)
-        return DataWord(tuple(page.cells[start:end]), self.geometry.bits_per_cell)
+        g = self.geometry
+        start = self._check_addr(addr) * g.cells_per_page + addr.slot * g.cells_per_cache_slot
+        levels = tuple(self._cells[start : start + g.cells_per_cache_slot])
+        return DataWord(levels, g.bits_per_cell)
 
     def read_slot(self, addr: PhysAddr) -> DataWord:
         """Read one slot; costs one page read. Free pages read as all zero."""
@@ -298,47 +367,49 @@ class NvmDevice:
         and, once the page is programmed, consume one unit of the page's
         partial-reprogram budget per call.
         """
-        page = self._check_addr(addr)
+        index = self._check_addr(addr)
         g = self.geometry
         if len(data) != g.cells_per_cache_slot or data.bits_per_cell != g.bits_per_cell:
             raise ValueError(
                 f"data is {len(data)} cells x {data.bits_per_cell} bits, slot is "
                 f"{g.cells_per_cache_slot} x {g.bits_per_cell}"
             )
-        start, end = self._slot_range(addr)
+        offset = addr.slot * g.cells_per_cache_slot
+        start = index * g.cells_per_page + offset
+        end = start + g.cells_per_cache_slot
         if self.kind is DeviceKind.NON_OVERWRITABLE:
-            for offset, (old, new) in enumerate(
-                zip(page.cells[start:end], data.levels)
-            ):
+            for cell, (old, new) in enumerate(zip(self._cells[start:end], data.levels), offset):
                 if new < old:
                     raise MonotoneViolation(
-                        f"cell {start + offset} of {addr} would drop {old} -> {new}"
+                        f"cell {cell} of {addr} would drop {old} -> {new}"
                     )
-            if (
-                page.status is PageStatus.PROGRAMMED
-                and page.partial_program_count >= self.nop_limit
-            ):
-                raise NopExceeded(
-                    f"page ({addr.block},{addr.page}) used its {self.nop_limit} "
-                    f"partial programs"
-                )
-            if page.status is PageStatus.PROGRAMMED:
-                page.partial_program_count += 1
-        page.cells[start:end] = list(data.levels)
-        page.status = PageStatus.PROGRAMMED
+            if self._programmed[index]:
+                if self._program_counts[index] >= self.nop_limit:
+                    raise NopExceeded(
+                        f"page ({addr.block},{addr.page}) used its {self.nop_limit} "
+                        f"partial programs"
+                    )
+                self._program_counts[index] += 1
+        self._cells[start:end] = data.levels
+        self._programmed[index] = 1
         self.ledger.charge_program(self.latency.t_program_us)
 
     def erase_block(self, block: int):
         """Reset every cell of the block to level 0; the only downward path."""
         self._check_block(block)
         g = self.geometry
-        for page in self.blocks[block]:
-            page.cells = [0] * g.cells_per_page
-            page.status = PageStatus.FREE
-            page.partial_program_count = 0
+        first, last = block * g.pages_per_block, (block + 1) * g.pages_per_block
+        self._cells[first * g.cells_per_page : last * g.cells_per_page] = bytes(
+            g.pages_per_block * g.cells_per_page
+        )
+        self._programmed[first:last] = bytes(g.pages_per_block)
+        self._program_counts[first:last] = [0] * g.pages_per_block
         base = block * g.slots_per_block
-        for i in range(base, base + g.slots_per_block):
-            self._allocated[i] = False
+        self._allocated[base : base + g.slots_per_block] = bytes(g.slots_per_block)
+        if self.reclaim_invalid_slots:
+            # Unallocated slots at or above the high-water mark need no queueing.
+            for linear in range(base, min(base + g.slots_per_block, self._high_water)):
+                self._queue(linear)
         self.erase_counts[block] += 1
         self._alloc_hint = min(self._alloc_hint, base)
         self.ledger.charge_erase(self.latency.t_erase_us)
@@ -353,24 +424,30 @@ class NvmDevice:
         """
         self._check_block(block)
         g = self.geometry
+        table = self.cache_table
+        cells = self._cells
+        width = g.cells_per_cache_slot
+        slots_per_page = g.slots_per_page
         by_page = {}
-        for cid in sorted(self.cache_table.valid_ids_in_block(block)):
-            entry = self.cache_table.get(cid)
-            by_page.setdefault(entry.addr.page, []).append((cid, entry))
+        for cid in sorted(table.valid_ids_in_block(block)):
+            entry = table.get(cid)
+            by_page.setdefault(entry.addr.page, []).append((cid, entry.addr.slot))
         if by_page:
             dests = self._find_free_pages(len(by_page), exclude_block=block)
             for (page_no, movers), (dst_block, dst_page) in zip(
                 sorted(by_page.items()), dests
             ):
-                src = self.blocks[block][page_no]
-                dst = self.blocks[dst_block][dst_page]
-                for cid, entry in movers:
-                    start, end = self._slot_range(entry.addr)
-                    dst.cells[start:end] = src.cells[start:end]
-                    new_addr = PhysAddr(dst_block, dst_page, entry.addr.slot)
-                    self._allocated[self._linear(new_addr)] = True
-                    self.cache_table.move(cid, new_addr)
-                dst.status = PageStatus.PROGRAMMED
+                src = (block * g.pages_per_block + page_no) * g.cells_per_page
+                dst_index = dst_block * g.pages_per_block + dst_page
+                dst = dst_index * g.cells_per_page
+                for cid, slot in movers:
+                    start = slot * width
+                    cells[dst + start : dst + start + width] = cells[
+                        src + start : src + start + width
+                    ]
+                    self._allocated[dst_index * slots_per_page + slot] = 1
+                    table.move(cid, PhysAddr(dst_block, dst_page, slot))
+                self._programmed[dst_index] = 1
                 self.ledger.charge_gc_migration(self.latency.gc_migration_per_page_us)
         self.erase_block(block)
 
@@ -387,12 +464,10 @@ class NvmDevice:
         index = self._dest_page_hint
         for _ in range(total_pages):
             block, page_no = divmod(index, g.pages_per_block)
-            if block != exclude_block:
-                page = self.blocks[block][page_no]
-                if page.status is PageStatus.FREE:
-                    base = index * g.slots_per_page
-                    if not any(self._allocated[base : base + g.slots_per_page]):
-                        found.append((block, page_no))
+            if block != exclude_block and not self._programmed[index]:
+                base = index * g.slots_per_page
+                if not any(self._allocated[base : base + g.slots_per_page]):
+                    found.append((block, page_no))
             index += 1
             if index == total_pages:
                 index = 0
@@ -404,22 +479,18 @@ class NvmDevice:
     # -- slot allocation ----------------------------------------------------
 
     def _slot_writable(self, linear: int) -> bool:
-        g = self.geometry
-        page_index = linear // g.slots_per_page
-        block, page_no = divmod(page_index, g.pages_per_block)
-        page = self.blocks[block][page_no]
-        if page.status is PageStatus.FREE or self.kind is DeviceKind.OVERWRITABLE:
+        index = linear // self.geometry.slots_per_page
+        if not self._programmed[index] or self.kind is DeviceKind.OVERWRITABLE:
             return True
-        return page.partial_program_count < self.nop_limit
+        return self._program_counts[index] < self.nop_limit
 
     def allocate_slot(self) -> PhysAddr:
         """First-fit allocation in page order.
 
         Occupied slots stay unavailable until their block is erased; with
-        ``reclaim_invalid_slots`` the allocator may also hand out slots whose
-        cache entries went invalid (dropping those entries). Reclaimed NAND
-        slots still hold their old levels, so reuse is only generally safe on
-        overwritable devices.
+        ``reclaim_invalid_slots`` the lowest slot that is unoccupied, or
+        occupied with no valid cache entry pointing at it, is handed out, and
+        reusing an occupied slot drops the invalid entries that point at it.
         """
         if self.reclaim_invalid_slots:
             return self._allocate_with_reclaim()
@@ -427,30 +498,49 @@ class NvmDevice:
             if self._allocated[linear]:
                 continue
             if self._slot_writable(linear):
-                self._allocated[linear] = True
+                self._allocated[linear] = 1
                 self._alloc_hint = linear + 1
                 return self._addr(linear)
         raise DeviceFull("no writable slot available")
 
+    def _reusable_slot(self, linear: int) -> bool:
+        if not self._allocated[linear]:
+            return True
+        return not any(e.valid for _, e in self.cache_table.holders(self._addr(linear)))
+
+    def _queue(self, linear: int):
+        if not self._queued[linear]:
+            self._queued[linear] = 1
+            heapq.heappush(self._reusable, linear)
+
+    def _release(self, addr: PhysAddr):
+        """Cache-table hook: a valid entry stopped holding addr."""
+        self._queue(self._linear(addr))
+
     def _allocate_with_reclaim(self) -> PhysAddr:
-        # An allocated slot is reusable only when no valid entry points at
-        # it; stale invalid entries may share the slot with a valid one (an
-        # erased block's old entries, say), and reuse drops all of them.
-        holders = {}
-        for cid, entry in self.cache_table.items():
-            holders.setdefault(self._linear(entry.addr), []).append((cid, entry))
-        for linear in range(self.geometry.total_slots):
-            if self._allocated[linear]:
-                held = holders.get(linear, ())
-                if any(entry.valid for _, entry in held):
-                    continue
-                for cid, _ in held:
-                    self.cache_table.drop(cid)
-                self._allocated[linear] = False
-            if self._slot_writable(linear):
-                self._allocated[linear] = True
-                return self._addr(linear)
-        raise DeviceFull("no writable slot available")
+        # Every reusable slot is in the heap or unallocated at or above the
+        # high-water mark: a slot turns reusable only when its block is
+        # erased or a valid entry stops holding it, and both queue it. Stale
+        # heap items are dropped as they reach the top.
+        heap = self._reusable
+        while heap and not self._reusable_slot(heap[0]):
+            self._queued[heapq.heappop(heap)] = 0
+        total = self.geometry.total_slots
+        while self._high_water < total and self._allocated[self._high_water]:
+            self._high_water += 1
+        linear = min(heap[0] if heap else total, self._high_water)
+        if linear == total:
+            raise DeviceFull("no writable slot available")
+        if linear == self._high_water:
+            self._high_water += 1
+        if self._allocated[linear]:
+            table = self.cache_table
+            for cid, _ in table.holders(self._addr(linear)):
+                table.drop(cid)
+        self._allocated[linear] = 1
+        # The slot stays reusable until a valid entry holds it.
+        self._queue(linear)
+        return self._addr(linear)
 
     # -- cache table --------------------------------------------------------
 
@@ -464,12 +554,7 @@ class NvmDevice:
         return sum(self.erase_counts)
 
     def free_page_count(self) -> int:
-        return sum(
-            1
-            for block in self.blocks
-            for page in block
-            if page.status is PageStatus.FREE
-        )
+        return self._programmed.count(0)
 
     def valid_payloads(self) -> dict:
         """cache_id -> stored word for every valid entry (no latency charge)."""

@@ -116,9 +116,7 @@ def test_criterion_4_monotonicity_suite():
     rng = random.Random(777)
 
     def levels(device):
-        return [
-            list(page.cells) for block in device.blocks for page in block
-        ]
+        return [device.page(block, page).cells for block in range(2) for page in range(2)]
 
     sequences = 10_000
     for _ in range(sequences):
@@ -171,14 +169,14 @@ def test_criterion_5_partial_overwrite_isolation():
             word = DataWord(tuple(rng.randrange(8) for _ in range(cells_per_slot)), 3)
             controller.flush_write(cid, word, now=0)
         victim = rng.randrange(slots_per_page)
-        page = controller.device.blocks[0][0]
-        before = list(page.cells)
+        before = controller.device.page(0, 0).cells
         outcome = controller.handle_invalidation(InvalidationRequest(victim), now=1)
         assert outcome.error is None
+        after = controller.device.page(0, 0).cells
         lo = victim * cells_per_slot
         hi = lo + cells_per_slot
-        assert page.cells[:lo] == before[:lo]
-        assert page.cells[hi:] == before[hi:]
+        assert after[:lo] == before[:lo]
+        assert after[hi:] == before[hi:]
     print(f"PASS criterion 5: neighbor slots bit-identical across {cases} "
           f"randomized in-page deletions")
 

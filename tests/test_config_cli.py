@@ -56,6 +56,7 @@ def test_validate_requires_seed():
         {"nop_limit": -1},
         {"cells_per_page": 10, "cells_per_cache_slot": 4},
         {"reclaim_invalid_slots": True},
+        {"bits_per_cell": 9},
     ],
 )
 def test_validate_rejects_bad_values(patch):

@@ -28,6 +28,9 @@ def test_geometry_validation():
         Geometry(blocks=0)
     with pytest.raises(ValueError):
         Geometry(cells_per_page=10, cells_per_cache_slot=4)
+    with pytest.raises(ValueError, match="bits_per_cell must be <= 8"):
+        Geometry(bits_per_cell=9)
+    assert Geometry(bits_per_cell=8).max_level == 255
     g = SMALL
     assert g.slots_per_page == 2
     assert g.total_slots == 32
@@ -112,11 +115,10 @@ def test_partial_program_budget(make_device):
     device = make_device(nop_limit=2)
     addr = PhysAddr(0, 0, 0)
     device.program_slot(addr, w(0, 0, 0, 0))  # full program of a free page
-    page = device.blocks[0][0]
-    assert page.partial_program_count == 0
+    assert device.page(0, 0).partial_program_count == 0
     device.program_slot(addr, w(1, 1, 1, 1))
     device.program_slot(addr, w(2, 2, 2, 2))
-    assert page.partial_program_count == 2
+    assert device.page(0, 0).partial_program_count == 2
     with pytest.raises(NopExceeded):
         device.program_slot(addr, w(3, 3, 3, 3))
     assert device.peek_slot(addr) == w(2, 2, 2, 2)
@@ -135,9 +137,9 @@ def test_partial_program_leaves_other_slots_identical(make_device):
     a, b = PhysAddr(0, 0, 0), PhysAddr(0, 0, 1)
     device.program_slot(a, w(1, 2, 3, 4))
     device.program_slot(b, w(5, 6, 7, 0))
-    snapshot = list(device.blocks[0][0].cells)
+    snapshot = device.page(0, 0).cells
     device.program_slot(a, w(2, 3, 4, 5))
-    after = device.blocks[0][0].cells
+    after = device.page(0, 0).cells
     assert after[4:] == snapshot[4:]  # slot b untouched
     assert device.peek_slot(b) == w(5, 6, 7, 0)
 
@@ -160,7 +162,7 @@ def test_erase_block(make_device):
     assert device.ledger.total_us - before == 4000.0
     assert device.erase_counts[1] == 1
     assert device.total_erases == 1
-    for page in device.blocks[1]:
+    for page in (device.page(1, p) for p in range(4)):
         assert page.status is PageStatus.FREE
         assert page.partial_program_count == 0
         assert page.cells == [0] * 8
@@ -309,3 +311,8 @@ def test_no_reclaim_by_default(make_device):
     device.cache_table.register(5, addr, now=0)
     device.set_valid_bit(5, False, now=1)
     assert device.allocate_slot() != addr
+
+
+def test_reclaim_needs_overwritable_device(make_device):
+    with pytest.raises(ValueError, match="reclaim_invalid_slots"):
+        make_device(reclaim_invalid_slots=True)

@@ -72,7 +72,7 @@ class DeviceModel(RuleBasedStateMachine):
     def cells_match_shadow(self):
         for block in range(2):
             for page in range(2):
-                assert self.device.blocks[block][page].cells == self.shadow[block][page]
+                assert self.device.page(block, page).cells == self.shadow[block][page]
 
 
 DeviceModelTest = DeviceModel.TestCase
@@ -161,12 +161,11 @@ def test_ddn_never_touches_neighbor_slots(
     for cid in range(slots_per_page):
         word = DataWord(tuple(rng.randint(0, 7) for _ in range(cells_per_slot)), 3)
         controller.flush_write(cid, word, now=0)
-    page = device.blocks[0][0]
     lo = victim * cells_per_slot
     hi = lo + cells_per_slot
-    before = list(page.cells)
+    before = device.page(0, 0).cells
     controller.handle_invalidation(InvalidationRequest(victim), now=1)
-    after = page.cells
+    after = device.page(0, 0).cells
     assert after[:lo] == before[:lo]
     assert after[hi:] == before[hi:]
 

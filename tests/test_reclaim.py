@@ -3,12 +3,26 @@
 A reclaimed slot is one whose cache entries have all gone invalid. Reuse
 must never hand out a slot that a valid entry still points at, or two ids
 would share one copy and one of them would read back the other's data.
+
+The reference below is the full scan: rebuild slot -> entries from the
+whole cache table and take the lowest slot that is unallocated, or
+allocated with no valid entry pointing at it. The device's indexed
+allocator must hand out the same slots and leave the same state.
 """
 
 import random
+import hashlib
+
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from ddnsim import (
+    CacheTable,
+    DataWord,
+    DeviceError,
+    DeviceFull,
     DeviceKind,
+    Geometry,
     Host,
     LatencyLedger,
     MetricsCollector,
@@ -17,15 +31,10 @@ from ddnsim import (
     parse_config_text,
     parse_policy,
     parse_trace,
+    run,
 )
 
-from test_golden import _reclaim_trace
-
-RECLAIM_CONFIG = (
-    "seed = 11\ndevice_kind = overwritable\nreclaim_invalid_slots = true\n"
-    "dram_capacity = 8\nblocks = 16\n"
-)
-
+from test_golden import CASES, _reclaim_trace
 
 def _reclaim_host(cfg, policy):
     ledger = LatencyLedger()
@@ -44,7 +53,7 @@ def _reclaim_host(cfg, policy):
 def test_erase_based_reclaim_never_clobbers_a_valid_copy():
     # After a GC erase, invalid entries still point into the erased block; a
     # slot they name may meanwhile hold another id's valid copy.
-    cfg = parse_config_text(RECLAIM_CONFIG)
+    cfg = parse_config_text(CASES["overwritable-reclaim"][0])
     events = parse_trace(_reclaim_trace(cfg), cfg.cells_per_cache_slot, cfg.bits_per_cell)
     host = _reclaim_host(cfg, "EraseBased")
     controller = host.controller
@@ -68,3 +77,98 @@ def test_erase_based_reclaim_never_clobbers_a_valid_copy():
                 f"event {index}: cache_id {cid} reads back another id's data"
             )
     assert controller.collector.deletions
+
+
+class ScanDevice(NvmDevice):
+    """The device with reclaim allocation by a scan of the whole table."""
+
+    def _allocate_with_reclaim(self):
+        holders = {}
+        for cid, entry in self.cache_table.items():
+            holders.setdefault(self._linear(entry.addr), []).append((cid, entry))
+        for linear in range(self.geometry.total_slots):
+            if self._allocated[linear]:
+                held = holders.get(linear, ())
+                if any(entry.valid for _, entry in held):
+                    continue
+                for cid, _ in held:
+                    self.cache_table.drop(cid)
+            self._allocated[linear] = True
+            return self._addr(linear)
+        raise DeviceFull("no writable slot available")
+
+
+# 12 slots of two 2-bit cells, 2 slots per page
+TINY = Geometry(
+    blocks=3, pages_per_block=2, cells_per_page=4, bits_per_cell=2,
+    cells_per_cache_slot=2,
+)
+
+steps = st.lists(
+    st.tuples(
+        st.sampled_from(["write", "rewrite", "allocate", "invalidate", "gc", "erase"]),
+        st.integers(0, 7),
+        st.integers(0, 15),
+    ),
+    max_size=60,
+)
+
+
+def _apply(device, op, n, level_bits, now):
+    """One step; returns what it returned or the error type it raised."""
+    table = device.cache_table
+    valid = sorted(cid for cid, entry in table.items() if entry.valid)
+    try:
+        if op in ("write", "rewrite"):
+            if op == "rewrite":
+                if not valid:
+                    return None
+                n = valid[n % len(valid)]  # a W over a still-valid copy
+            addr = device.allocate_slot()
+            device.program_slot(addr, DataWord((level_bits & 3, level_bits >> 2), 2))
+            table.register(n, addr, now)
+            return addr
+        if op == "allocate":  # allocated, never registered
+            return device.allocate_slot()
+        if op == "invalidate":
+            if not valid:
+                return None
+            device.set_valid_bit(valid[n % len(valid)], False, now)
+        elif op == "gc":
+            device.garbage_collect(n % TINY.blocks)
+        else:
+            device.erase_block(n % TINY.blocks)
+    except DeviceError as exc:
+        return type(exc)
+    return None
+
+
+@given(steps)
+# GC moves two copies to a page above every slot handed out so far; the
+# allocator must skip that page when it gets there.
+@example([("write", 0, 1), ("write", 1, 2), ("gc", 0, 0)] + [("write", n, 3) for n in range(2, 7)])
+@settings(max_examples=300, deadline=None)
+def test_indexed_reclaim_matches_full_scan(program):
+    device = NvmDevice(geometry=TINY, kind=DeviceKind.OVERWRITABLE, reclaim_invalid_slots=True)
+    reference = ScanDevice(geometry=TINY, kind=DeviceKind.OVERWRITABLE, reclaim_invalid_slots=True)
+    for now, (op, n, level_bits) in enumerate(program):
+        got = _apply(device, op, n, level_bits, now)
+        want = _apply(reference, op, n, level_bits, now)
+        assert got == want, f"step {now}: {op} {n}"
+        assert device._allocated == reference._allocated
+        assert dict(device.cache_table.items()) == dict(reference.cache_table.items())
+        assert device._cells == reference._cells
+
+
+def test_reclaim_replay_never_scans_the_table(monkeypatch):
+    def no_scan(self):
+        raise AssertionError("full cache-table scan")
+
+    monkeypatch.setattr(CacheTable, "items", no_scan)
+    monkeypatch.setattr(CacheTable, "valid_entries", no_scan)
+    config_text, build_trace, _, csv_sha, jsonl_sha = CASES["overwritable-reclaim"]
+    cfg = parse_config_text(config_text)
+    events = parse_trace(build_trace(cfg), cfg.cells_per_cache_slot, cfg.bits_per_cell)
+    report = run(cfg, events)
+    assert hashlib.sha256(report.csv_text.encode()).hexdigest() == csv_sha
+    assert hashlib.sha256(report.jsonl_text.encode()).hexdigest() == jsonl_sha
