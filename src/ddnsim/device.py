@@ -288,7 +288,7 @@ class NvmDevice:
         self.nop_limit = nop_limit
         self.ledger = ledger if ledger is not None else LatencyLedger()
         self.reclaim_invalid_slots = reclaim_invalid_slots
-        self.cache_table = CacheTable(self._release if reclaim_invalid_slots else None)
+        self.cache_table = CacheTable(self._slot_released if reclaim_invalid_slots else None)
         g = self.geometry
         pages = g.blocks * g.pages_per_block
         self._cells = bytearray(pages * g.cells_per_page)
@@ -513,7 +513,7 @@ class NvmDevice:
             self._queued[linear] = 1
             heapq.heappush(self._reusable, linear)
 
-    def _release(self, addr: PhysAddr):
+    def _slot_released(self, addr: PhysAddr):
         """Cache-table hook: a valid entry stopped holding addr."""
         self._queue(self._linear(addr))
 

@@ -36,27 +36,19 @@ from ddnsim import (
 
 from test_golden import CASES, _reclaim_trace
 
-def _reclaim_host(cfg, policy):
-    ledger = LatencyLedger()
-    device = NvmDevice(
-        geometry=cfg.geometry(),
-        kind=DeviceKind.OVERWRITABLE,
-        ledger=ledger,
-        reclaim_invalid_slots=True,
-    )
-    controller = NvmController(
-        device, parse_policy(policy), random.Random(cfg.seed), MetricsCollector(ledger)
-    )
-    return Host(controller, capacity=cfg.dram_capacity, flush_idle_threshold=10)
-
-
 def test_erase_based_reclaim_never_clobbers_a_valid_copy():
     # After a GC erase, invalid entries still point into the erased block; a
     # slot they name may meanwhile hold another id's valid copy.
     cfg = parse_config_text(CASES["overwritable-reclaim"][0])
     events = parse_trace(_reclaim_trace(cfg), cfg.cells_per_cache_slot, cfg.bits_per_cell)
-    host = _reclaim_host(cfg, "EraseBased")
-    controller = host.controller
+    ledger = LatencyLedger()
+    device = NvmDevice(
+        geometry=cfg.geometry(), kind=cfg.device_kind, ledger=ledger, reclaim_invalid_slots=True
+    )
+    controller = NvmController(
+        device, parse_policy("EraseBased"), random.Random(cfg.seed), MetricsCollector(ledger)
+    )
+    host = Host(controller, cfg.dram_capacity, cfg.flush_idle_threshold)
     flushed = {}
     flush_write = controller.flush_write
 
