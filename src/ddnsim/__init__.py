@@ -19,7 +19,6 @@ from .cells import (
     gen_upward_random,
     gen_upward_word,
     max_level,
-    word_from_bits,
     word_from_hex,
     word_to_hex,
 )
@@ -57,7 +56,6 @@ from .metrics import (
     LatencyLedger,
     MetricsCollector,
     PolicyRun,
-    RemanenceSample,
     ReportError,
     comparison_rows,
     render_comparison_csv,

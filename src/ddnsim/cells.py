@@ -1,4 +1,4 @@
-"""Multi-level cell model: level/bit encodings and overwrite-word generation.
+"""Multi-level cell model: level encodings, hex word codec, overwrite words.
 
 A cell stores one of ``2**bits_per_cell`` program levels; level 0 is the
 erased state. NAND-like memory cannot lower a cell without erasing the whole
@@ -22,7 +22,6 @@ __all__ = [
     "gen_upward_random",
     "gen_upward_word",
     "max_level",
-    "word_from_bits",
     "word_from_hex",
     "word_to_hex",
 ]
@@ -97,23 +96,8 @@ class DataWord:
     def __len__(self) -> int:
         return len(self.levels)
 
-    def bits(self) -> str:
-        """Concatenated per-cell encodings, cell 0 first."""
-        return "".join(encode_level(l, self.bits_per_cell) for l in self.levels)
 
-
-def word_from_bits(bits: str, bits_per_cell: int) -> DataWord:
-    """Split a flat bit string into cells of ``bits_per_cell`` bits each."""
-    if not bits or len(bits) % bits_per_cell:
-        raise ValueError(
-            f"bit string of width {len(bits)} does not divide into "
-            f"{bits_per_cell}-bit cells"
-        )
-    levels = tuple(
-        decode_bits(bits[i : i + bits_per_cell], bits_per_cell)
-        for i in range(0, len(bits), bits_per_cell)
-    )
-    return DataWord(levels, bits_per_cell)
+_HEX_DIGITS = frozenset("0123456789abcdefABCDEF")
 
 
 def word_from_hex(text: str, cells: int, bits_per_cell: int) -> DataWord:
@@ -121,7 +105,8 @@ def word_from_hex(text: str, cells: int, bits_per_cell: int) -> DataWord:
 
     The hex digit count must match the word width exactly (4 bits per digit),
     so configurations are only hex-addressable when the slot width is a
-    multiple of four bits.
+    multiple of four bits. Cell 0 is the most significant ``bits_per_cell``
+    bits of the value.
     """
     if not text.lower().startswith("0x"):
         raise ValueError(f"payload must be 0x-prefixed hex: {text!r}")
@@ -133,17 +118,25 @@ def word_from_hex(text: str, cells: int, bits_per_cell: int) -> DataWord:
         raise ValueError(
             f"payload {text!r} is {len(digits) * 4} bits, slot is {width} bits"
         )
-    if not digits or any(c not in "0123456789abcdefABCDEF" for c in digits):
+    # int(..., 16) alone would also take "_", a sign or surrounding spaces.
+    if not digits or not _HEX_DIGITS.issuperset(digits):
         raise ValueError(f"not a hex payload: {text!r}")
-    return word_from_bits(format(int(digits, 16), f"0{width}b"), bits_per_cell)
+    value = int(digits, 16)
+    mask = max_level(bits_per_cell)
+    shifts = range(width - bits_per_cell, -1, -bits_per_cell)
+    return DataWord(tuple(value >> s & mask for s in shifts), bits_per_cell)
 
 
 def word_to_hex(word: DataWord) -> str:
     """Inverse of word_from_hex for nibble-aligned words."""
-    width = len(word) * word.bits_per_cell
+    bits = word.bits_per_cell
+    width = len(word) * bits
     if width % 4:
         raise ValueError(f"word width {width} bits is not hex-representable")
-    return "0x" + format(int(word.bits(), 2), f"0{width // 4}X")
+    value = 0
+    for level in word.levels:
+        value = value << bits | level
+    return f"0x{value:0{width // 4}X}"
 
 
 def gen_upward_word(original: DataWord, rng: Random) -> DataWord:

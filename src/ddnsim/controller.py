@@ -257,7 +257,7 @@ class NvmController:
         dev = self.device
         addr = entry.addr
         pre = dev.peek_slot(addr)
-        dev.set_valid_bit(cache_id, False, now)
+        dev.cache_table.set_valid(cache_id, False, now)
         before = dev.ledger.snapshot()
         fallback = False
         error = None

@@ -291,18 +291,24 @@ class NvmDevice:
         self.cache_table = CacheTable(self._slot_released if reclaim_invalid_slots else None)
         g = self.geometry
         pages = g.blocks * g.pages_per_block
-        self._cells = bytearray(pages * g.cells_per_page)
-        self._programmed = bytearray(pages)  # page status: 0 free, 1 programmed
-        self._program_counts = [0] * pages
-        self._allocated = bytearray(g.total_slots)
-        self.erase_counts = [0] * g.blocks
+        try:
+            self._cells = bytearray(pages * g.cells_per_page)
+            self._programmed = bytearray(pages)  # page status: 0 free, 1 programmed
+            self._program_counts = [0] * pages
+            self._allocated = bytearray(g.total_slots)
+            self.erase_counts = [0] * g.blocks
+            self._queued = bytearray(g.total_slots if reclaim_invalid_slots else 0)
+        except (MemoryError, OverflowError) as exc:
+            raise DeviceError(
+                f"cannot allocate a device of {pages * g.cells_per_page} cells "
+                f"({type(exc).__name__})"
+            ) from exc
         self._alloc_hint = 0
         self._dest_page_hint = 0
         # Reclaim: a min-heap of slots that may have become reusable (checked
-        # when they reach the top), a flag per slot that is in the heap, and
-        # the lowest slot the allocator has not yet handed out.
+        # when they reach the top), a flag per slot that is in the heap
+        # (``_queued``), and the lowest slot the allocator has not yet handed out.
         self._reusable = []
-        self._queued = bytearray(g.total_slots if reclaim_invalid_slots else 0)
         self._high_water = 0
 
     # -- addressing ---------------------------------------------------------
@@ -541,11 +547,6 @@ class NvmDevice:
         # The slot stays reusable until a valid entry holds it.
         self._queue(linear)
         return self._addr(linear)
-
-    # -- cache table --------------------------------------------------------
-
-    def set_valid_bit(self, cache_id: int, valid: bool, now: int):
-        self.cache_table.set_valid(cache_id, valid, now)
 
     # -- introspection ------------------------------------------------------
 

@@ -62,16 +62,6 @@ class LatencyLedger:
         return LatencyLedger(*map(sub, _costs(self), _costs(other)))
 
 
-@dataclass(frozen=True)
-class RemanenceSample:
-    """Cumulative recoverability at one tick: residual cells / deleted cells."""
-
-    tick: int
-    invalidated_cells_total: int
-    residual_cells: int
-    remanence_rate: float
-
-
 class MetricsCollector:
     """Accumulates one policy run: ledger, deletion records, remanence counts."""
 
@@ -80,19 +70,11 @@ class MetricsCollector:
         self.deletions = []
         self.invalidated_cells_total = 0
         self.residual_cells = 0
-        self._curve = {}  # tick -> cumulative sample after the tick's last deletion
 
     def record_deletion(self, outcome):
         self.deletions.append(outcome)
         self.invalidated_cells_total += outcome.slot_cells
         self.residual_cells += outcome.residual_cells
-        rate = self.residual_cells / self.invalidated_cells_total
-        self._curve[outcome.tick] = RemanenceSample(
-            outcome.tick, self.invalidated_cells_total, self.residual_cells, rate
-        )
-
-    def remanence_curve(self):
-        return [self._curve[t] for t in sorted(self._curve)]
 
     @property
     def final_remanence_rate(self) -> float:

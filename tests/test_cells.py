@@ -17,7 +17,6 @@ from ddnsim import (
     gen_upward_random,
     gen_upward_word,
     max_level,
-    word_from_bits,
     word_from_hex,
     word_to_hex,
 )
@@ -170,7 +169,7 @@ def test_uniform_word_covers_full_range():
 def test_fill_word_all_max():
     word = gen_fill_word(ALL_MAX, 4, 3)
     assert word.levels == (7, 7, 7, 7)
-    assert word.bits() == "1" * 12
+    assert word_to_hex(word) == "0xFFF"
 
 
 def test_fill_word_constant_level():
@@ -199,11 +198,53 @@ def test_data_word_validation():
         DataWord((-1, 0), 3)
 
 
-@given(st.lists(st.integers(0, 7), min_size=1, max_size=16))
-def test_word_bits_width(levels):
-    word = DataWord(tuple(levels), 3)
-    assert len(word.bits()) == len(levels) * 3
-    assert word_from_bits(word.bits(), 3) == word
+def _reference_from_hex(digits, cells, bits_per_cell):
+    """Hex -> binary string -> one decode_bits call per cell."""
+    bits = format(int(digits, 16), f"0{cells * bits_per_cell}b")
+    return DataWord(
+        tuple(
+            decode_bits(bits[i : i + bits_per_cell], bits_per_cell)
+            for i in range(0, len(bits), bits_per_cell)
+        ),
+        bits_per_cell,
+    )
+
+
+def _reference_to_hex(word):
+    """One encode_level call per cell -> binary string -> hex."""
+    bits = "".join(encode_level(l, word.bits_per_cell) for l in word.levels)
+    return "0x" + format(int(bits, 2), f"0{len(bits) // 4}X")
+
+
+@st.composite
+def hex_payloads(draw):
+    """(digits, cells, bits_per_cell) for a hex-addressable width."""
+    bits_per_cell = draw(st.integers(1, 8))
+    cells = draw(st.integers(1, 16).filter(lambda c: c * bits_per_cell % 4 == 0))
+    n = cells * bits_per_cell // 4
+    digits = draw(st.text("0123456789abcdefABCDEF", min_size=n, max_size=n))
+    return digits, cells, bits_per_cell
+
+
+@given(hex_payloads(), st.sampled_from("_+- "), st.integers(0, 15))
+def test_word_bits_width(payload, junk, position):
+    """The hex codec over every hex-addressable width (1-16 cells x 1-8 bits)
+    round-trips, matches the binary-string reference both ways, and rejects
+    non-hex characters even where int(..., 16) would take them."""
+    digits, cells, bits_per_cell = payload
+    word = word_from_hex("0x" + digits, cells, bits_per_cell)
+    assert len(word) == cells
+    assert word_to_hex(word) == "0x" + digits.upper()
+    assert word == _reference_from_hex(digits, cells, bits_per_cell)
+    assert word_to_hex(word) == _reference_to_hex(word)
+    # One digit swapped for "_", a sign or a space.
+    position %= len(digits)
+    bad = digits[:position] + junk + digits[position + 1 :]
+    with pytest.raises(ValueError, match="not a hex payload"):
+        word_from_hex("0x" + bad, cells, bits_per_cell)
+    for text in ("0xDEAD_E", "0x+DEADB", "0x DEADB"):
+        with pytest.raises(ValueError, match="not a hex payload"):
+            word_from_hex(text, 8, 3)
 
 
 def test_word_from_hex_frozen_example():

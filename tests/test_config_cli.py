@@ -225,6 +225,19 @@ def test_cli_device_full_exit_code(tmp_path, capsys):
     assert "device error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("blocks", [10**15, 10**20])
+def test_cli_oversize_geometry_is_a_device_error(tmp_path, capsys, blocks):
+    # Both sizes fail to allocate at once (MemoryError, OverflowError), so the
+    # test takes no real memory.
+    cfg_file = tmp_path / "huge.cfg"
+    cfg_file.write_text(f"blocks = {blocks}\n")
+    rc = main(["--config", str(cfg_file), "--synthetic", "3", "--seed", "1"])
+    assert rc == 4
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith("ddnsim: device error: cannot allocate a device of ")
+    assert f" {blocks * 64 * 16} cells " in line
+
+
 def test_cli_rejects_reclaim_on_nand(tmp_path, capsys):
     cfg_file = tmp_path / "reclaim.cfg"
     cfg_file.write_text("reclaim_invalid_slots = true\n")

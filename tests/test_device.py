@@ -176,13 +176,13 @@ def test_set_valid_bit(make_device):
     device.cache_table.register(7, addr, now=3)
     entry = device.cache_table.get(7)
     assert entry.valid and entry.written_at == 3
-    device.set_valid_bit(7, False, now=9)
+    device.cache_table.set_valid(7, False, now=9)
     assert not entry.valid
     assert entry.invalidated_at == 9
-    device.set_valid_bit(7, False, now=12)  # idempotent; keeps the first stamp
+    device.cache_table.set_valid(7, False, now=12)  # idempotent; keeps the first stamp
     assert entry.invalidated_at == 9
     with pytest.raises(UnknownCacheId):
-        device.set_valid_bit(99, False, now=1)
+        device.cache_table.set_valid(99, False, now=1)
 
 
 def test_allocate_first_fit_order(make_device):
@@ -252,7 +252,7 @@ def test_gc_preserves_valid_payloads_and_drops_invalid(make_device):
     _stage_valid(device, 1, PhysAddr(0, 0, 0), w(1, 2, 3, 4))
     _stage_valid(device, 2, PhysAddr(0, 0, 1), w(5, 6, 7, 0))
     _stage_valid(device, 3, PhysAddr(0, 2, 0), w(7, 7, 7, 7))
-    device.set_valid_bit(2, False, now=1)
+    device.cache_table.set_valid(2, False, now=1)
     stale_addr = device.cache_table.get(2).addr
     payloads = device.valid_payloads()
     device.garbage_collect(0)
@@ -262,6 +262,35 @@ def test_gc_preserves_valid_payloads_and_drops_invalid(make_device):
     # the invalidated neighbor was not migrated; its old location is erased
     assert device.peek_slot(stale_addr) == w(0, 0, 0, 0)
     assert device.page_status(stale_addr) is PageStatus.FREE
+
+
+@pytest.mark.parametrize(
+    "options",
+    [{}, {"kind": DeviceKind.OVERWRITABLE, "reclaim_invalid_slots": True}],
+    ids=["nand", "overwritable-reclaim"],
+)
+def test_gc_destination_slots_are_never_handed_out(make_device, options):
+    device = make_device(**options)
+    for cid, word in ((1, w(1, 2, 3, 4)), (2, w(4, 3, 2, 1))):
+        addr = device.allocate_slot()
+        device.program_slot(addr, word)
+        device.cache_table.register(cid, addr, now=0)
+    device.cache_table.set_valid(2, False, now=1)
+    device.garbage_collect(0)
+    moved = device.cache_table.get(1).addr
+    assert moved.block != 0
+    handed_out = []
+    while True:
+        try:
+            addr = device.allocate_slot()
+        except DeviceFull:
+            break
+        device.cache_table.register(100 + len(handed_out), addr, now=2)
+        handed_out.append(addr)
+    assert moved not in handed_out
+    assert len(set(handed_out)) == len(handed_out) == SMALL.total_slots - 1
+    assert device.cache_table.get(1).addr == moved
+    assert device.peek_slot(moved) == w(1, 2, 3, 4)
 
 
 def test_gc_no_free_pages_raises_before_mutation():
@@ -299,7 +328,7 @@ def test_reclaim_reuses_invalid_slots(make_device):
     addr = device.allocate_slot()
     device.program_slot(addr, w(1, 2, 3, 4))
     device.cache_table.register(5, addr, now=0)
-    device.set_valid_bit(5, False, now=1)
+    device.cache_table.set_valid(5, False, now=1)
     assert device.allocate_slot() == addr
     assert device.cache_table.get(5) is None
 
@@ -309,7 +338,7 @@ def test_no_reclaim_by_default(make_device):
     addr = device.allocate_slot()
     device.program_slot(addr, w(1, 2, 3, 4))
     device.cache_table.register(5, addr, now=0)
-    device.set_valid_bit(5, False, now=1)
+    device.cache_table.set_valid(5, False, now=1)
     assert device.allocate_slot() != addr
 
 

@@ -76,32 +76,6 @@ def test_empty_collector():
     assert collector.mean_costs() == LatencyLedger()
 
 
-def test_remanence_curve_is_cumulative_per_tick():
-    collector = collector_with(
-        [
-            outcome(tick=1, residual=8),
-            outcome(tick=1, residual=0),
-            outcome(tick=5, residual=4),
-        ]
-    )
-    curve = collector.remanence_curve()
-    assert [s.tick for s in curve] == [1, 5]
-    assert curve[0].invalidated_cells_total == 16
-    assert curve[0].remanence_rate == 8 / 16
-    assert curve[1].invalidated_cells_total == 24
-    assert curve[1].remanence_rate == 12 / 24
-
-
-def test_mark_only_curve_stays_at_one():
-    collector = collector_with([outcome(tick=t, residual=8) for t in range(5)])
-    assert all(s.remanence_rate == 1.0 for s in collector.remanence_curve())
-
-
-def test_erase_curve_stays_at_zero():
-    collector = collector_with([outcome(tick=t, residual=0) for t in range(5)])
-    assert all(s.remanence_rate == 0.0 for s in collector.remanence_curve())
-
-
 def test_mean_costs():
     collector = collector_with(
         [

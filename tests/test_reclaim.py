@@ -125,7 +125,7 @@ def _apply(device, op, n, level_bits, now):
         if op == "invalidate":
             if not valid:
                 return None
-            device.set_valid_bit(valid[n % len(valid)], False, now)
+            table.set_valid(valid[n % len(valid)], False, now)
         elif op == "gc":
             device.garbage_collect(n % TINY.blocks)
         else:
