@@ -9,7 +9,6 @@ mark-only and erase-based baselines.
 
 from .cells import (
     ALL_MAX,
-    DataWord,
     FillKind,
     available_levels,
     decode_bits,

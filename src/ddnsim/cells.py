@@ -1,7 +1,8 @@
 """Multi-level cell model: level encodings, hex word codec, overwrite words.
 
 A cell stores one of ``2**bits_per_cell`` program levels; level 0 is the
-erased state. NAND-like memory cannot lower a cell without erasing the whole
+erased state. A word is the ``bytes`` of one slot's cell levels, cell 0
+first. NAND-like memory cannot lower a cell without erasing the whole
 block, but it can always push a cell to a strictly higher level in place.
 An in-place overwrite of a cell at level L therefore draws from
 {L+1, ..., top}; a cell already at the top level keeps its value.
@@ -12,7 +13,6 @@ from dataclasses import dataclass
 
 __all__ = [
     "ALL_MAX",
-    "DataWord",
     "FillKind",
     "available_levels",
     "decode_bits",
@@ -77,30 +77,10 @@ def gen_upward_random(original: int, bits_per_cell: int, rng: Random) -> int:
     return rng.randint(original + 1, top)
 
 
-@dataclass(frozen=True)
-class DataWord:
-    """Fixed-length sequence of cell levels sharing one bits-per-cell width."""
-
-    levels: tuple
-    bits_per_cell: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "levels", tuple(self.levels))
-        if not self.levels:
-            raise ValueError("a word needs at least one cell")
-        top = max_level(self.bits_per_cell)
-        for i, level in enumerate(self.levels):
-            if not 0 <= level <= top:
-                raise ValueError(f"cell {i}: level {level} out of range [0, {top}]")
-
-    def __len__(self) -> int:
-        return len(self.levels)
-
-
 _HEX_DIGITS = frozenset("0123456789abcdefABCDEF")
 
 
-def word_from_hex(text: str, cells: int, bits_per_cell: int) -> DataWord:
+def word_from_hex(text: str, cells: int, bits_per_cell: int) -> bytes:
     """Parse a 0x-prefixed hex payload whose bit width is cells * bits_per_cell.
 
     The hex digit count must match the word width exactly (4 bits per digit),
@@ -124,35 +104,31 @@ def word_from_hex(text: str, cells: int, bits_per_cell: int) -> DataWord:
     value = int(digits, 16)
     mask = max_level(bits_per_cell)
     shifts = range(width - bits_per_cell, -1, -bits_per_cell)
-    return DataWord(tuple(value >> s & mask for s in shifts), bits_per_cell)
+    return bytes(value >> s & mask for s in shifts)
 
 
-def word_to_hex(word: DataWord) -> str:
+def word_to_hex(word: bytes, bits_per_cell: int) -> str:
     """Inverse of word_from_hex for nibble-aligned words."""
-    bits = word.bits_per_cell
-    width = len(word) * bits
+    width = len(word) * bits_per_cell
     if width % 4:
         raise ValueError(f"word width {width} bits is not hex-representable")
     value = 0
-    for level in word.levels:
-        value = value << bits | level
+    for level in word:
+        value = value << bits_per_cell | level
     return f"0x{value:0{width // 4}X}"
 
 
-def gen_upward_word(original: DataWord, rng: Random) -> DataWord:
+def gen_upward_word(original: bytes, bits_per_cell: int, rng: Random) -> bytes:
     """Apply gen_upward_random to every cell independently."""
-    return DataWord(
-        tuple(gen_upward_random(l, original.bits_per_cell, rng) for l in original.levels),
-        original.bits_per_cell,
-    )
+    return bytes(gen_upward_random(level, bits_per_cell, rng) for level in original)
 
 
-def gen_uniform_word(cells: int, bits_per_cell: int, rng: Random) -> DataWord:
+def gen_uniform_word(cells: int, bits_per_cell: int, rng: Random) -> bytes:
     """Uniform word over the full level range, for freely rewritable memory."""
     top = max_level(bits_per_cell)
     if cells < 1:
         raise ValueError(f"cells must be >= 1, got {cells}")
-    return DataWord(tuple(rng.randint(0, top) for _ in range(cells)), bits_per_cell)
+    return bytes(rng.randint(0, top) for _ in range(cells))
 
 
 @dataclass(frozen=True)
@@ -173,11 +149,11 @@ class FillKind:
 ALL_MAX = FillKind()
 
 
-def gen_fill_word(pattern: FillKind, cells: int, bits_per_cell: int) -> DataWord:
+def gen_fill_word(pattern: FillKind, cells: int, bits_per_cell: int) -> bytes:
     """Build the fixed word for a fill pattern."""
     if cells < 1:
         raise ValueError(f"cells must be >= 1, got {cells}")
     top = max_level(bits_per_cell)
     level = top if pattern.level is None else pattern.level
     _check_level(level, bits_per_cell)
-    return DataWord((level,) * cells, bits_per_cell)
+    return bytes((level,)) * cells

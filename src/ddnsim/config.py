@@ -6,7 +6,8 @@ read/program, generation, and block-erase times (49 / 600 / 100 / 4000 us).
 
 from dataclasses import dataclass, field, fields, replace
 
-from .controller import DeletionPolicy, parse_policy
+from .cells import gen_fill_word
+from .controller import PolicyKind, parse_policy
 from .device import DeviceKind, Geometry, LatencyParams
 
 
@@ -73,6 +74,12 @@ class RunConfig:
             raise ConfigError("seed is required (wall-clock seeding is not allowed)")
         if not self.policies:
             raise ConfigError("at least one policy is required")
+        for policy in self.policies:
+            if policy.kind is PolicyKind.DDN_NON_RANDOM:
+                try:
+                    gen_fill_word(policy.fill, self.cells_per_cache_slot, self.bits_per_cell)
+                except ValueError as exc:
+                    raise ConfigError(f"{policy.label}: {exc}") from exc
         if self.out_format not in ("csv", "jsonl"):
             raise ConfigError(f"out_format must be csv or jsonl, got {self.out_format!r}")
         if self.nop_limit < 0:

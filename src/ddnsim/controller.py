@@ -17,11 +17,11 @@ import re
 import heapq
 import itertools
 from enum import Enum
+from operator import eq
 from dataclasses import dataclass
 
 from .cells import (
     ALL_MAX,
-    DataWord,
     FillKind,
     gen_fill_word,
     gen_uniform_word,
@@ -52,7 +52,6 @@ class RequestKind(Enum):
 class InvalidationRequest:
     cache_id: int
     kind: RequestKind = RequestKind.INVALIDATE
-    issued_at: int = 0
 
 
 class PolicyKind(Enum):
@@ -169,7 +168,7 @@ class NvmController:
     def entry(self, cache_id: int):
         return self.device.cache_table.get(cache_id)
 
-    def flush_write(self, cache_id: int, payload: DataWord, now: int) -> PhysAddr:
+    def flush_write(self, cache_id: int, payload: bytes, now: int) -> PhysAddr:
         """Store a flushed cache line: allocate, program, register as valid."""
         addr = self.device.allocate_slot()
         self.device.program_slot(addr, payload)
@@ -227,7 +226,7 @@ class NvmController:
 
     # -- deletion machinery -------------------------------------------------
 
-    def ddn_process(self, addr: PhysAddr) -> DataWord:
+    def ddn_process(self, addr: PhysAddr) -> bytes:
         """Overwrite the slot at addr with generated data; return what was
         written.
 
@@ -249,7 +248,7 @@ class NvmController:
         else:
             current = dev.read_slot(addr)
             dev.ledger.charge_gen(dev.latency.t_gen_us)
-            word = gen_upward_word(current, self.rng)
+            word = gen_upward_word(current, g.bits_per_cell, self.rng)
         dev.program_slot(addr, word)
         return word
 
@@ -289,7 +288,7 @@ class NvmController:
             residual = 0
         else:
             post = dev.peek_slot(addr)
-            residual = sum(1 for a, b in zip(pre.levels, post.levels) if a == b)
+            residual = sum(map(eq, pre, post))
         outcome = DeletionOutcome(
             cache_id=cache_id,
             tick=now,

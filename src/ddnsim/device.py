@@ -19,7 +19,6 @@ from enum import Enum
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .cells import DataWord
 from .metrics import LatencyLedger
 
 
@@ -109,9 +108,9 @@ class Geometry:
     def max_level(self) -> int:
         return (1 << self.bits_per_cell) - 1
 
-    @property
-    def slot_bits(self) -> int:
-        return self.cells_per_cache_slot * self.bits_per_cell
+    def slot_index(self, addr: "PhysAddr") -> int:
+        """The slot's number in page order."""
+        return (addr.block * self.pages_per_block + addr.page) * self.slots_per_page + addr.slot
 
 
 class PhysAddr(NamedTuple):
@@ -176,9 +175,6 @@ class CacheTable:
 
     def __len__(self) -> int:
         return len(self._entries)
-
-    def __contains__(self, cache_id) -> bool:
-        return cache_id in self._entries
 
     def get(self, cache_id) -> CacheEntry | None:
         return self._entries.get(cache_id)
@@ -259,6 +255,29 @@ class CacheTable:
         return self._entries.items()
 
 
+class _ReclaimHeap:
+    """Min-heap of the slots that may have become reusable, each at most once.
+
+    The cache table's release hook is ``released`` on this object: a hook
+    bound to the device would tie device and table into a cycle that only
+    the cyclic garbage collector frees.
+    """
+
+    def __init__(self, geometry: Geometry):
+        self.geometry = geometry
+        self.heap = []
+        self.queued = bytearray(geometry.total_slots)  # 1 while the slot is in heap
+
+    def push(self, linear: int):
+        if not self.queued[linear]:
+            self.queued[linear] = 1
+            heapq.heappush(self.heap, linear)
+
+    def released(self, addr: PhysAddr):
+        """A valid entry stopped holding addr."""
+        self.push(self.geometry.slot_index(addr))
+
+
 class NvmDevice:
     """Single-owner mutable NVM state machine.
 
@@ -288,7 +307,6 @@ class NvmDevice:
         self.nop_limit = nop_limit
         self.ledger = ledger if ledger is not None else LatencyLedger()
         self.reclaim_invalid_slots = reclaim_invalid_slots
-        self.cache_table = CacheTable(self._slot_released if reclaim_invalid_slots else None)
         g = self.geometry
         pages = g.blocks * g.pages_per_block
         try:
@@ -297,18 +315,16 @@ class NvmDevice:
             self._program_counts = [0] * pages
             self._allocated = bytearray(g.total_slots)
             self.erase_counts = [0] * g.blocks
-            self._queued = bytearray(g.total_slots if reclaim_invalid_slots else 0)
+            self._reusable = _ReclaimHeap(g) if reclaim_invalid_slots else None
         except (MemoryError, OverflowError) as exc:
             raise DeviceError(
                 f"cannot allocate a device of {pages * g.cells_per_page} cells "
                 f"({type(exc).__name__})"
             ) from exc
+        self.cache_table = CacheTable(self._reusable.released if reclaim_invalid_slots else None)
         self._alloc_hint = 0
         self._dest_page_hint = 0
-        # Reclaim: a min-heap of slots that may have become reusable (checked
-        # when they reach the top), a flag per slot that is in the heap
-        # (``_queued``), and the lowest slot the allocator has not yet handed out.
-        self._reusable = []
+        # Reclaim: the lowest slot the allocator has not yet handed out.
         self._high_water = 0
 
     # -- addressing ---------------------------------------------------------
@@ -327,10 +343,6 @@ class NvmDevice:
         ):
             raise AddressError(f"{addr} outside geometry")
         return addr.block * g.pages_per_block + addr.page
-
-    def _linear(self, addr: PhysAddr) -> int:
-        g = self.geometry
-        return (addr.block * g.pages_per_block + addr.page) * g.slots_per_page + addr.slot
 
     def _addr(self, linear: int) -> PhysAddr:
         g = self.geometry
@@ -353,38 +365,37 @@ class NvmDevice:
 
     # -- data path ----------------------------------------------------------
 
-    def peek_slot(self, addr: PhysAddr) -> DataWord:
+    def peek_slot(self, addr: PhysAddr) -> bytes:
         """Slot contents without any latency charge (instrumentation only)."""
         g = self.geometry
         start = self._check_addr(addr) * g.cells_per_page + addr.slot * g.cells_per_cache_slot
-        levels = tuple(self._cells[start : start + g.cells_per_cache_slot])
-        return DataWord(levels, g.bits_per_cell)
+        return bytes(self._cells[start : start + g.cells_per_cache_slot])
 
-    def read_slot(self, addr: PhysAddr) -> DataWord:
+    def read_slot(self, addr: PhysAddr) -> bytes:
         """Read one slot; costs one page read. Free pages read as all zero."""
         word = self.peek_slot(addr)
         self.ledger.charge_read(self.latency.t_read_us)
         return word
 
-    def program_slot(self, addr: PhysAddr, data: DataWord):
+    def program_slot(self, addr: PhysAddr, data: bytes):
         """Write one slot, leaving the rest of the page untouched.
 
-        Non-overwritable devices require every cell to move upward (or stay)
-        and, once the page is programmed, consume one unit of the page's
-        partial-reprogram budget per call.
+        The one gate for words entering the cell array: a word is one slot
+        long with every level in range. Non-overwritable devices also require
+        every cell to move upward (or stay) and, once the page is programmed,
+        consume one unit of the page's partial-reprogram budget per call.
         """
         index = self._check_addr(addr)
         g = self.geometry
-        if len(data) != g.cells_per_cache_slot or data.bits_per_cell != g.bits_per_cell:
-            raise ValueError(
-                f"data is {len(data)} cells x {data.bits_per_cell} bits, slot is "
-                f"{g.cells_per_cache_slot} x {g.bits_per_cell}"
-            )
+        if len(data) != g.cells_per_cache_slot:
+            raise ValueError(f"data is {len(data)} cells, slot is {g.cells_per_cache_slot}")
+        if max(data) > g.max_level:
+            raise ValueError(f"level {max(data)} out of range [0, {g.max_level}]")
         offset = addr.slot * g.cells_per_cache_slot
         start = index * g.cells_per_page + offset
         end = start + g.cells_per_cache_slot
         if self.kind is DeviceKind.NON_OVERWRITABLE:
-            for cell, (old, new) in enumerate(zip(self._cells[start:end], data.levels), offset):
+            for cell, (old, new) in enumerate(zip(self._cells[start:end], data), offset):
                 if new < old:
                     raise MonotoneViolation(
                         f"cell {cell} of {addr} would drop {old} -> {new}"
@@ -396,7 +407,7 @@ class NvmDevice:
                         f"partial programs"
                     )
                 self._program_counts[index] += 1
-        self._cells[start:end] = data.levels
+        self._cells[start:end] = data
         self._programmed[index] = 1
         self.ledger.charge_program(self.latency.t_program_us)
 
@@ -415,7 +426,7 @@ class NvmDevice:
         if self.reclaim_invalid_slots:
             # Unallocated slots at or above the high-water mark need no queueing.
             for linear in range(base, min(base + g.slots_per_block, self._high_water)):
-                self._queue(linear)
+                self._reusable.push(linear)
         self.erase_counts[block] += 1
         self._alloc_hint = min(self._alloc_hint, base)
         self.ledger.charge_erase(self.latency.t_erase_us)
@@ -514,23 +525,14 @@ class NvmDevice:
             return True
         return not any(e.valid for _, e in self.cache_table.holders(self._addr(linear)))
 
-    def _queue(self, linear: int):
-        if not self._queued[linear]:
-            self._queued[linear] = 1
-            heapq.heappush(self._reusable, linear)
-
-    def _slot_released(self, addr: PhysAddr):
-        """Cache-table hook: a valid entry stopped holding addr."""
-        self._queue(self._linear(addr))
-
     def _allocate_with_reclaim(self) -> PhysAddr:
         # Every reusable slot is in the heap or unallocated at or above the
         # high-water mark: a slot turns reusable only when its block is
         # erased or a valid entry stops holding it, and both queue it. Stale
         # heap items are dropped as they reach the top.
-        heap = self._reusable
+        heap, queued = self._reusable.heap, self._reusable.queued
         while heap and not self._reusable_slot(heap[0]):
-            self._queued[heapq.heappop(heap)] = 0
+            queued[heapq.heappop(heap)] = 0
         total = self.geometry.total_slots
         while self._high_water < total and self._allocated[self._high_water]:
             self._high_water += 1
@@ -545,7 +547,7 @@ class NvmDevice:
                 table.drop(cid)
         self._allocated[linear] = 1
         # The slot stays reusable until a valid entry holds it.
-        self._queue(linear)
+        self._reusable.push(linear)
         return self._addr(linear)
 
     # -- introspection ------------------------------------------------------

@@ -24,7 +24,7 @@ import heapq
 from collections import OrderedDict
 from dataclasses import dataclass
 
-from .cells import DataWord, word_from_hex
+from .cells import word_from_hex
 from .controller import (
     InvalidationRequest,
     NvmController,
@@ -43,7 +43,7 @@ class TraceError(Exception):
 class TraceEvent:
     kind: str
     cache_id: int | None = None
-    payload: DataWord | None = None
+    payload: bytes | None = None
     ticks: int | None = None
     line: int = 0
 
@@ -97,7 +97,7 @@ def parse_trace(text: str, cells_per_slot: int, bits_per_cell: int) -> list:
 
 @dataclass
 class DramSlot:
-    payload: DataWord
+    payload: bytes
     dirty: bool
     last_used: int
 
@@ -126,7 +126,6 @@ class Host:
         # built at the first eviction, so a DRAM that never fills keeps none.
         self._lru = None
         self.now = 0
-        self.request_log = []
 
     # -- trace replay -------------------------------------------------------
 
@@ -159,8 +158,7 @@ class Host:
                     f"no flushed copy for cache id {event.cache_id}", event.line
                 )
             req_kind = RequestKind.INVALIDATE if kind == "I" else RequestKind.DE_IDENTIFY
-            req = InvalidationRequest(event.cache_id, req_kind, self.now)
-            self.request_log.append(req)
+            req = InvalidationRequest(event.cache_id, req_kind)
             self.controller.handle_invalidation(req, self.now)
             return [req]
         if kind == "T":
@@ -195,7 +193,7 @@ class Host:
 
     # -- DRAM side ----------------------------------------------------------
 
-    def _write(self, cache_id: int, payload: DataWord):
+    def _write(self, cache_id: int, payload: bytes):
         slot = self.slots.get(cache_id)
         if slot is None:
             if len(self.slots) >= self.capacity:
@@ -236,8 +234,7 @@ class Host:
         entry = self.controller.entry(cache_id)
         if entry is None or not entry.valid:
             return None
-        req = InvalidationRequest(cache_id, req_kind, self.now)
-        self.request_log.append(req)
+        req = InvalidationRequest(cache_id, req_kind)
         self.controller.handle_invalidation(req, self.now)
         return req
 
@@ -266,7 +263,7 @@ class Host:
             self._flush(cid, now)
         return due
 
-    def read_cache(self, cache_id: int) -> DataWord:
+    def read_cache(self, cache_id: int) -> bytes:
         """Latest payload for an id: DRAM copy first, else the flushed copy."""
         slot = self.slots.get(cache_id)
         if slot is not None:

@@ -10,7 +10,6 @@ import hashlib
 from dataclasses import dataclass
 from functools import cached_property
 
-from .cells import word_to_hex
 from .config import RunConfig
 from .controller import NvmController
 from .device import NvmDevice
@@ -44,7 +43,7 @@ class RunReport:
 
 def canonical_event(event: TraceEvent) -> str:
     if event.kind in ("W", "U"):
-        return f"{event.kind} {event.cache_id} {word_to_hex(event.payload)}"
+        return f"{event.kind} {event.cache_id} {event.payload.hex()}"
     if event.kind in ("I", "D"):
         return f"{event.kind} {event.cache_id}"
     if event.kind == "T":

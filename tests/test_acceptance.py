@@ -7,7 +7,6 @@ Every test prints one PASS line with the measured values, so
 import random
 
 from ddnsim import (
-    DataWord,
     Geometry,
     InvalidationRequest,
     LatencyLedger,
@@ -127,7 +126,7 @@ def test_criterion_4_monotonicity_suite():
             erased_block = None
             if roll < 0.75:
                 addr = PhysAddr(rng.randrange(2), rng.randrange(2), rng.randrange(2))
-                word = DataWord((rng.randrange(8), rng.randrange(8)), 3)
+                word = bytes((rng.randrange(8), rng.randrange(8)))
                 try:
                     device.program_slot(addr, word)
                 except (MonotoneViolation, NopExceeded):
@@ -166,7 +165,7 @@ def test_criterion_5_partial_overwrite_isolation():
         policy = rng.choice(["DdnRandom", "DdnNonRandom"])
         controller = _controller(policy, geometry, seed=rng.randrange(2**32))
         for cid in range(slots_per_page):
-            word = DataWord(tuple(rng.randrange(8) for _ in range(cells_per_slot)), 3)
+            word = bytes(rng.randrange(8) for _ in range(cells_per_slot))
             controller.flush_write(cid, word, now=0)
         victim = rng.randrange(slots_per_page)
         before = controller.device.page(0, 0).cells
@@ -187,7 +186,7 @@ def test_criterion_6_secure_mode_boundary():
         cells_per_cache_slot=4,
     )
     controller = _controller("DdnRandom", geometry, t_secure=10)
-    controller.flush_write(1, DataWord((4, 7, 0, 2), 3), now=0)
+    controller.flush_write(1, bytes((4, 7, 0, 2)), now=0)
     for tick in range(10):
         assert controller.secure_tick(tick) == []
         assert controller.entry(1).valid
@@ -198,7 +197,7 @@ def test_criterion_6_secure_mode_boundary():
 
     # an all-top-level payload has nowhere to move and is fully retained
     controller = _controller("DdnRandom", geometry, t_secure=10)
-    controller.flush_write(2, DataWord((7, 7, 7, 7), 3), now=0)
+    controller.flush_write(2, bytes((7, 7, 7, 7)), now=0)
     (outcome,) = controller.secure_tick(10)
     assert outcome.residual_cells == outcome.slot_cells
     print("PASS criterion 6: valid through tick 9, scrubbed exactly at tick 10")

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from ddnsim import (
     ALL_MAX,
-    DataWord,
     FillKind,
     available_levels,
     decode_bits,
@@ -125,14 +124,14 @@ def test_upward_random_chi_square(original, critical):
 
 
 def test_upward_word_all_max_is_identity():
-    word = DataWord((7, 7, 7, 7), 3)
-    assert gen_upward_word(word, random.Random(0)) == word
+    word = bytes((7, 7, 7, 7))
+    assert gen_upward_word(word, 3, random.Random(0)) == word
 
 
 def test_upward_word_all_zero_strictly_raises():
-    out = gen_upward_word(DataWord((0, 0, 0, 0), 3), random.Random(0))
+    out = gen_upward_word(bytes((0, 0, 0, 0)), 3, random.Random(0))
     assert len(out) == 4
-    assert all(1 <= level <= 7 for level in out.levels)
+    assert all(1 <= level <= 7 for level in out)
 
 
 @given(
@@ -140,10 +139,10 @@ def test_upward_word_all_zero_strictly_raises():
     st.integers(0, 2**32 - 1),
 )
 def test_upward_word_length_and_monotonicity(levels, seed):
-    original = DataWord(tuple(levels), 3)
-    out = gen_upward_word(original, random.Random(seed))
+    original = bytes(levels)
+    out = gen_upward_word(original, 3, random.Random(seed))
     assert len(out) == len(original)
-    for before, after in zip(original.levels, out.levels):
+    for before, after in zip(original, out):
         assert after >= before
         assert (after == before) == (before == 7)
 
@@ -154,27 +153,27 @@ def test_upward_word_unchanged_fraction_matches_enumeration():
     expected = sum(1 for level in range(2**b) if level == max_level(b)) / 2**b
     rng = random.Random(7)
     cells = 100_000
-    original = DataWord(tuple(rng.randint(0, 7) for _ in range(cells)), b)
-    out = gen_upward_word(original, rng)
-    unchanged = sum(1 for a, c in zip(original.levels, out.levels) if a == c)
+    original = bytes(rng.randint(0, 7) for _ in range(cells))
+    out = gen_upward_word(original, b, rng)
+    unchanged = sum(1 for a, c in zip(original, out) if a == c)
     assert abs(unchanged / cells - expected) < 0.01
 
 
 def test_uniform_word_covers_full_range():
     rng = random.Random(11)
     out = gen_uniform_word(10_000, 3, rng)
-    assert set(out.levels) == set(range(8))
+    assert set(out) == set(range(8))
 
 
 def test_fill_word_all_max():
     word = gen_fill_word(ALL_MAX, 4, 3)
-    assert word.levels == (7, 7, 7, 7)
-    assert word_to_hex(word) == "0xFFF"
+    assert word == bytes((7, 7, 7, 7))
+    assert word_to_hex(word, 3) == "0xFFF"
 
 
 def test_fill_word_constant_level():
-    assert gen_fill_word(FillKind(0), 2, 3).levels == (0, 0)
-    assert gen_fill_word(FillKind(5), 3, 3).levels == (5, 5, 5)
+    assert gen_fill_word(FillKind(0), 2, 3) == bytes((0, 0))
+    assert gen_fill_word(FillKind(5), 3, 3) == bytes((5, 5, 5))
 
 
 def test_fill_word_errors():
@@ -189,30 +188,39 @@ def test_fill_kind_labels():
     assert FillKind(3).label == "Level=3"
 
 
-def test_data_word_validation():
-    with pytest.raises(ValueError):
-        DataWord((8,), 3)
-    with pytest.raises(ValueError):
-        DataWord((), 3)
-    with pytest.raises(ValueError):
-        DataWord((-1, 0), 3)
+@given(
+    st.integers(1, 8),
+    st.integers(1, 32),
+    st.integers(0, 2**32 - 1),
+    st.one_of(st.none(), st.integers(0, 255)),
+)
+def test_generated_words_are_slot_long_bytes_in_range(bits_per_cell, cells, seed, fill):
+    top = max_level(bits_per_cell)
+    rng = random.Random(seed)
+    original = bytes(rng.randint(0, top) for _ in range(cells))
+    words = [
+        gen_uniform_word(cells, bits_per_cell, rng),
+        gen_upward_word(original, bits_per_cell, rng),
+        gen_fill_word(ALL_MAX if fill is None else FillKind(fill % (top + 1)), cells, bits_per_cell),
+    ]
+    for word in words:
+        assert type(word) is bytes
+        assert len(word) == cells
+        assert max(word) <= top
 
 
 def _reference_from_hex(digits, cells, bits_per_cell):
     """Hex -> binary string -> one decode_bits call per cell."""
     bits = format(int(digits, 16), f"0{cells * bits_per_cell}b")
-    return DataWord(
-        tuple(
-            decode_bits(bits[i : i + bits_per_cell], bits_per_cell)
-            for i in range(0, len(bits), bits_per_cell)
-        ),
-        bits_per_cell,
+    return bytes(
+        decode_bits(bits[i : i + bits_per_cell], bits_per_cell)
+        for i in range(0, len(bits), bits_per_cell)
     )
 
 
-def _reference_to_hex(word):
+def _reference_to_hex(word, bits_per_cell):
     """One encode_level call per cell -> binary string -> hex."""
-    bits = "".join(encode_level(l, word.bits_per_cell) for l in word.levels)
+    bits = "".join(encode_level(l, bits_per_cell) for l in word)
     return "0x" + format(int(bits, 2), f"0{len(bits) // 4}X")
 
 
@@ -234,9 +242,9 @@ def test_word_bits_width(payload, junk, position):
     digits, cells, bits_per_cell = payload
     word = word_from_hex("0x" + digits, cells, bits_per_cell)
     assert len(word) == cells
-    assert word_to_hex(word) == "0x" + digits.upper()
+    assert word_to_hex(word, bits_per_cell) == "0x" + digits.upper()
     assert word == _reference_from_hex(digits, cells, bits_per_cell)
-    assert word_to_hex(word) == _reference_to_hex(word)
+    assert word_to_hex(word, bits_per_cell) == _reference_to_hex(word, bits_per_cell)
     # One digit swapped for "_", a sign or a space.
     position %= len(digits)
     bad = digits[:position] + junk + digits[position + 1 :]
@@ -249,8 +257,8 @@ def test_word_bits_width(payload, junk, position):
 
 def test_word_from_hex_frozen_example():
     word = word_from_hex("0xDEADBE", 8, 3)
-    assert word.levels == (6, 7, 5, 2, 6, 6, 7, 6)
-    assert word_to_hex(word) == "0xDEADBE"
+    assert word == bytes((6, 7, 5, 2, 6, 6, 7, 6))
+    assert word_to_hex(word, 3) == "0xDEADBE"
 
 
 def test_word_from_hex_errors():
@@ -266,4 +274,4 @@ def test_word_from_hex_errors():
 
 def test_word_to_hex_rejects_unaligned_width():
     with pytest.raises(ValueError):
-        word_to_hex(DataWord((1, 2, 3), 3))
+        word_to_hex(bytes((1, 2, 3)), 3)

@@ -1,9 +1,11 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import ddnsim
 from ddnsim import (
     ConfigError,
     DeviceKind,
@@ -57,6 +59,7 @@ def test_validate_requires_seed():
         {"cells_per_page": 10, "cells_per_cache_slot": 4},
         {"reclaim_invalid_slots": True},
         {"bits_per_cell": 9},
+        {"bits_per_cell": 2, "policies": (parse_policy("DdnNonRandom(Level=5)"),)},
     ],
 )
 def test_validate_rejects_bad_values(patch):
@@ -246,11 +249,29 @@ def test_cli_rejects_reclaim_on_nand(tmp_path, capsys):
     assert "reclaim_invalid_slots" in capsys.readouterr().err
 
 
+def test_cli_rejects_out_of_range_fill_level(capsys):
+    args = ["--synthetic", "20", "--seed", "1", "--policy"]
+    for level in (9, -1):
+        assert main([*args, f"DdnNonRandom(Level={level})"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        (line,) = err.splitlines()
+        assert line == (
+            f"ddnsim: config error: DdnNonRandom(Level={level}): "
+            f"level {level} out of range [0, 7]"
+        )
+    assert main([*args, "DdnNonRandom(Level=7)"]) == 0
+    assert capsys.readouterr().out.splitlines()[1].startswith("DdnNonRandom(Level=7),")
+
+
 def test_module_entry_point_runs():
+    # Run from the directory holding the imported package, so that ``-m``
+    # finds the same ddnsim whether it is installed or only on pytest's path.
     result = subprocess.run(
         [sys.executable, "-m", "ddnsim", "--synthetic", "5", "--seed", "3"],
         capture_output=True,
         text=True,
+        cwd=Path(ddnsim.__file__).parents[1],
     )
     assert result.returncode == 0
     assert result.stdout.startswith("POLICY,RD,WR,GEN,ERASE,GC,TOTAL_US,REMANENCE")

@@ -5,7 +5,6 @@ import pytest
 
 from ddnsim import (
     ALL_MAX,
-    DataWord,
     DeletionPolicy,
     DeviceKind,
     FillKind,
@@ -30,7 +29,7 @@ G3 = Geometry(
 
 
 def w(*levels):
-    return DataWord(tuple(levels), 3)
+    return bytes(levels)
 
 
 def build(policy, seed=7, kind=DeviceKind.NON_OVERWRITABLE, nop_limit=4, t_secure=None):
@@ -125,9 +124,9 @@ def test_ddn_random_on_nand_example_slot():
     addr = controller.flush_write(1, w(4, 7, 0), now=0)
     outcome = invalidate(controller, 1)
     post = controller.device.peek_slot(addr)
-    assert post.levels[0] in {5, 6, 7}
-    assert post.levels[1] == 7
-    assert 1 <= post.levels[2] <= 7
+    assert post[0] in {5, 6, 7}
+    assert post[1] == 7
+    assert 1 <= post[2] <= 7
     assert outcome.residual_cells == 1  # only the already-max cell survives
     assert (outcome.cost.rd_us, outcome.cost.wr_us, outcome.cost.gen_us) == (49.0, 600.0, 100.0)
     assert outcome.cost.total_us == 749.0
@@ -148,7 +147,7 @@ def test_ddn_process_fig_style_words():
     controller = build("DdnRandom")
     addr = controller.flush_write(1, w(4, 4, 4), now=0)
     word = controller.ddn_process(addr)
-    assert all(lvl in {5, 6, 7} for lvl in word.levels)
+    assert all(lvl in {5, 6, 7} for lvl in word)
     assert controller.device.peek_slot(addr) == word
 
 
@@ -273,5 +272,5 @@ def test_secure_scrub_overwrites_even_under_mark_only():
     (outcome,) = controller.secure_tick(1)
     assert outcome.action == "secure-scrub"
     post = controller.device.peek_slot(addr)
-    assert all(level >= 1 for level in post.levels)
+    assert all(level >= 1 for level in post)
     assert outcome.residual_cells == 0

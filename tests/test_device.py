@@ -2,7 +2,6 @@ import pytest
 
 from ddnsim import (
     AddressError,
-    DataWord,
     DeviceFull,
     DeviceKind,
     Geometry,
@@ -20,7 +19,7 @@ from conftest import SMALL
 
 
 def w(*levels):
-    return DataWord(tuple(levels), 3)
+    return bytes(levels)
 
 
 def test_geometry_validation():
@@ -35,7 +34,6 @@ def test_geometry_validation():
     assert g.slots_per_page == 2
     assert g.total_slots == 32
     assert g.max_level == 7
-    assert g.slot_bits == 12
 
 
 def test_latency_defaults_and_derived():
@@ -146,10 +144,24 @@ def test_partial_program_leaves_other_slots_identical(make_device):
 
 def test_wrong_slot_width_rejected(make_device):
     device = make_device()
-    with pytest.raises(ValueError):
-        device.program_slot(PhysAddr(0, 0, 0), DataWord((1, 2), 3))
-    with pytest.raises(ValueError):
-        device.program_slot(PhysAddr(0, 0, 0), DataWord((1, 2, 3, 4), 2))
+    for word in (w(), w(1, 2), w(1, 2, 3, 4, 5)):
+        with pytest.raises(ValueError, match="cells, slot is 4"):
+            device.program_slot(PhysAddr(0, 0, 0), word)
+
+
+def test_program_slot_rejects_level_above_top(make_device):
+    """program_slot is the one gate for words entering the cell array: a
+    level the cell width cannot hold is rejected before anything changes."""
+    device = make_device()
+    addr = PhysAddr(0, 0, 0)
+    for word in (w(1, 2, 3, 8), w(255, 0, 0, 0)):
+        with pytest.raises(ValueError, match=r"out of range \[0, 7\]"):
+            device.program_slot(addr, word)
+    assert device.peek_slot(addr) == w(0, 0, 0, 0)
+    assert device.page_status(addr) is PageStatus.FREE
+    assert device.ledger.total_us == 0
+    device.program_slot(addr, w(7, 7, 7, 7))
+    assert device.peek_slot(addr) == w(7, 7, 7, 7)
 
 
 def test_erase_block(make_device):
@@ -218,7 +230,7 @@ def test_allocate_until_full():
 
 
 def _stage_valid(device, cache_id, addr, word):
-    device._allocated[device._linear(addr)] = True
+    device._allocated[device.geometry.slot_index(addr)] = True
     device.program_slot(addr, word)
     device.cache_table.register(cache_id, addr, now=0)
 

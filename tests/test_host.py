@@ -1,18 +1,14 @@
 import pytest
 
 from ddnsim import (
-    DataWord,
     Host,
     RequestKind,
     TraceError,
     TraceEvent,
     parse_trace,
+    trace_fingerprint,
     word_from_hex,
 )
-
-
-def w(*levels):
-    return DataWord(tuple(levels), 3)
 
 
 def ev_w(cache_id, payload="0xABC", line=0):
@@ -80,6 +76,27 @@ def test_parse_trace_u_after_w_is_fine():
     assert [e.kind for e in events] == ["W", "U"]
 
 
+def test_trace_fingerprint_sees_events_not_layout():
+    def fingerprint(text):
+        return trace_fingerprint(parse_trace(text, 4, 3))
+
+    base = fingerprint("W 1 0xABC\nF\nT 3\nU 1 0x123\nI 1\n")
+    same_events = [
+        "W 1 0xabc\nF\nT 3\nU 1 0X123\nI 1\n",  # hex case
+        "  W  1\t0xABC \nF\n T 3\nU 1   0x123\nI 1",  # spacing
+        "# header\n\nW 1 0xABC\n# flush\nF\n\nT 3\nU 1 0x123\n\nI 1\n",  # comments, blanks
+    ]
+    assert [fingerprint(text) for text in same_events] == [base] * len(same_events)
+    other_events = [
+        "W 1 0xABD\nF\nT 3\nU 1 0x123\nI 1\n",  # last cell 4 -> 5
+        "W 2 0xABC\nF\nT 3\nU 2 0x123\nI 2\n",  # id
+        "W 1 0xABC\nF\nT 4\nU 1 0x123\nI 1\n",  # T count
+        "W 1 0xABC\nT 3\nF\nU 1 0x123\nI 1\n",  # order
+    ]
+    fingerprints = {fingerprint(text) for text in other_events}
+    assert len(fingerprints) == len(other_events) and base not in fingerprints
+
+
 # -- protocol ---------------------------------------------------------------
 
 
@@ -99,7 +116,7 @@ def test_flush_then_update_emits_exactly_one_request(host):
 def test_update_without_flush_emits_nothing(host):
     host.apply_event(ev_w(5))
     assert host.apply_event(ev_u(5)) == []
-    assert host.request_log == []
+    assert host.controller.collector.deletions == []
 
 
 def test_update_unknown_id_is_a_trace_error(host):
@@ -108,9 +125,9 @@ def test_update_unknown_id_is_a_trace_error(host):
 
 
 def test_time_advances_without_dirty_slots(host):
-    host.apply_event(TraceEvent("T", ticks=7))
+    assert host.apply_event(TraceEvent("T", ticks=7)) == []
     assert host.now == 7
-    assert host.request_log == []
+    assert host.controller.collector.deletions == []
 
 
 def test_flush_idle_inclusive_boundary(host):
@@ -217,12 +234,17 @@ def test_secure_scrub_through_trace(make_controller):
     assert outcome.action == "secure-scrub"
 
 
-def test_request_log_replays_identically(make_controller):
+def test_deletions_replay_identically(make_controller):
     text = "W 1 0x111\nW 2 0x222\nF\nU 1 0x123\nT 12\nU 2 0x456\nI 1\n"
 
-    def requests():
+    def deletions():
         host = Host(make_controller("DdnRandom", seed=3), capacity=8, flush_idle_threshold=5)
         host.run_trace(parse_trace(text, 4, 3))
-        return host.request_log
+        return [
+            (d.cache_id, d.tick, d.action, d.cost, d.residual_cells)
+            for d in host.controller.collector.deletions
+        ]
 
-    assert requests() == requests()
+    first = deletions()
+    assert len(first) == 3
+    assert first == deletions()

@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
 from ddnsim import (
-    DataWord,
     Geometry,
     Host,
     InvalidationRequest,
@@ -33,9 +32,7 @@ TINY = Geometry(
 addrs = st.builds(
     PhysAddr, st.integers(0, 1), st.integers(0, 1), st.integers(0, 1)
 )
-tiny_words = st.tuples(st.integers(0, 3), st.integers(0, 3)).map(
-    lambda levels: DataWord(levels, 2)
-)
+tiny_words = st.tuples(st.integers(0, 3), st.integers(0, 3)).map(bytes)
 
 
 class DeviceModel(RuleBasedStateMachine):
@@ -56,7 +53,7 @@ class DeviceModel(RuleBasedStateMachine):
         except (MonotoneViolation, NopExceeded):
             return
         start = addr.slot * 2
-        self.shadow[addr.block][addr.page][start : start + 2] = list(word.levels)
+        self.shadow[addr.block][addr.page][start : start + 2] = list(word)
 
     @rule(block=st.integers(0, 1))
     def erase(self, block):
@@ -66,7 +63,7 @@ class DeviceModel(RuleBasedStateMachine):
     @rule(addr=addrs)
     def read(self, addr):
         expected = self.shadow[addr.block][addr.page][addr.slot * 2 : addr.slot * 2 + 2]
-        assert list(self.device.read_slot(addr).levels) == expected
+        assert list(self.device.read_slot(addr)) == expected
 
     @invariant()
     def cells_match_shadow(self):
@@ -98,7 +95,7 @@ def test_exactly_once_invalidation(actions, seed):
     # huge idle threshold so only F flushes, keeping the shadow model simple
     host = Host(controller, capacity=64, flush_idle_threshold=10**9)
     rng = random.Random(seed)
-    payload = lambda: DataWord(tuple(rng.randint(0, 7) for _ in range(8)), 3)
+    payload = lambda: bytes(rng.randint(0, 7) for _ in range(8))
     dram_known = set()
     dirty = set()
     nvm_valid = set()
@@ -129,7 +126,7 @@ def test_exactly_once_invalidation(actions, seed):
             assert req.cache_id == cid
             expected_requests += 1
             nvm_valid.discard(cid)
-    assert len(host.request_log) == expected_requests
+    assert len(controller.collector.deletions) == expected_requests
     assert {cid for cid, e in device.cache_table.items() if e.valid} == nvm_valid
 
 
@@ -159,7 +156,7 @@ def test_ddn_never_touches_neighbor_slots(
         device, parse_policy(policy_name), random.Random(seed), MetricsCollector(ledger)
     )
     for cid in range(slots_per_page):
-        word = DataWord(tuple(rng.randint(0, 7) for _ in range(cells_per_slot)), 3)
+        word = bytes(rng.randint(0, 7) for _ in range(cells_per_slot))
         controller.flush_write(cid, word, now=0)
     lo = victim * cells_per_slot
     hi = lo + cells_per_slot

@@ -10,15 +10,16 @@ allocated with no valid entry pointing at it. The device's indexed
 allocator must hand out the same slots and leave the same state.
 """
 
+import gc
 import random
 import hashlib
+import weakref
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ddnsim import (
     CacheTable,
-    DataWord,
     DeviceError,
     DeviceFull,
     DeviceKind,
@@ -77,7 +78,7 @@ class ScanDevice(NvmDevice):
     def _allocate_with_reclaim(self):
         holders = {}
         for cid, entry in self.cache_table.items():
-            holders.setdefault(self._linear(entry.addr), []).append((cid, entry))
+            holders.setdefault(self.geometry.slot_index(entry.addr), []).append((cid, entry))
         for linear in range(self.geometry.total_slots):
             if self._allocated[linear]:
                 held = holders.get(linear, ())
@@ -117,7 +118,7 @@ def _apply(device, op, n, level_bits, now):
                     return None
                 n = valid[n % len(valid)]  # a W over a still-valid copy
             addr = device.allocate_slot()
-            device.program_slot(addr, DataWord((level_bits & 3, level_bits >> 2), 2))
+            device.program_slot(addr, bytes((level_bits & 3, level_bits >> 2)))
             table.register(n, addr, now)
             return addr
         if op == "allocate":  # allocated, never registered
@@ -164,3 +165,25 @@ def test_reclaim_replay_never_scans_the_table(monkeypatch):
     report = run(cfg, events)
     assert hashlib.sha256(report.csv_text.encode()).hexdigest() == csv_sha
     assert hashlib.sha256(report.jsonl_text.encode()).hexdigest() == jsonl_sha
+
+
+def test_finished_reclaim_device_is_freed_without_the_cycle_collector():
+    """The cache table's release hook holds no reference to the device, so a
+    device goes with its last reference instead of waiting for the cyclic
+    garbage collector."""
+    device = NvmDevice(geometry=TINY, kind=DeviceKind.OVERWRITABLE, reclaim_invalid_slots=True)
+    table = device.cache_table
+    for cid in range(3):
+        addr = device.allocate_slot()
+        device.program_slot(addr, bytes((cid, 3)))
+        table.register(cid, addr, now=0)
+    table.set_valid(0, False, now=1)
+    table.register(1, device.allocate_slot(), now=2)
+    table.drop(2)
+    freed = weakref.ref(device)
+    gc.disable()
+    try:
+        del device, table
+        assert freed() is None
+    finally:
+        gc.enable()
