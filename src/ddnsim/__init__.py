@@ -25,11 +25,9 @@ from .config import ConfigError, RunConfig, format_config, load_config, parse_co
 from .controller import (
     DeletionOutcome,
     DeletionPolicy,
-    InvalidationRequest,
     NvmController,
     PolicyKind,
     ProtocolError,
-    RequestKind,
     parse_policy,
 )
 from .device import (
@@ -47,7 +45,6 @@ from .device import (
     NvmDevice,
     PageState,
     PageStatus,
-    PhysAddr,
     UnknownCacheId,
 )
 from .host import DramSlot, Host, TraceError, TraceEvent, parse_trace

@@ -91,6 +91,11 @@ def word_from_hex(text: str, cells: int, bits_per_cell: int) -> bytes:
     if not text.lower().startswith("0x"):
         raise ValueError(f"payload must be 0x-prefixed hex: {text!r}")
     digits = text[2:]
+    if bits_per_cell > 8:
+        raise ValueError(
+            f"bits_per_cell must be <= 8 (a level is stored in one byte), "
+            f"got {bits_per_cell}"
+        )
     width = cells * bits_per_cell
     if width % 4:
         raise ValueError(f"slot width {width} bits is not hex-addressable")

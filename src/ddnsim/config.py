@@ -70,6 +70,10 @@ class RunConfig:
             self.latency()
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
+        slot_bits = self.cells_per_cache_slot * self.bits_per_cell
+        if slot_bits % 4:
+            # Trace payloads are hex, one digit per 4 bits.
+            raise ConfigError(f"slot width {slot_bits} bits is not hex-addressable")
         if self.seed is None:
             raise ConfigError("seed is required (wall-clock seeding is not allowed)")
         if not self.policies:

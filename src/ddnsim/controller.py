@@ -34,24 +34,12 @@ from .device import (
     NopExceeded,
     NvmDevice,
     PageStatus,
-    PhysAddr,
 )
 from .metrics import LatencyLedger
 
 
 class ProtocolError(Exception):
     """Request the controller cannot honor (unknown id, double invalidate...)."""
-
-
-class RequestKind(Enum):
-    INVALIDATE = "invalidate"
-    DE_IDENTIFY = "de-identify"
-
-
-@dataclass(frozen=True)
-class InvalidationRequest:
-    cache_id: int
-    kind: RequestKind = RequestKind.INVALIDATE
 
 
 class PolicyKind(Enum):
@@ -168,7 +156,7 @@ class NvmController:
     def entry(self, cache_id: int):
         return self.device.cache_table.get(cache_id)
 
-    def flush_write(self, cache_id: int, payload: bytes, now: int) -> PhysAddr:
+    def flush_write(self, cache_id: int, payload: bytes, now: int) -> int:
         """Store a flushed cache line: allocate, program, register as valid."""
         addr = self.device.allocate_slot()
         self.device.program_slot(addr, payload)
@@ -182,18 +170,18 @@ class NvmController:
                 heapq.heapify(self._resident)
         return addr
 
-    def handle_invalidation(self, req: InvalidationRequest, now: int) -> DeletionOutcome:
+    def handle_invalidation(self, cache_id: int, now: int) -> DeletionOutcome:
         """Clear the valid bit, then apply the configured deletion policy.
 
-        De-identification requests carry no data transform here; they are
-        handled exactly like plain invalidations.
+        De-identification requests carry no data transform here; the host
+        sends them exactly like plain invalidations.
         """
-        entry = self.device.cache_table.get(req.cache_id)
+        entry = self.device.cache_table.get(cache_id)
         if entry is None:
-            raise ProtocolError(f"invalidation of unknown cache_id {req.cache_id}")
+            raise ProtocolError(f"invalidation of unknown cache_id {cache_id}")
         if not entry.valid:
-            raise ProtocolError(f"cache_id {req.cache_id} is already invalid")
-        return self._scrub(req.cache_id, entry, now, secure=False)
+            raise ProtocolError(f"cache_id {cache_id} is already invalid")
+        return self._scrub(cache_id, entry, now, secure=False)
 
     def secure_tick(self, now: int) -> list:
         """Scrub every valid copy stored by ``flush_write`` that has resided
@@ -226,7 +214,7 @@ class NvmController:
 
     # -- deletion machinery -------------------------------------------------
 
-    def ddn_process(self, addr: PhysAddr) -> bytes:
+    def ddn_process(self, addr: int) -> bytes:
         """Overwrite the slot at addr with generated data; return what was
         written.
 
@@ -237,7 +225,7 @@ class NvmController:
         """
         dev = self.device
         if dev.page_status(addr) is not PageStatus.PROGRAMMED:
-            raise ProtocolError(f"ddn_process on unprogrammed page at {addr}")
+            raise ProtocolError(f"ddn_process on unprogrammed page at slot {addr}")
         g = dev.geometry
         fill = self.policy.fill if self.policy.kind is PolicyKind.DDN_NON_RANDOM else None
         if fill is not None:
@@ -270,7 +258,7 @@ class NvmController:
                 action = "erase-fallback"
                 fallback = True
                 try:
-                    dev.garbage_collect(addr.block)
+                    dev.garbage_collect(dev.geometry.block_of(addr))
                 except NoFreePages as exc:
                     error = str(exc)
             except (MonotoneViolation, NoFreePages) as exc:
@@ -280,7 +268,7 @@ class NvmController:
         else:  # PolicyKind.ERASE_BASED
             action = "gc-erase"
             try:
-                dev.garbage_collect(addr.block)
+                dev.garbage_collect(dev.geometry.block_of(addr))
             except NoFreePages as exc:
                 error = str(exc)
         cost = dev.ledger - before

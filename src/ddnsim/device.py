@@ -7,7 +7,8 @@ timed operation charges the device's latency ledger, so a run's cost is the
 sum of the charges it caused.
 
 Device state is flat. Pages are numbered ``block * pages_per_block + page``
-and slots ``page_number * slots_per_page + slot``; one ``bytearray`` holds
+and slots ``page_number * slots_per_page + slot``, and a slot's address is
+that number, a plain ``int``; one ``bytearray`` holds
 every cell level (a level fits in a byte, so ``bits_per_cell <= 8``), one
 holds each page's status, one each slot's occupancy, and a list holds each
 page's partial-program count. An erase is a slice assignment and a GC
@@ -17,6 +18,7 @@ migration a slice copy.
 import heapq
 from enum import Enum
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
 
 from .metrics import LatencyLedger
@@ -27,7 +29,7 @@ class DeviceError(Exception):
 
 
 class AddressError(DeviceError):
-    """Block/page/slot index outside the device geometry."""
+    """Block, page or slot number outside the device geometry."""
 
 
 class MonotoneViolation(DeviceError):
@@ -92,33 +94,25 @@ class Geometry:
                 f"cells_per_cache_slot ({self.cells_per_cache_slot})"
             )
 
-    @property
+    @cached_property
     def slots_per_page(self) -> int:
         return self.cells_per_page // self.cells_per_cache_slot
 
-    @property
+    @cached_property
     def slots_per_block(self) -> int:
         return self.pages_per_block * self.slots_per_page
 
-    @property
+    @cached_property
     def total_slots(self) -> int:
         return self.blocks * self.slots_per_block
 
-    @property
+    @cached_property
     def max_level(self) -> int:
         return (1 << self.bits_per_cell) - 1
 
-    def slot_index(self, addr: "PhysAddr") -> int:
-        """The slot's number in page order."""
-        return (addr.block * self.pages_per_block + addr.page) * self.slots_per_page + addr.slot
-
-
-class PhysAddr(NamedTuple):
-    """Physical location of one cache-slot-sized region."""
-
-    block: int
-    page: int
-    slot: int
+    def block_of(self, slot: int) -> int:
+        """The block holding a slot."""
+        return slot // self.slots_per_block
 
 
 @dataclass(frozen=True)
@@ -151,7 +145,7 @@ class PageState(NamedTuple):
 
 @dataclass
 class CacheEntry:
-    addr: PhysAddr
+    addr: int
     valid: bool
     written_at: int
     invalidated_at: int | None = None
@@ -164,10 +158,12 @@ class CacheTable:
     block, for garbage collection, and every id per slot address, valid or
     not, for slot reclaim. ``on_release(addr)`` is called whenever a valid
     entry stops holding its address (it goes invalid, is replaced or is
-    dropped), because the slot may have become reusable.
+    dropped), because the slot may have become reusable. A slot's block is
+    ``addr // slots_per_block``.
     """
 
-    def __init__(self, on_release=None):
+    def __init__(self, slots_per_block: int, on_release=None):
+        self._slots_per_block = slots_per_block
         self._entries = {}
         self._valid_by_block = {}
         self._ids_by_addr = {}
@@ -179,10 +175,10 @@ class CacheTable:
     def get(self, cache_id) -> CacheEntry | None:
         return self._entries.get(cache_id)
 
-    def _attach(self, cache_id: int, addr: PhysAddr):
+    def _attach(self, cache_id: int, addr: int):
         self._ids_by_addr.setdefault(addr, set()).add(cache_id)
 
-    def _detach(self, cache_id: int, addr: PhysAddr):
+    def _detach(self, cache_id: int, addr: int):
         ids = self._ids_by_addr[addr]
         ids.discard(cache_id)
         if not ids:
@@ -190,11 +186,11 @@ class CacheTable:
 
     def _release(self, cache_id: int, entry: CacheEntry):
         """A valid entry stops holding entry.addr."""
-        self._valid_by_block[entry.addr.block].discard(cache_id)
+        self._valid_by_block[entry.addr // self._slots_per_block].discard(cache_id)
         if self._on_release is not None:
             self._on_release(entry.addr)
 
-    def register(self, cache_id: int, addr: PhysAddr, now: int):
+    def register(self, cache_id: int, addr: int, now: int):
         """Insert or replace the entry for cache_id as valid at addr."""
         old = self._entries.get(cache_id)
         if old is not None:
@@ -202,7 +198,7 @@ class CacheTable:
             if old.valid:
                 self._release(cache_id, old)
         self._entries[cache_id] = CacheEntry(addr, True, now)
-        self._valid_by_block.setdefault(addr.block, set()).add(cache_id)
+        self._valid_by_block.setdefault(addr // self._slots_per_block, set()).add(cache_id)
         self._attach(cache_id, addr)
 
     def drop(self, cache_id: int):
@@ -221,10 +217,11 @@ class CacheTable:
             self._release(cache_id, entry)
         elif not entry.valid and valid:
             entry.invalidated_at = None
-            self._valid_by_block.setdefault(entry.addr.block, set()).add(cache_id)
+            block = entry.addr // self._slots_per_block
+            self._valid_by_block.setdefault(block, set()).add(cache_id)
         entry.valid = valid
 
-    def move(self, cache_id: int, addr: PhysAddr):
+    def move(self, cache_id: int, addr: int):
         """Point an entry at a new physical slot (GC migration).
 
         The old slot is not released: garbage collection erases its block
@@ -233,15 +230,16 @@ class CacheTable:
         entry = self._entries[cache_id]
         self._detach(cache_id, entry.addr)
         if entry.valid:
-            self._valid_by_block[entry.addr.block].discard(cache_id)
-            self._valid_by_block.setdefault(addr.block, set()).add(cache_id)
+            per_block = self._slots_per_block
+            self._valid_by_block[entry.addr // per_block].discard(cache_id)
+            self._valid_by_block.setdefault(addr // per_block, set()).add(cache_id)
         entry.addr = addr
         self._attach(cache_id, addr)
 
     def valid_ids_in_block(self, block: int) -> set:
         return set(self._valid_by_block.get(block, ()))
 
-    def holders(self, addr: PhysAddr) -> list:
+    def holders(self, addr: int) -> list:
         """(cache_id, entry) for every entry pointing at addr, valid or not."""
         return [(cid, self._entries[cid]) for cid in self._ids_by_addr.get(addr, ())]
 
@@ -258,24 +256,19 @@ class CacheTable:
 class _ReclaimHeap:
     """Min-heap of the slots that may have become reusable, each at most once.
 
-    The cache table's release hook is ``released`` on this object: a hook
-    bound to the device would tie device and table into a cycle that only
-    the cyclic garbage collector frees.
+    The cache table's release hook is ``push`` on this object: a hook bound
+    to the device would tie device and table into a cycle that only the
+    cyclic garbage collector frees.
     """
 
-    def __init__(self, geometry: Geometry):
-        self.geometry = geometry
+    def __init__(self, total_slots: int):
         self.heap = []
-        self.queued = bytearray(geometry.total_slots)  # 1 while the slot is in heap
+        self.queued = bytearray(total_slots)  # 1 while the slot is in heap
 
-    def push(self, linear: int):
-        if not self.queued[linear]:
-            self.queued[linear] = 1
-            heapq.heappush(self.heap, linear)
-
-    def released(self, addr: PhysAddr):
-        """A valid entry stopped holding addr."""
-        self.push(self.geometry.slot_index(addr))
+    def push(self, slot: int):
+        if not self.queued[slot]:
+            self.queued[slot] = 1
+            heapq.heappush(self.heap, slot)
 
 
 class NvmDevice:
@@ -315,13 +308,15 @@ class NvmDevice:
             self._program_counts = [0] * pages
             self._allocated = bytearray(g.total_slots)
             self.erase_counts = [0] * g.blocks
-            self._reusable = _ReclaimHeap(g) if reclaim_invalid_slots else None
+            self._reusable = _ReclaimHeap(g.total_slots) if reclaim_invalid_slots else None
         except (MemoryError, OverflowError) as exc:
             raise DeviceError(
                 f"cannot allocate a device of {pages * g.cells_per_page} cells "
                 f"({type(exc).__name__})"
             ) from exc
-        self.cache_table = CacheTable(self._reusable.released if reclaim_invalid_slots else None)
+        self.cache_table = CacheTable(
+            g.slots_per_block, self._reusable.push if reclaim_invalid_slots else None
+        )
         self._alloc_hint = 0
         self._dest_page_hint = 0
         # Reclaim: the lowest slot the allocator has not yet handed out.
@@ -333,29 +328,22 @@ class NvmDevice:
         if not 0 <= block < self.geometry.blocks:
             raise AddressError(f"block {block} out of range")
 
-    def _check_addr(self, addr: PhysAddr) -> int:
-        """The page number of a valid address."""
-        g = self.geometry
-        if not (
-            0 <= addr.block < g.blocks
-            and 0 <= addr.page < g.pages_per_block
-            and 0 <= addr.slot < g.slots_per_page
-        ):
-            raise AddressError(f"{addr} outside geometry")
-        return addr.block * g.pages_per_block + addr.page
+    def _check_slot(self, slot: int) -> int:
+        """The page number of a slot in range; a negative slot would index
+        the flat arrays from the end."""
+        if not 0 <= slot < self.geometry.total_slots:
+            raise AddressError(f"slot {slot} outside geometry")
+        return slot // self.geometry.slots_per_page
 
-    def _addr(self, linear: int) -> PhysAddr:
-        g = self.geometry
-        page_index, slot = divmod(linear, g.slots_per_page)
-        block, page = divmod(page_index, g.pages_per_block)
-        return PhysAddr(block, page, slot)
-
-    def page_status(self, addr: PhysAddr) -> PageStatus:
-        return _STATUS[self._programmed[self._check_addr(addr)]]
+    def page_status(self, addr: int) -> PageStatus:
+        return _STATUS[self._programmed[self._check_slot(addr)]]
 
     def page(self, block: int, page: int) -> PageState:
         """A copy of one page's cells, status and partial-program count."""
-        index = self._check_addr(PhysAddr(block, page, 0))
+        self._check_block(block)
+        if not 0 <= page < self.geometry.pages_per_block:
+            raise AddressError(f"page {page} out of range")
+        index = block * self.geometry.pages_per_block + page
         n = self.geometry.cells_per_page
         return PageState(
             list(self._cells[index * n : (index + 1) * n]),
@@ -365,19 +353,19 @@ class NvmDevice:
 
     # -- data path ----------------------------------------------------------
 
-    def peek_slot(self, addr: PhysAddr) -> bytes:
+    def peek_slot(self, addr: int) -> bytes:
         """Slot contents without any latency charge (instrumentation only)."""
-        g = self.geometry
-        start = self._check_addr(addr) * g.cells_per_page + addr.slot * g.cells_per_cache_slot
-        return bytes(self._cells[start : start + g.cells_per_cache_slot])
+        self._check_slot(addr)
+        width = self.geometry.cells_per_cache_slot
+        return bytes(self._cells[addr * width : (addr + 1) * width])
 
-    def read_slot(self, addr: PhysAddr) -> bytes:
+    def read_slot(self, addr: int) -> bytes:
         """Read one slot; costs one page read. Free pages read as all zero."""
         word = self.peek_slot(addr)
         self.ledger.charge_read(self.latency.t_read_us)
         return word
 
-    def program_slot(self, addr: PhysAddr, data: bytes):
+    def program_slot(self, addr: int, data: bytes):
         """Write one slot, leaving the rest of the page untouched.
 
         The one gate for words entering the cell array: a word is one slot
@@ -385,26 +373,24 @@ class NvmDevice:
         every cell to move upward (or stay) and, once the page is programmed,
         consume one unit of the page's partial-reprogram budget per call.
         """
-        index = self._check_addr(addr)
+        index = self._check_slot(addr)
         g = self.geometry
         if len(data) != g.cells_per_cache_slot:
             raise ValueError(f"data is {len(data)} cells, slot is {g.cells_per_cache_slot}")
         if max(data) > g.max_level:
             raise ValueError(f"level {max(data)} out of range [0, {g.max_level}]")
-        offset = addr.slot * g.cells_per_cache_slot
-        start = index * g.cells_per_page + offset
+        start = addr * g.cells_per_cache_slot
         end = start + g.cells_per_cache_slot
         if self.kind is DeviceKind.NON_OVERWRITABLE:
-            for cell, (old, new) in enumerate(zip(self._cells[start:end], data), offset):
+            for cell, (old, new) in enumerate(zip(self._cells[start:end], data)):
                 if new < old:
                     raise MonotoneViolation(
-                        f"cell {cell} of {addr} would drop {old} -> {new}"
+                        f"cell {cell} of slot {addr} would drop {old} -> {new}"
                     )
             if self._programmed[index]:
                 if self._program_counts[index] >= self.nop_limit:
                     raise NopExceeded(
-                        f"page ({addr.block},{addr.page}) used its {self.nop_limit} "
-                        f"partial programs"
+                        f"page {index} used its {self.nop_limit} partial programs"
                     )
                 self._program_counts[index] += 1
         self._cells[start:end] = data
@@ -425,8 +411,8 @@ class NvmDevice:
         self._allocated[base : base + g.slots_per_block] = bytes(g.slots_per_block)
         if self.reclaim_invalid_slots:
             # Unallocated slots at or above the high-water mark need no queueing.
-            for linear in range(base, min(base + g.slots_per_block, self._high_water)):
-                self._reusable.push(linear)
+            for slot in range(base, min(base + g.slots_per_block, self._high_water)):
+                self._reusable.push(slot)
         self.erase_counts[block] += 1
         self._alloc_hint = min(self._alloc_hint, base)
         self.ledger.charge_erase(self.latency.t_erase_us)
@@ -447,29 +433,26 @@ class NvmDevice:
         slots_per_page = g.slots_per_page
         by_page = {}
         for cid in sorted(table.valid_ids_in_block(block)):
-            entry = table.get(cid)
-            by_page.setdefault(entry.addr.page, []).append((cid, entry.addr.slot))
+            slot = table.get(cid).addr
+            by_page.setdefault(slot // slots_per_page, []).append((cid, slot))
         if by_page:
             dests = self._find_free_pages(len(by_page), exclude_block=block)
-            for (page_no, movers), (dst_block, dst_page) in zip(
-                sorted(by_page.items()), dests
-            ):
-                src = (block * g.pages_per_block + page_no) * g.cells_per_page
-                dst_index = dst_block * g.pages_per_block + dst_page
-                dst = dst_index * g.cells_per_page
+            for (page, movers), dst_page in zip(sorted(by_page.items()), dests):
+                shift = (dst_page - page) * slots_per_page
                 for cid, slot in movers:
-                    start = slot * width
-                    cells[dst + start : dst + start + width] = cells[
-                        src + start : src + start + width
+                    dst = slot + shift
+                    cells[dst * width : (dst + 1) * width] = cells[
+                        slot * width : (slot + 1) * width
                     ]
-                    self._allocated[dst_index * slots_per_page + slot] = 1
-                    table.move(cid, PhysAddr(dst_block, dst_page, slot))
-                self._programmed[dst_index] = 1
+                    self._allocated[dst] = 1
+                    table.move(cid, dst)
+                self._programmed[dst_page] = 1
                 self.ledger.charge_gc_migration(self.latency.gc_migration_per_page_us)
         self.erase_block(block)
 
     def _find_free_pages(self, count: int, exclude_block: int) -> list:
-        """``count`` erased pages with no allocated slots, for GC migration.
+        """Numbers of ``count`` erased pages with no allocated slots, for GC
+        migration.
 
         Rotating first-fit: the search resumes where the previous one left
         off and wraps around once, so repeated collections stay O(1) per page
@@ -480,11 +463,10 @@ class NvmDevice:
         found = []
         index = self._dest_page_hint
         for _ in range(total_pages):
-            block, page_no = divmod(index, g.pages_per_block)
-            if block != exclude_block and not self._programmed[index]:
+            if index // g.pages_per_block != exclude_block and not self._programmed[index]:
                 base = index * g.slots_per_page
                 if not any(self._allocated[base : base + g.slots_per_page]):
-                    found.append((block, page_no))
+                    found.append(index)
             index += 1
             if index == total_pages:
                 index = 0
@@ -495,13 +477,13 @@ class NvmDevice:
 
     # -- slot allocation ----------------------------------------------------
 
-    def _slot_writable(self, linear: int) -> bool:
-        index = linear // self.geometry.slots_per_page
+    def _slot_writable(self, slot: int) -> bool:
+        index = slot // self.geometry.slots_per_page
         if not self._programmed[index] or self.kind is DeviceKind.OVERWRITABLE:
             return True
         return self._program_counts[index] < self.nop_limit
 
-    def allocate_slot(self) -> PhysAddr:
+    def allocate_slot(self) -> int:
         """First-fit allocation in page order.
 
         Occupied slots stay unavailable until their block is erased; with
@@ -511,21 +493,21 @@ class NvmDevice:
         """
         if self.reclaim_invalid_slots:
             return self._allocate_with_reclaim()
-        for linear in range(self._alloc_hint, self.geometry.total_slots):
-            if self._allocated[linear]:
+        for slot in range(self._alloc_hint, self.geometry.total_slots):
+            if self._allocated[slot]:
                 continue
-            if self._slot_writable(linear):
-                self._allocated[linear] = 1
-                self._alloc_hint = linear + 1
-                return self._addr(linear)
+            if self._slot_writable(slot):
+                self._allocated[slot] = 1
+                self._alloc_hint = slot + 1
+                return slot
         raise DeviceFull("no writable slot available")
 
-    def _reusable_slot(self, linear: int) -> bool:
-        if not self._allocated[linear]:
+    def _reusable_slot(self, slot: int) -> bool:
+        if not self._allocated[slot]:
             return True
-        return not any(e.valid for _, e in self.cache_table.holders(self._addr(linear)))
+        return not any(e.valid for _, e in self.cache_table.holders(slot))
 
-    def _allocate_with_reclaim(self) -> PhysAddr:
+    def _allocate_with_reclaim(self) -> int:
         # Every reusable slot is in the heap or unallocated at or above the
         # high-water mark: a slot turns reusable only when its block is
         # erased or a valid entry stops holding it, and both queue it. Stale
@@ -536,19 +518,19 @@ class NvmDevice:
         total = self.geometry.total_slots
         while self._high_water < total and self._allocated[self._high_water]:
             self._high_water += 1
-        linear = min(heap[0] if heap else total, self._high_water)
-        if linear == total:
+        slot = min(heap[0] if heap else total, self._high_water)
+        if slot == total:
             raise DeviceFull("no writable slot available")
-        if linear == self._high_water:
+        if slot == self._high_water:
             self._high_water += 1
-        if self._allocated[linear]:
+        if self._allocated[slot]:
             table = self.cache_table
-            for cid, _ in table.holders(self._addr(linear)):
+            for cid, _ in table.holders(slot):
                 table.drop(cid)
-        self._allocated[linear] = 1
+        self._allocated[slot] = 1
         # The slot stays reusable until a valid entry holds it.
-        self._reusable.push(linear)
-        return self._addr(linear)
+        self._reusable.push(slot)
+        return slot
 
     # -- introspection ------------------------------------------------------
 

@@ -25,12 +25,7 @@ from collections import OrderedDict
 from dataclasses import dataclass
 
 from .cells import word_from_hex
-from .controller import (
-    InvalidationRequest,
-    NvmController,
-    ProtocolError,
-    RequestKind,
-)
+from .controller import NvmController, ProtocolError
 
 
 class TraceError(Exception):
@@ -133,41 +128,37 @@ class Host:
         for event in events:
             self.apply_event(event)
 
-    def apply_event(self, event: TraceEvent) -> list:
-        """Apply one event; returns the invalidation requests it emitted."""
+    def apply_event(self, event: TraceEvent):
+        """Apply one event."""
         try:
-            return self._apply(event)
+            self._apply(event)
         except ProtocolError as exc:
             raise TraceError(str(exc), event.line) from exc
 
-    def _apply(self, event: TraceEvent) -> list:
+    def _apply(self, event: TraceEvent):
         kind = event.kind
         if kind == "W":
             self._write(event.cache_id, event.payload)
-            return []
-        if kind == "U":
+        elif kind == "U":
             known = event.cache_id in self.slots or self.controller.entry(event.cache_id)
             if not known:
                 raise TraceError(f"U for unknown cache id {event.cache_id}", event.line)
             self._write(event.cache_id, event.payload)
-            req = self._invalidate_if_valid(event.cache_id, RequestKind.INVALIDATE)
-            return [req] if req else []
-        if kind in ("I", "D"):
+            entry = self.controller.entry(event.cache_id)
+            if entry is not None and entry.valid:
+                self.controller.handle_invalidation(event.cache_id, self.now)
+        elif kind in ("I", "D"):
             if self.controller.entry(event.cache_id) is None:
                 raise TraceError(
                     f"no flushed copy for cache id {event.cache_id}", event.line
                 )
-            req_kind = RequestKind.INVALIDATE if kind == "I" else RequestKind.DE_IDENTIFY
-            req = InvalidationRequest(event.cache_id, req_kind)
-            self.controller.handle_invalidation(req, self.now)
-            return [req]
-        if kind == "T":
+            self.controller.handle_invalidation(event.cache_id, self.now)
+        elif kind == "T":
             self._advance(self.now + event.ticks)
-            return []
-        if kind == "F":
+        elif kind == "F":
             self.flush_all(self.now)
-            return []
-        raise TraceError(f"unhandled event kind {kind!r}", event.line)
+        else:
+            raise TraceError(f"unhandled event kind {kind!r}", event.line)
 
     def _advance(self, end: int):
         """Move the clock to ``end``, stopping only at ticks where a dirty line
@@ -230,14 +221,6 @@ class Host:
             self._flush(victim, self.now)
         del slots[victim]
 
-    def _invalidate_if_valid(self, cache_id: int, req_kind: RequestKind):
-        entry = self.controller.entry(cache_id)
-        if entry is None or not entry.valid:
-            return None
-        req = InvalidationRequest(cache_id, req_kind)
-        self.controller.handle_invalidation(req, self.now)
-        return req
-
     def _flush(self, cache_id: int, now: int):
         slot = self.slots[cache_id]
         self.controller.flush_write(cache_id, slot.payload, now)
@@ -262,13 +245,3 @@ class Host:
         for cid in due:
             self._flush(cid, now)
         return due
-
-    def read_cache(self, cache_id: int) -> bytes:
-        """Latest payload for an id: DRAM copy first, else the flushed copy."""
-        slot = self.slots.get(cache_id)
-        if slot is not None:
-            return slot.payload
-        entry = self.controller.entry(cache_id)
-        if entry is None:
-            raise KeyError(f"cache id {cache_id} unknown to host and NVM")
-        return self.controller.device.read_slot(entry.addr)

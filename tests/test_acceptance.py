@@ -8,7 +8,6 @@ import random
 
 from ddnsim import (
     Geometry,
-    InvalidationRequest,
     LatencyLedger,
     LatencyParams,
     MetricsCollector,
@@ -16,7 +15,6 @@ from ddnsim import (
     NopExceeded,
     NvmController,
     NvmDevice,
-    PhysAddr,
     RunConfig,
     available_levels,
     encode_level,
@@ -117,6 +115,9 @@ def test_criterion_4_monotonicity_suite():
     def levels(device):
         return [device.page(block, page).cells for block in range(2) for page in range(2)]
 
+    def slot(block, page, index):  # two pages per block, two slots per page
+        return (block * 2 + page) * 2 + index
+
     sequences = 10_000
     for _ in range(sequences):
         device = NvmDevice(geometry=geometry, nop_limit=rng.randint(0, 3))
@@ -125,7 +126,7 @@ def test_criterion_4_monotonicity_suite():
             roll = rng.random()
             erased_block = None
             if roll < 0.75:
-                addr = PhysAddr(rng.randrange(2), rng.randrange(2), rng.randrange(2))
+                addr = slot(rng.randrange(2), rng.randrange(2), rng.randrange(2))
                 word = bytes((rng.randrange(8), rng.randrange(8)))
                 try:
                     device.program_slot(addr, word)
@@ -135,7 +136,7 @@ def test_criterion_4_monotonicity_suite():
                 erased_block = rng.randrange(2)
                 device.erase_block(erased_block)
             else:
-                device.read_slot(PhysAddr(rng.randrange(2), rng.randrange(2), rng.randrange(2)))
+                device.read_slot(slot(rng.randrange(2), rng.randrange(2), rng.randrange(2)))
             current = levels(device)
             for page_index, (before, after) in enumerate(zip(previous, current)):
                 if erased_block is not None and page_index // 2 == erased_block:
@@ -169,7 +170,7 @@ def test_criterion_5_partial_overwrite_isolation():
             controller.flush_write(cid, word, now=0)
         victim = rng.randrange(slots_per_page)
         before = controller.device.page(0, 0).cells
-        outcome = controller.handle_invalidation(InvalidationRequest(victim), now=1)
+        outcome = controller.handle_invalidation(victim, now=1)
         assert outcome.error is None
         after = controller.device.page(0, 0).cells
         lo = victim * cells_per_slot

@@ -15,7 +15,9 @@ from ddnsim import (
     gen_uniform_word,
     gen_upward_random,
     gen_upward_word,
+    TraceError,
     max_level,
+    parse_trace,
     word_from_hex,
     word_to_hex,
 )
@@ -270,6 +272,12 @@ def test_word_from_hex_errors():
         word_from_hex("0xZZZZZZ", 8, 3)
     with pytest.raises(ValueError):
         word_from_hex("0xF", 3, 3)  # 9-bit slot is not hex-addressable
+
+
+def test_word_from_hex_rejects_cells_wider_than_a_byte():
+    # A 12-bit payload of one 12-bit cell is hex-aligned but cannot be stored.
+    with pytest.raises(TraceError, match=r"line 1: bits_per_cell must be <= 8 .*got 12"):
+        parse_trace("W 1 0xFFF", 1, 12)
 
 
 def test_word_to_hex_rejects_unaligned_width():

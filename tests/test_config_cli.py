@@ -60,6 +60,7 @@ def test_validate_requires_seed():
         {"reclaim_invalid_slots": True},
         {"bits_per_cell": 9},
         {"bits_per_cell": 2, "policies": (parse_policy("DdnNonRandom(Level=5)"),)},
+        {"cells_per_page": 15, "cells_per_cache_slot": 5},  # 15-bit slots
     ],
 )
 def test_validate_rejects_bad_values(patch):
@@ -247,6 +248,18 @@ def test_cli_rejects_reclaim_on_nand(tmp_path, capsys):
     rc = main(["--config", str(cfg_file), "--synthetic", "5", "--seed", "1"])
     assert rc == 2
     assert "reclaim_invalid_slots" in capsys.readouterr().err
+
+
+def test_cli_rejects_unaligned_slot_width_from_either_trace_source(tmp_path, capsys):
+    cfg_file = tmp_path / "unaligned.cfg"
+    cfg_file.write_text("cells_per_page = 15\ncells_per_cache_slot = 5\n")
+    trace = tmp_path / "one.trace"
+    trace.write_text("W 1 0x1234\n")
+    for source in (["--trace", str(trace)], ["--synthetic", "3"]):
+        assert main(["--config", str(cfg_file), "--seed", "1", *source]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "ddnsim: config error: slot width 15 bits is not hex-addressable\n"
 
 
 def test_cli_rejects_out_of_range_fill_level(capsys):

@@ -9,7 +9,7 @@ from ddnsim import (
     DeviceKind,
     FillKind,
     Geometry,
-    InvalidationRequest,
+    Host,
     LatencyLedger,
     MetricsCollector,
     NvmController,
@@ -17,7 +17,7 @@ from ddnsim import (
     PageStatus,
     PolicyKind,
     ProtocolError,
-    RequestKind,
+    TraceEvent,
     parse_policy,
 )
 
@@ -43,7 +43,7 @@ def build(policy, seed=7, kind=DeviceKind.NON_OVERWRITABLE, nop_limit=4, t_secur
 
 
 def invalidate(controller, cache_id, now=0):
-    return controller.handle_invalidation(InvalidationRequest(cache_id), now)
+    return controller.handle_invalidation(cache_id, now)
 
 
 def test_parse_policy_names_and_labels():
@@ -115,7 +115,7 @@ def test_erase_based_migrates_valid_neighbor():
     assert outcome.cost.gc_us == 649.0
     assert outcome.cost.erase_us == 4000.0
     moved = controller.entry(2)
-    assert moved.valid and moved.addr.block != 0
+    assert moved.valid and G3.block_of(moved.addr) != 0
     assert controller.device.peek_slot(moved.addr) == w(1, 2, 3)
 
 
@@ -228,13 +228,15 @@ def test_ddn_process_requires_programmed_page():
 
 def test_de_identify_is_handled_like_invalidate():
     outcomes = []
-    for kind in (RequestKind.INVALIDATE, RequestKind.DE_IDENTIFY):
+    for op in ("I", "D"):
         controller = build("DdnRandom", seed=11)
-        addr = controller.flush_write(1, w(2, 5, 1), now=0)
-        outcome = controller.handle_invalidation(
-            InvalidationRequest(1, kind), now=0
-        )
-        outcomes.append((outcome.cost.total_us, controller.device.peek_slot(addr)))
+        host = Host(controller)
+        host.apply_event(TraceEvent("W", cache_id=1, payload=w(2, 5, 1)))
+        host.apply_event(TraceEvent("F"))
+        host.apply_event(TraceEvent(op, cache_id=1))
+        (outcome,) = controller.collector.deletions
+        post = controller.device.peek_slot(controller.entry(1).addr)
+        outcomes.append((outcome.action, outcome.cost.total_us, post))
     assert outcomes[0] == outcomes[1]
 
 

@@ -11,7 +11,6 @@ from ddnsim import (
     NopExceeded,
     NvmDevice,
     PageStatus,
-    PhysAddr,
     UnknownCacheId,
 )
 
@@ -20,6 +19,11 @@ from conftest import SMALL
 
 def w(*levels):
     return bytes(levels)
+
+
+def at(block, page, slot):
+    """A slot's address on SMALL: its number in page order."""
+    return (block * SMALL.pages_per_block + page) * SMALL.slots_per_page + slot
 
 
 def test_geometry_validation():
@@ -51,30 +55,35 @@ def test_latency_defaults_and_derived():
 
 def test_address_errors(make_device):
     device = make_device()
-    with pytest.raises(AddressError):
-        device.read_slot(PhysAddr(9, 0, 0))
-    with pytest.raises(AddressError):
-        device.read_slot(PhysAddr(0, 0, 2))
+    # -1 would otherwise index the flat arrays from the end.
+    for addr in (-1, SMALL.total_slots):
+        for call in (device.peek_slot, device.read_slot, device.page_status):
+            with pytest.raises(AddressError):
+                call(addr)
+        with pytest.raises(AddressError):
+            device.program_slot(addr, w(1, 1, 1, 1))
+    assert device.ledger.total_us == 0
+    assert device.free_page_count() == SMALL.blocks * SMALL.pages_per_block
     with pytest.raises(AddressError):
         device.erase_block(4)
 
 
 def test_read_after_program(make_device):
     device = make_device()
-    addr = PhysAddr(0, 0, 0)
+    addr = at(0, 0, 0)
     device.program_slot(addr, w(1, 2, 3, 4))
     assert device.read_slot(addr) == w(1, 2, 3, 4)
 
 
 def test_read_free_page_is_all_zero_and_charged(make_device):
     device = make_device()
-    assert device.read_slot(PhysAddr(1, 2, 1)) == w(0, 0, 0, 0)
+    assert device.read_slot(at(1, 2, 1)) == w(0, 0, 0, 0)
     assert device.ledger.rd_us == 49.0
 
 
 def test_program_charges_and_read_charges(make_device):
     device = make_device()
-    addr = PhysAddr(0, 0, 0)
+    addr = at(0, 0, 0)
     device.program_slot(addr, w(1, 1, 1, 1))
     assert device.ledger.wr_us == 600.0
     device.read_slot(addr)
@@ -84,7 +93,7 @@ def test_program_charges_and_read_charges(make_device):
 
 def test_nand_upward_program_ok(make_device):
     device = make_device()
-    addr = PhysAddr(0, 0, 0)
+    addr = at(0, 0, 0)
     device.program_slot(addr, w(4, 4, 4, 4))
     device.program_slot(addr, w(5, 7, 4, 6))
     assert device.peek_slot(addr) == w(5, 7, 4, 6)
@@ -92,7 +101,7 @@ def test_nand_upward_program_ok(make_device):
 
 def test_nand_downward_program_rejected_without_mutation(make_device):
     device = make_device()
-    addr = PhysAddr(0, 0, 0)
+    addr = at(0, 0, 0)
     device.program_slot(addr, w(5, 5, 5, 5))
     before_ledger = device.ledger.total_us
     with pytest.raises(MonotoneViolation):
@@ -103,7 +112,7 @@ def test_nand_downward_program_rejected_without_mutation(make_device):
 
 def test_overwritable_accepts_any_levels(make_device):
     device = make_device(kind=DeviceKind.OVERWRITABLE)
-    addr = PhysAddr(0, 0, 0)
+    addr = at(0, 0, 0)
     device.program_slot(addr, w(5, 5, 5, 5))
     device.program_slot(addr, w(0, 0, 0, 0))
     assert device.peek_slot(addr) == w(0, 0, 0, 0)
@@ -111,7 +120,7 @@ def test_overwritable_accepts_any_levels(make_device):
 
 def test_partial_program_budget(make_device):
     device = make_device(nop_limit=2)
-    addr = PhysAddr(0, 0, 0)
+    addr = at(0, 0, 0)
     device.program_slot(addr, w(0, 0, 0, 0))  # full program of a free page
     assert device.page(0, 0).partial_program_count == 0
     device.program_slot(addr, w(1, 1, 1, 1))
@@ -124,7 +133,7 @@ def test_partial_program_budget(make_device):
 
 def test_overwritable_ignores_nop_budget(make_device):
     device = make_device(kind=DeviceKind.OVERWRITABLE, nop_limit=0)
-    addr = PhysAddr(0, 0, 0)
+    addr = at(0, 0, 0)
     for level in range(5):
         device.program_slot(addr, w(level, level, level, level))
     assert device.peek_slot(addr) == w(4, 4, 4, 4)
@@ -132,7 +141,7 @@ def test_overwritable_ignores_nop_budget(make_device):
 
 def test_partial_program_leaves_other_slots_identical(make_device):
     device = make_device()
-    a, b = PhysAddr(0, 0, 0), PhysAddr(0, 0, 1)
+    a, b = at(0, 0, 0), at(0, 0, 1)
     device.program_slot(a, w(1, 2, 3, 4))
     device.program_slot(b, w(5, 6, 7, 0))
     snapshot = device.page(0, 0).cells
@@ -146,14 +155,14 @@ def test_wrong_slot_width_rejected(make_device):
     device = make_device()
     for word in (w(), w(1, 2), w(1, 2, 3, 4, 5)):
         with pytest.raises(ValueError, match="cells, slot is 4"):
-            device.program_slot(PhysAddr(0, 0, 0), word)
+            device.program_slot(at(0, 0, 0), word)
 
 
 def test_program_slot_rejects_level_above_top(make_device):
     """program_slot is the one gate for words entering the cell array: a
     level the cell width cannot hold is rejected before anything changes."""
     device = make_device()
-    addr = PhysAddr(0, 0, 0)
+    addr = at(0, 0, 0)
     for word in (w(1, 2, 3, 8), w(255, 0, 0, 0)):
         with pytest.raises(ValueError, match=r"out of range \[0, 7\]"):
             device.program_slot(addr, word)
@@ -166,7 +175,7 @@ def test_program_slot_rejects_level_above_top(make_device):
 
 def test_erase_block(make_device):
     device = make_device()
-    addr = PhysAddr(1, 0, 0)
+    addr = at(1, 0, 0)
     device.program_slot(addr, w(3, 3, 3, 3))
     device.program_slot(addr, w(4, 4, 4, 4))
     before = device.ledger.total_us
@@ -200,14 +209,9 @@ def test_set_valid_bit(make_device):
 def test_allocate_first_fit_order(make_device):
     device = make_device()
     addrs = [device.allocate_slot() for _ in range(4)]
-    assert addrs == [
-        PhysAddr(0, 0, 0),
-        PhysAddr(0, 0, 1),
-        PhysAddr(0, 1, 0),
-        PhysAddr(0, 1, 1),
-    ]
+    assert addrs == [0, 1, 2, 3]
     device.erase_block(0)
-    assert device.allocate_slot() == PhysAddr(0, 0, 0)
+    assert device.allocate_slot() == 0
 
 
 def test_allocate_skips_pages_out_of_budget(make_device):
@@ -215,7 +219,7 @@ def test_allocate_skips_pages_out_of_budget(make_device):
     first = device.allocate_slot()
     device.program_slot(first, w(1, 1, 1, 1))
     # the sibling slot's page has no reprogram budget left, so skip it
-    assert device.allocate_slot() == PhysAddr(0, 1, 0)
+    assert device.allocate_slot() == at(0, 1, 0)
 
 
 def test_allocate_until_full():
@@ -230,7 +234,7 @@ def test_allocate_until_full():
 
 
 def _stage_valid(device, cache_id, addr, word):
-    device._allocated[device.geometry.slot_index(addr)] = True
+    device._allocated[addr] = True
     device.program_slot(addr, word)
     device.cache_table.register(cache_id, addr, now=0)
 
@@ -248,9 +252,9 @@ def test_gc_cost_empty_victim(make_device):
 def test_gc_cost_three_valid_pages(make_device):
     # 3 migrated pages at (49 + 600) each, plus the erase: 5947 in total
     device = make_device()
-    _stage_valid(device, 1, PhysAddr(0, 0, 0), w(1, 2, 3, 4))
-    _stage_valid(device, 2, PhysAddr(0, 1, 1), w(2, 3, 4, 5))
-    _stage_valid(device, 3, PhysAddr(0, 3, 0), w(3, 4, 5, 6))
+    _stage_valid(device, 1, at(0, 0, 0), w(1, 2, 3, 4))
+    _stage_valid(device, 2, at(0, 1, 1), w(2, 3, 4, 5))
+    _stage_valid(device, 3, at(0, 3, 0), w(3, 4, 5, 6))
     before = device.ledger.snapshot()
     device.garbage_collect(0)
     delta = device.ledger.snapshot() - before
@@ -261,16 +265,16 @@ def test_gc_cost_three_valid_pages(make_device):
 
 def test_gc_preserves_valid_payloads_and_drops_invalid(make_device):
     device = make_device()
-    _stage_valid(device, 1, PhysAddr(0, 0, 0), w(1, 2, 3, 4))
-    _stage_valid(device, 2, PhysAddr(0, 0, 1), w(5, 6, 7, 0))
-    _stage_valid(device, 3, PhysAddr(0, 2, 0), w(7, 7, 7, 7))
+    _stage_valid(device, 1, at(0, 0, 0), w(1, 2, 3, 4))
+    _stage_valid(device, 2, at(0, 0, 1), w(5, 6, 7, 0))
+    _stage_valid(device, 3, at(0, 2, 0), w(7, 7, 7, 7))
     device.cache_table.set_valid(2, False, now=1)
     stale_addr = device.cache_table.get(2).addr
     payloads = device.valid_payloads()
     device.garbage_collect(0)
     assert device.valid_payloads() == payloads
     for cid in (1, 3):
-        assert device.cache_table.get(cid).addr.block != 0
+        assert SMALL.block_of(device.cache_table.get(cid).addr) != 0
     # the invalidated neighbor was not migrated; its old location is erased
     assert device.peek_slot(stale_addr) == w(0, 0, 0, 0)
     assert device.page_status(stale_addr) is PageStatus.FREE
@@ -290,7 +294,7 @@ def test_gc_destination_slots_are_never_handed_out(make_device, options):
     device.cache_table.set_valid(2, False, now=1)
     device.garbage_collect(0)
     moved = device.cache_table.get(1).addr
-    assert moved.block != 0
+    assert SMALL.block_of(moved) != 0
     handed_out = []
     while True:
         try:
@@ -311,19 +315,19 @@ def test_gc_no_free_pages_raises_before_mutation():
         cells_per_cache_slot=4,
     )
     device = NvmDevice(geometry=geometry)
-    _stage_valid(device, 1, PhysAddr(0, 0, 0), w(1, 2, 3, 4))
-    _stage_valid(device, 2, PhysAddr(1, 0, 0), w(4, 3, 2, 1))
+    _stage_valid(device, 1, 0, w(1, 2, 3, 4))  # one slot per block
+    _stage_valid(device, 2, 1, w(4, 3, 2, 1))
     with pytest.raises(NoFreePages):
         device.garbage_collect(0)
-    assert device.peek_slot(PhysAddr(0, 0, 0)) == w(1, 2, 3, 4)
+    assert device.peek_slot(0) == w(1, 2, 3, 4)
     assert device.erase_counts == [0, 0]
 
 
 def test_ledger_replay_identical(make_device):
     def replay(device):
-        device.program_slot(PhysAddr(0, 0, 0), w(1, 1, 1, 1))
-        device.read_slot(PhysAddr(0, 0, 0))
-        device.program_slot(PhysAddr(0, 0, 0), w(2, 2, 2, 2))
+        device.program_slot(at(0, 0, 0), w(1, 1, 1, 1))
+        device.read_slot(at(0, 0, 0))
+        device.program_slot(at(0, 0, 0), w(2, 2, 2, 2))
         device.erase_block(0)
         return (
             device.ledger.rd_us,

@@ -2,7 +2,6 @@ import pytest
 
 from ddnsim import (
     Host,
-    RequestKind,
     TraceError,
     TraceEvent,
     parse_trace,
@@ -101,21 +100,23 @@ def test_trace_fingerprint_sees_events_not_layout():
 
 
 def test_flush_then_update_emits_exactly_one_request(host):
-    assert host.apply_event(ev_w(5)) == []
+    deletions = host.controller.collector.deletions
+    host.apply_event(ev_w(5))
     host.apply_event(TraceEvent("F"))
-    reqs = host.apply_event(ev_u(5))
-    assert len(reqs) == 1
-    assert reqs[0].cache_id == 5 and reqs[0].kind is RequestKind.INVALIDATE
+    host.apply_event(ev_u(5))
+    assert [d.cache_id for d in deletions] == [5]
     # the flushed copy is already invalid; a second update emits nothing
-    assert host.apply_event(ev_u(5, "0x456")) == []
+    host.apply_event(ev_u(5, "0x456"))
+    assert len(deletions) == 1
     # but a re-flush arms it again
     host.apply_event(TraceEvent("F"))
-    assert len(host.apply_event(ev_u(5, "0x789"))) == 1
+    host.apply_event(ev_u(5, "0x789"))
+    assert len(deletions) == 2
 
 
 def test_update_without_flush_emits_nothing(host):
     host.apply_event(ev_w(5))
-    assert host.apply_event(ev_u(5)) == []
+    host.apply_event(ev_u(5))
     assert host.controller.collector.deletions == []
 
 
@@ -125,7 +126,7 @@ def test_update_unknown_id_is_a_trace_error(host):
 
 
 def test_time_advances_without_dirty_slots(host):
-    assert host.apply_event(TraceEvent("T", ticks=7)) == []
+    host.apply_event(TraceEvent("T", ticks=7))
     assert host.now == 7
     assert host.controller.collector.deletions == []
 
@@ -163,17 +164,19 @@ def test_flush_all_is_immediate(host):
 
 
 def test_invalidate_and_deidentify_events(host):
+    deletions = host.controller.collector.deletions
     host.apply_event(ev_w(5))
     host.apply_event(TraceEvent("F"))
-    (req,) = host.apply_event(TraceEvent("I", cache_id=5))
-    assert req.kind is RequestKind.INVALIDATE
+    host.apply_event(TraceEvent("I", cache_id=5))
+    assert [d.cache_id for d in deletions] == [5]
     assert not host.controller.entry(5).valid
     # DRAM copy is untouched by the NVM-side deletion
-    assert host.read_cache(5) == word_from_hex("0xABC", 4, 3)
+    assert host.slots[5].payload == word_from_hex("0xABC", 4, 3)
     host.apply_event(ev_w(6, "0x321"))
     host.apply_event(TraceEvent("F"))
-    (req,) = host.apply_event(TraceEvent("D", cache_id=6))
-    assert req.kind is RequestKind.DE_IDENTIFY
+    host.apply_event(TraceEvent("D", cache_id=6))
+    assert [d.cache_id for d in deletions] == [5, 6]
+    assert not host.controller.entry(6).valid
 
 
 def test_invalidate_requires_flushed_copy(host):
@@ -202,25 +205,25 @@ def test_capacity_eviction_flushes_dirty_lru(make_controller):
     entry = host.controller.entry(1)
     assert entry is not None and entry.valid
     # the evicted payload is still readable through the NVM copy
-    assert host.read_cache(1) == word_from_hex("0x111", 4, 3)
+    assert host.controller.device.valid_payloads()[1] == word_from_hex("0x111", 4, 3)
 
 
 def test_update_after_eviction_reinserts_and_invalidates(make_controller):
     host = Host(make_controller("MarkOnly"), capacity=1, flush_idle_threshold=10)
     host.apply_event(ev_w(1, "0x111"))
     host.apply_event(ev_w(2, "0x222"))  # evicts and flushes id 1
-    reqs = host.apply_event(ev_u(1, "0x123"))
-    assert [r.cache_id for r in reqs] == [1]
-    assert host.read_cache(1) == word_from_hex("0x123", 4, 3)
+    host.apply_event(ev_u(1, "0x123"))
+    assert [d.cache_id for d in host.controller.collector.deletions] == [1]
+    assert host.slots[1].payload == word_from_hex("0x123", 4, 3)
 
 
 def test_dram_is_authoritative(host):
     host.apply_event(ev_w(5, "0xAAA"))
     host.apply_event(TraceEvent("F"))
     host.apply_event(ev_u(5, "0xBBB"))
-    assert host.read_cache(5) == word_from_hex("0xBBB", 4, 3)
-    with pytest.raises(KeyError):
-        host.read_cache(404)
+    assert host.slots[5].payload == word_from_hex("0xBBB", 4, 3)
+    # the flushed copy went invalid, so DRAM holds the only live payload
+    assert host.controller.device.valid_payloads() == {}
 
 
 def test_secure_scrub_through_trace(make_controller):

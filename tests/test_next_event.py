@@ -58,7 +58,8 @@ def _evict_by_scan(host):
 def _reference_apply(host, event):
     """Apply one event the way the per-tick loop did."""
     if event.kind != "T":
-        return host.apply_event(event)
+        host.apply_event(event)
+        return
     controller = host.controller
     t_secure = controller.policy.t_secure
     for _ in range(event.ticks):

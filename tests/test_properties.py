@@ -7,14 +7,12 @@ from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 from ddnsim import (
     Geometry,
     Host,
-    InvalidationRequest,
     LatencyLedger,
     MetricsCollector,
     MonotoneViolation,
     NopExceeded,
     NvmController,
     NvmDevice,
-    PhysAddr,
     RunConfig,
     TraceEvent,
     parse_policy,
@@ -29,9 +27,7 @@ TINY = Geometry(
     cells_per_cache_slot=2,
 )
 
-addrs = st.builds(
-    PhysAddr, st.integers(0, 1), st.integers(0, 1), st.integers(0, 1)
-)
+addrs = st.integers(0, TINY.total_slots - 1)
 tiny_words = st.tuples(st.integers(0, 3), st.integers(0, 3)).map(bytes)
 
 
@@ -40,6 +36,12 @@ class DeviceModel(RuleBasedStateMachine):
 
     Failed programs must not mutate anything; erase is the only way down.
     """
+
+    def _cells(self, addr):
+        """The shadow page holding addr, and the slot's cell range in it."""
+        page_number, slot = divmod(addr, 2)
+        block, page = divmod(page_number, 2)
+        return self.shadow[block][page], slice(slot * 2, slot * 2 + 2)
 
     def __init__(self):
         super().__init__()
@@ -52,8 +54,8 @@ class DeviceModel(RuleBasedStateMachine):
             self.device.program_slot(addr, word)
         except (MonotoneViolation, NopExceeded):
             return
-        start = addr.slot * 2
-        self.shadow[addr.block][addr.page][start : start + 2] = list(word)
+        page, cells = self._cells(addr)
+        page[cells] = list(word)
 
     @rule(block=st.integers(0, 1))
     def erase(self, block):
@@ -62,8 +64,8 @@ class DeviceModel(RuleBasedStateMachine):
 
     @rule(addr=addrs)
     def read(self, addr):
-        expected = self.shadow[addr.block][addr.page][addr.slot * 2 : addr.slot * 2 + 2]
-        assert list(self.device.read_slot(addr)) == expected
+        page, cells = self._cells(addr)
+        assert list(self.device.read_slot(addr)) == page[cells]
 
     @invariant()
     def cells_match_shadow(self):
@@ -96,6 +98,7 @@ def test_exactly_once_invalidation(actions, seed):
     host = Host(controller, capacity=64, flush_idle_threshold=10**9)
     rng = random.Random(seed)
     payload = lambda: bytes(rng.randint(0, 7) for _ in range(8))
+    deletions = controller.collector.deletions
     dram_known = set()
     dirty = set()
     nvm_valid = set()
@@ -108,9 +111,11 @@ def test_exactly_once_invalidation(actions, seed):
         elif op == "U":
             if cid not in dram_known:
                 continue
-            reqs = host.apply_event(TraceEvent("U", cache_id=cid, payload=payload()))
-            assert len(reqs) == (1 if cid in nvm_valid else 0)
-            expected_requests += len(reqs)
+            before = len(deletions)
+            host.apply_event(TraceEvent("U", cache_id=cid, payload=payload()))
+            emitted = len(deletions) - before
+            assert emitted == (1 if cid in nvm_valid else 0)
+            expected_requests += emitted
             nvm_valid.discard(cid)
             dirty.add(cid)
         elif op == "F":
@@ -122,11 +127,12 @@ def test_exactly_once_invalidation(actions, seed):
         elif op == "I":
             if cid not in nvm_valid:
                 continue
-            (req,) = host.apply_event(TraceEvent("I", cache_id=cid))
-            assert req.cache_id == cid
+            before = len(deletions)
+            host.apply_event(TraceEvent("I", cache_id=cid))
+            assert [d.cache_id for d in deletions[before:]] == [cid]
             expected_requests += 1
             nvm_valid.discard(cid)
-    assert len(controller.collector.deletions) == expected_requests
+    assert len(deletions) == expected_requests
     assert {cid for cid, e in device.cache_table.items() if e.valid} == nvm_valid
 
 
@@ -161,7 +167,7 @@ def test_ddn_never_touches_neighbor_slots(
     lo = victim * cells_per_slot
     hi = lo + cells_per_slot
     before = device.page(0, 0).cells
-    controller.handle_invalidation(InvalidationRequest(victim), now=1)
+    controller.handle_invalidation(victim, now=1)
     after = device.page(0, 0).cells
     assert after[:lo] == before[:lo]
     assert after[hi:] == before[hi:]

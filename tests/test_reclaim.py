@@ -78,16 +78,16 @@ class ScanDevice(NvmDevice):
     def _allocate_with_reclaim(self):
         holders = {}
         for cid, entry in self.cache_table.items():
-            holders.setdefault(self.geometry.slot_index(entry.addr), []).append((cid, entry))
-        for linear in range(self.geometry.total_slots):
-            if self._allocated[linear]:
-                held = holders.get(linear, ())
+            holders.setdefault(entry.addr, []).append((cid, entry))
+        for slot in range(self.geometry.total_slots):
+            if self._allocated[slot]:
+                held = holders.get(slot, ())
                 if any(entry.valid for _, entry in held):
                     continue
                 for cid, _ in held:
                     self.cache_table.drop(cid)
-            self._allocated[linear] = True
-            return self._addr(linear)
+            self._allocated[slot] = True
+            return slot
         raise DeviceFull("no writable slot available")
 
 
