@@ -21,6 +21,7 @@ __all__ = [
     "gen_uniform_word",
     "gen_upward_random",
     "gen_upward_word",
+    "hex_digits",
     "max_level",
     "word_from_hex",
     "word_to_hex",
@@ -80,13 +81,21 @@ def gen_upward_random(original: int, bits_per_cell: int, rng: Random) -> int:
 _HEX_DIGITS = frozenset("0123456789abcdefABCDEF")
 
 
+def hex_digits(cells: int, bits_per_cell: int) -> int:
+    """Hex digits in one slot's payload; traces write payloads in hex, one
+    digit per 4 bits, so the slot width must be a multiple of four bits."""
+    width = cells * bits_per_cell
+    if width % 4:
+        raise ValueError(f"slot width {width} bits is not hex-addressable")
+    return width // 4
+
+
 def word_from_hex(text: str, cells: int, bits_per_cell: int) -> bytes:
     """Parse a 0x-prefixed hex payload whose bit width is cells * bits_per_cell.
 
-    The hex digit count must match the word width exactly (4 bits per digit),
-    so configurations are only hex-addressable when the slot width is a
-    multiple of four bits. Cell 0 is the most significant ``bits_per_cell``
-    bits of the value.
+    The hex digit count must match the word width exactly (see
+    ``hex_digits``). Cell 0 is the most significant ``bits_per_cell`` bits of
+    the value.
     """
     if not text.lower().startswith("0x"):
         raise ValueError(f"payload must be 0x-prefixed hex: {text!r}")
@@ -96,9 +105,7 @@ def word_from_hex(text: str, cells: int, bits_per_cell: int) -> bytes:
             f"bits_per_cell must be <= 8 (a level is stored in one byte), "
             f"got {bits_per_cell}"
         )
-    width = cells * bits_per_cell
-    if width % 4:
-        raise ValueError(f"slot width {width} bits is not hex-addressable")
+    width = hex_digits(cells, bits_per_cell) * 4
     if len(digits) * 4 != width:
         raise ValueError(
             f"payload {text!r} is {len(digits) * 4} bits, slot is {width} bits"

@@ -6,7 +6,7 @@ read/program, generation, and block-erase times (49 / 600 / 100 / 4000 us).
 
 from dataclasses import dataclass, field, fields, replace
 
-from .cells import gen_fill_word
+from .cells import gen_fill_word, hex_digits
 from .controller import PolicyKind, parse_policy
 from .device import DeviceKind, Geometry, LatencyParams
 
@@ -68,12 +68,9 @@ class RunConfig:
         try:
             self.geometry()
             self.latency()
+            hex_digits(self.cells_per_cache_slot, self.bits_per_cell)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
-        slot_bits = self.cells_per_cache_slot * self.bits_per_cell
-        if slot_bits % 4:
-            # Trace payloads are hex, one digit per 4 bits.
-            raise ConfigError(f"slot width {slot_bits} bits is not hex-addressable")
         if self.seed is None:
             raise ConfigError("seed is required (wall-clock seeding is not allowed)")
         if not self.policies:

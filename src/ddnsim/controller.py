@@ -244,7 +244,7 @@ class NvmController:
         dev = self.device
         addr = entry.addr
         pre = dev.peek_slot(addr)
-        dev.cache_table.set_valid(cache_id, False, now)
+        dev.cache_table.invalidate(cache_id, now)
         before = dev.ledger.snapshot()
         fallback = False
         error = None

@@ -12,11 +12,13 @@ that number, a plain ``int``; one ``bytearray`` holds
 every cell level (a level fits in a byte, so ``bits_per_cell <= 8``), one
 holds each page's status, one each slot's occupancy, and a list holds each
 page's partial-program count. An erase is a slice assignment and a GC
-migration a slice copy.
+migration a slice copy. The cache table indexes its entries by slot (see
+``CacheTable``); at most one valid entry holds a slot.
 """
 
 import heapq
 from enum import Enum
+from itertools import repeat
 from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
@@ -154,19 +156,20 @@ class CacheEntry:
 class CacheTable:
     """cache_id -> physical slot, valid/invalid bit, timestamps.
 
-    Two indexes spare callers a scan of the whole table: the valid ids per
-    block, for garbage collection, and every id per slot address, valid or
-    not, for slot reclaim. ``on_release(addr)`` is called whenever a valid
-    entry stops holding its address (it goes invalid, is replaced or is
-    dropped), because the slot may have become reusable. A slot's block is
-    ``addr // slots_per_block``.
+    Slot indexes spare callers a table scan: ``_valid_at`` lists each slot's
+    one valid cache_id or ``None``, ``_held`` marks the same slots in a
+    ``bytearray`` searched at C speed, and ``_stale_at`` maps a slot to the
+    invalid ids still pointing at it. At most one valid entry holds a slot:
+    ``register`` and ``move`` refuse a second, and the device erases no block
+    a valid entry points into. ``on_release(addr)`` is called whenever a
+    valid entry stops holding its address, as the slot may be reusable now.
     """
 
-    def __init__(self, slots_per_block: int, on_release=None):
-        self._slots_per_block = slots_per_block
+    def __init__(self, total_slots: int, on_release=None):
         self._entries = {}
-        self._valid_by_block = {}
-        self._ids_by_addr = {}
+        self._valid_at = [None] * total_slots
+        self._held = bytearray(total_slots)
+        self._stale_at = {}
         self._on_release = on_release
 
     def __len__(self) -> int:
@@ -175,73 +178,72 @@ class CacheTable:
     def get(self, cache_id) -> CacheEntry | None:
         return self._entries.get(cache_id)
 
-    def _attach(self, cache_id: int, addr: int):
-        self._ids_by_addr.setdefault(addr, set()).add(cache_id)
+    def _forget(self, cache_id: int, entry: CacheEntry):
+        if entry.valid:
+            self._release(entry)
+        else:
+            ids = self._stale_at[entry.addr]
+            ids.discard(cache_id)
+            if not ids:
+                del self._stale_at[entry.addr]
 
-    def _detach(self, cache_id: int, addr: int):
-        ids = self._ids_by_addr[addr]
-        ids.discard(cache_id)
-        if not ids:
-            del self._ids_by_addr[addr]
-
-    def _release(self, cache_id: int, entry: CacheEntry):
+    def _release(self, entry: CacheEntry):
         """A valid entry stops holding entry.addr."""
-        self._valid_by_block[entry.addr // self._slots_per_block].discard(cache_id)
+        self._valid_at[entry.addr] = None
+        self._held[entry.addr] = 0
         if self._on_release is not None:
             self._on_release(entry.addr)
 
     def register(self, cache_id: int, addr: int, now: int):
         """Insert or replace the entry for cache_id as valid at addr."""
+        holder = self._valid_at[addr]
+        if holder is not None and holder != cache_id:
+            raise DeviceError(f"slot {addr} already holds valid cache_id {holder}")
         old = self._entries.get(cache_id)
         if old is not None:
-            self._detach(cache_id, old.addr)
-            if old.valid:
-                self._release(cache_id, old)
+            self._forget(cache_id, old)
         self._entries[cache_id] = CacheEntry(addr, True, now)
-        self._valid_by_block.setdefault(addr // self._slots_per_block, set()).add(cache_id)
-        self._attach(cache_id, addr)
+        self._valid_at[addr] = cache_id
+        self._held[addr] = 1
 
     def drop(self, cache_id: int):
         entry = self._entries.pop(cache_id, None)
         if entry is not None:
-            self._detach(cache_id, entry.addr)
-            if entry.valid:
-                self._release(cache_id, entry)
+            self._forget(cache_id, entry)
 
-    def set_valid(self, cache_id: int, valid: bool, now: int):
+    def drop_stale(self, addr: int):
+        """Forget every invalid entry pointing at addr."""
+        for cid in self._stale_at.pop(addr, ()):
+            del self._entries[cid]
+
+    def invalidate(self, cache_id: int, now: int):
+        """Clear the valid bit; a second call keeps the first timestamp."""
         entry = self._entries.get(cache_id)
         if entry is None:
             raise UnknownCacheId(f"cache_id {cache_id} not in cache table")
-        if entry.valid and not valid:
-            entry.invalidated_at = now
-            self._release(cache_id, entry)
-        elif not entry.valid and valid:
-            entry.invalidated_at = None
-            block = entry.addr // self._slots_per_block
-            self._valid_by_block.setdefault(block, set()).add(cache_id)
-        entry.valid = valid
-
-    def move(self, cache_id: int, addr: int):
-        """Point an entry at a new physical slot (GC migration).
-
-        The old slot is not released: garbage collection erases its block
-        right after the move, and the erase frees every slot of the block.
-        """
-        entry = self._entries[cache_id]
-        self._detach(cache_id, entry.addr)
         if entry.valid:
-            per_block = self._slots_per_block
-            self._valid_by_block[entry.addr // per_block].discard(cache_id)
-            self._valid_by_block.setdefault(addr // per_block, set()).add(cache_id)
-        entry.addr = addr
-        self._attach(cache_id, addr)
+            entry.valid = False
+            entry.invalidated_at = now
+            self._release(entry)
+            self._stale_at.setdefault(entry.addr, set()).add(cache_id)
 
-    def valid_ids_in_block(self, block: int) -> set:
-        return set(self._valid_by_block.get(block, ()))
+    def held(self, start: int, stop: int) -> bytearray:
+        """1 for each slot in [start, stop) a valid entry holds, else 0."""
+        return self._held[start:stop]
 
-    def holders(self, addr: int) -> list:
-        """(cache_id, entry) for every entry pointing at addr, valid or not."""
-        return [(cid, self._entries[cid]) for cid in self._ids_by_addr.get(addr, ())]
+    def move(self, src: int, dst: int, n: int) -> bytearray:
+        """Repoint the valid entries in slots [src, src + n) to the same
+        places in [dst, dst + n), which must hold none; returns ``held`` of
+        the source. No release is reported: the caller erases the source."""
+        if 1 in self._held[dst : dst + n]:
+            raise DeviceError(f"slots {dst}..{dst + n - 1} already hold valid data")
+        ids, mask = self._valid_at[src : src + n], self._held[src : src + n]
+        self._valid_at[dst : dst + n], self._valid_at[src : src + n] = ids, [None] * n
+        self._held[dst : dst + n], self._held[src : src + n] = mask, bytes(n)
+        for slot, cid in enumerate(ids, dst):
+            if cid is not None:
+                self._entries[cid].addr = slot
+        return mask
 
     def valid_entries(self):
         """(cache_id, entry) pairs for valid entries, ascending cache_id."""
@@ -315,7 +317,7 @@ class NvmDevice:
                 f"({type(exc).__name__})"
             ) from exc
         self.cache_table = CacheTable(
-            g.slots_per_block, self._reusable.push if reclaim_invalid_slots else None
+            g.total_slots, self._reusable.push if reclaim_invalid_slots else None
         )
         self._alloc_hint = 0
         self._dest_page_hint = 0
@@ -398,56 +400,56 @@ class NvmDevice:
         self.ledger.charge_program(self.latency.t_program_us)
 
     def erase_block(self, block: int):
-        """Reset every cell of the block to level 0; the only downward path."""
+        """Reset the block to level 0 (the only downward path) unless valid data holds it."""
         self._check_block(block)
         g = self.geometry
+        base, per_block = block * g.slots_per_block, g.slots_per_block
+        if 1 in self.cache_table.held(base, base + per_block):
+            raise DeviceError(f"block {block} still holds valid data")
         first, last = block * g.pages_per_block, (block + 1) * g.pages_per_block
         self._cells[first * g.cells_per_page : last * g.cells_per_page] = bytes(
             g.pages_per_block * g.cells_per_page
         )
         self._programmed[first:last] = bytes(g.pages_per_block)
         self._program_counts[first:last] = [0] * g.pages_per_block
-        base = block * g.slots_per_block
-        self._allocated[base : base + g.slots_per_block] = bytes(g.slots_per_block)
+        self._allocated[base : base + per_block] = bytes(per_block)
         if self.reclaim_invalid_slots:
             # Unallocated slots at or above the high-water mark need no queueing.
-            for slot in range(base, min(base + g.slots_per_block, self._high_water)):
+            for slot in range(base, min(base + per_block, self._high_water)):
                 self._reusable.push(slot)
         self.erase_counts[block] += 1
         self._alloc_hint = min(self._alloc_hint, base)
         self.ledger.charge_erase(self.latency.t_erase_us)
 
     def garbage_collect(self, block: int):
-        """Move every page holding valid cache data out of the block, then
-        erase it.
-
-        Only the valid slots' cells are copied to the destination page; stale
-        invalid data sharing a page with live data dies with the erase. Cost
-        is one read plus one program per migrated page, plus the erase.
-        """
+        """Move the block's pages holding valid data out (order and slot places
+        kept, stale slots erased), then erase it; a read and a program per page."""
         self._check_block(block)
-        g = self.geometry
-        table = self.cache_table
-        cells = self._cells
-        width = g.cells_per_cache_slot
-        slots_per_page = g.slots_per_page
-        by_page = {}
-        for cid in sorted(table.valid_ids_in_block(block)):
-            slot = table.get(cid).addr
-            by_page.setdefault(slot // slots_per_page, []).append((cid, slot))
-        if by_page:
-            dests = self._find_free_pages(len(by_page), exclude_block=block)
-            for (page, movers), dst_page in zip(sorted(by_page.items()), dests):
-                shift = (dst_page - page) * slots_per_page
-                for cid, slot in movers:
-                    dst = slot + shift
-                    cells[dst * width : (dst + 1) * width] = cells[
-                        slot * width : (slot + 1) * width
-                    ]
-                    self._allocated[dst] = 1
-                    table.move(cid, dst)
-                self._programmed[dst_page] = 1
-                self.ledger.charge_gc_migration(self.latency.gc_migration_per_page_us)
+        g, table = self.geometry, self.cache_table
+        per_page, width, cells = g.slots_per_page, g.cells_per_cache_slot, self._cells
+        base = block * g.slots_per_block
+        held, pages = table.held(base, base + g.slots_per_block), []
+        slot = held.find(1)
+        while slot != -1:  # one find per live page
+            pages.append((base + slot) // per_page)
+            slot = held.find(1, slot - slot % per_page + per_page)
+        dests = self._find_free_pages(len(pages), exclude_block=block) if pages else []
+        i = 0
+        while i < len(pages):  # consecutive pages bound for consecutive ones move as slices
+            j = i + 1
+            while j < len(pages) and pages[j] - pages[i] == dests[j] - dests[i] == j - i:
+                j += 1
+            src, dst, n = pages[i] * per_page, dests[i] * per_page, (j - i) * per_page
+            mask = self._allocated[dst : dst + n] = table.move(src, dst, n)
+            # Copy the run with its stale slots zeroed: AND with 0xff for each held cell.
+            keep = mask.replace(b"\0", bytes(width)).replace(b"\1", b"\xff" * width)
+            run = int.from_bytes(cells[src * width : (src + n) * width], "big")
+            run &= int.from_bytes(keep, "big")
+            cells[dst * width : (dst + n) * width] = run.to_bytes(n * width, "big")
+            self._programmed[dests[i] : dests[j - 1] + 1] = b"\x01" * (j - i)
+            i = j
+        for cost in repeat(self.latency.gc_migration_per_page_us, len(dests)):
+            self.ledger.charge_gc_migration(cost)
         self.erase_block(block)
 
     def _find_free_pages(self, count: int, exclude_block: int) -> list:
@@ -502,18 +504,13 @@ class NvmDevice:
                 return slot
         raise DeviceFull("no writable slot available")
 
-    def _reusable_slot(self, slot: int) -> bool:
-        if not self._allocated[slot]:
-            return True
-        return not any(e.valid for _, e in self.cache_table.holders(slot))
-
     def _allocate_with_reclaim(self) -> int:
         # Every reusable slot is in the heap or unallocated at or above the
         # high-water mark: a slot turns reusable only when its block is
         # erased or a valid entry stops holding it, and both queue it. Stale
         # heap items are dropped as they reach the top.
         heap, queued = self._reusable.heap, self._reusable.queued
-        while heap and not self._reusable_slot(heap[0]):
+        while heap and self.cache_table.held(heap[0], heap[0] + 1)[0]:
             queued[heapq.heappop(heap)] = 0
         total = self.geometry.total_slots
         while self._high_water < total and self._allocated[self._high_water]:
@@ -524,9 +521,7 @@ class NvmDevice:
         if slot == self._high_water:
             self._high_water += 1
         if self._allocated[slot]:
-            table = self.cache_table
-            for cid, _ in table.holders(slot):
-                table.drop(cid)
+            self.cache_table.drop_stale(slot)
         self._allocated[slot] = 1
         # The slot stays reusable until a valid entry holds it.
         self._reusable.push(slot)

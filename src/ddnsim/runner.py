@@ -10,6 +10,7 @@ import hashlib
 from dataclasses import dataclass
 from functools import cached_property
 
+from .cells import hex_digits
 from .config import RunConfig
 from .controller import NvmController
 from .device import NvmDevice
@@ -109,15 +110,12 @@ def synthetic_trace(
         raise ValueError("count must be >= 0")
     if not 0.0 <= update_ratio <= 1.0:
         raise ValueError(f"update_ratio must be in [0, 1], got {update_ratio}")
-    slot_bits = cells_per_slot * bits_per_cell
-    if slot_bits % 4:
-        raise ValueError(f"slot width {slot_bits} bits is not hex-addressable")
-    digits = slot_bits // 4
+    digits = hex_digits(cells_per_slot, bits_per_cell)
     rng = random.Random(seed)
     lines = [f"# synthetic workload: {count} writes, update ratio {update_ratio}"]
     for i in range(count):
-        lines.append(f"W {i} 0x{rng.getrandbits(slot_bits):0{digits}X}")
+        lines.append(f"W {i} 0x{rng.getrandbits(digits * 4):0{digits}X}")
         lines.append("F")
         if rng.random() < update_ratio:
-            lines.append(f"U {i} 0x{rng.getrandbits(slot_bits):0{digits}X}")
+            lines.append(f"U {i} 0x{rng.getrandbits(digits * 4):0{digits}X}")
     return "\n".join(lines) + "\n"

@@ -7,7 +7,9 @@ from hypothesis import strategies as st
 
 from ddnsim import (
     ALL_MAX,
+    ConfigError,
     FillKind,
+    RunConfig,
     available_levels,
     decode_bits,
     encode_level,
@@ -18,9 +20,11 @@ from ddnsim import (
     TraceError,
     max_level,
     parse_trace,
+    synthetic_trace,
     word_from_hex,
     word_to_hex,
 )
+from ddnsim.cells import hex_digits
 
 
 def test_encode_level_examples():
@@ -278,6 +282,20 @@ def test_word_from_hex_rejects_cells_wider_than_a_byte():
     # A 12-bit payload of one 12-bit cell is hex-aligned but cannot be stored.
     with pytest.raises(TraceError, match=r"line 1: bits_per_cell must be <= 8 .*got 12"):
         parse_trace("W 1 0xFFF", 1, 12)
+
+
+def test_one_hex_width_check_for_config_codec_and_generator():
+    message = "slot width 15 bits is not hex-addressable"
+    with pytest.raises(ValueError, match=message):
+        hex_digits(5, 3)
+    with pytest.raises(ValueError, match=message):
+        word_from_hex("0x1234", 5, 3)
+    with pytest.raises(ValueError, match=message):
+        synthetic_trace(3, 1.0, 1, 5, 3)
+    cfg = RunConfig(seed=1, cells_per_page=15, cells_per_cache_slot=5)
+    with pytest.raises(ConfigError, match=message):
+        cfg.validate()
+    assert hex_digits(8, 3) == 6
 
 
 def test_word_to_hex_rejects_unaligned_width():

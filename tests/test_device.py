@@ -2,6 +2,7 @@ import pytest
 
 from ddnsim import (
     AddressError,
+    DeviceError,
     DeviceFull,
     DeviceKind,
     Geometry,
@@ -190,6 +191,56 @@ def test_erase_block(make_device):
     assert device.peek_slot(addr) == w(0, 0, 0, 0)
 
 
+def test_erase_refuses_a_block_holding_valid_data(make_device):
+    """At most one valid entry holds a slot: erasing a block a valid entry
+    points into would let the allocator hand its slot out again."""
+    device = make_device()
+    addr = device.allocate_slot()
+    device.program_slot(addr, w(1, 2, 3, 4))
+    device.cache_table.register(7, addr, now=0)
+    before = device.ledger.snapshot()
+    with pytest.raises(DeviceError, match="^block 0 still holds valid data$"):
+        device.erase_block(0)
+    assert device.peek_slot(addr) == w(1, 2, 3, 4)
+    assert device.erase_counts[0] == 0
+    assert device.ledger == before
+    assert device.allocate_slot() != addr
+    device.cache_table.invalidate(7, now=1)
+    device.erase_block(0)  # stale data is no obstacle
+    assert device.peek_slot(addr) == w(0, 0, 0, 0)
+
+
+def test_register_refuses_a_slot_another_valid_id_holds(make_device):
+    device = make_device()
+    addr = device.allocate_slot()
+    table = device.cache_table
+    table.register(7, addr, now=0)
+    with pytest.raises(DeviceError, match=f"^slot {addr} already holds valid cache_id 7$"):
+        table.register(8, addr, now=1)
+    assert table.get(8) is None
+    assert table.get(7).addr == addr and table.get(7).valid
+    table.register(7, addr, now=2)  # the holder itself may re-register
+    table.invalidate(7, now=3)
+    table.register(8, addr, now=4)  # a stale holder is no obstacle
+    assert [cid for cid, _ in table.valid_entries()] == [8]
+
+
+def test_move_repoints_valid_entries_and_refuses_a_held_destination(make_device):
+    device = make_device()
+    table = device.cache_table
+    table.register(1, 0, now=0)
+    table.register(2, 2, now=0)
+    table.invalidate(2, now=1)
+    table.register(3, 7, now=0)
+    assert table.move(0, 4, 3) == bytearray([1, 0, 0])
+    assert table.get(1).addr == 4 and table.get(1).valid
+    assert table.get(2).addr == 2  # a stale entry stays where it was
+    assert table.held(0, 8) == bytearray([0, 0, 0, 0, 1, 0, 0, 1])
+    with pytest.raises(DeviceError, match="^slots 6..7 already hold valid data$"):
+        table.move(4, 6, 2)
+    assert table.get(1).addr == 4 and table.get(3).addr == 7
+
+
 def test_set_valid_bit(make_device):
     device = make_device()
     addr = device.allocate_slot()
@@ -197,13 +248,13 @@ def test_set_valid_bit(make_device):
     device.cache_table.register(7, addr, now=3)
     entry = device.cache_table.get(7)
     assert entry.valid and entry.written_at == 3
-    device.cache_table.set_valid(7, False, now=9)
+    device.cache_table.invalidate(7, now=9)
     assert not entry.valid
     assert entry.invalidated_at == 9
-    device.cache_table.set_valid(7, False, now=12)  # idempotent; keeps the first stamp
+    device.cache_table.invalidate(7, now=12)  # idempotent; keeps the first stamp
     assert entry.invalidated_at == 9
     with pytest.raises(UnknownCacheId):
-        device.cache_table.set_valid(99, False, now=1)
+        device.cache_table.invalidate(99, now=1)
 
 
 def test_allocate_first_fit_order(make_device):
@@ -268,7 +319,7 @@ def test_gc_preserves_valid_payloads_and_drops_invalid(make_device):
     _stage_valid(device, 1, at(0, 0, 0), w(1, 2, 3, 4))
     _stage_valid(device, 2, at(0, 0, 1), w(5, 6, 7, 0))
     _stage_valid(device, 3, at(0, 2, 0), w(7, 7, 7, 7))
-    device.cache_table.set_valid(2, False, now=1)
+    device.cache_table.invalidate(2, now=1)
     stale_addr = device.cache_table.get(2).addr
     payloads = device.valid_payloads()
     device.garbage_collect(0)
@@ -291,7 +342,7 @@ def test_gc_destination_slots_are_never_handed_out(make_device, options):
         addr = device.allocate_slot()
         device.program_slot(addr, word)
         device.cache_table.register(cid, addr, now=0)
-    device.cache_table.set_valid(2, False, now=1)
+    device.cache_table.invalidate(2, now=1)
     device.garbage_collect(0)
     moved = device.cache_table.get(1).addr
     assert SMALL.block_of(moved) != 0
@@ -344,7 +395,7 @@ def test_reclaim_reuses_invalid_slots(make_device):
     addr = device.allocate_slot()
     device.program_slot(addr, w(1, 2, 3, 4))
     device.cache_table.register(5, addr, now=0)
-    device.cache_table.set_valid(5, False, now=1)
+    device.cache_table.invalidate(5, now=1)
     assert device.allocate_slot() == addr
     assert device.cache_table.get(5) is None
 
@@ -354,7 +405,7 @@ def test_no_reclaim_by_default(make_device):
     addr = device.allocate_slot()
     device.program_slot(addr, w(1, 2, 3, 4))
     device.cache_table.register(5, addr, now=0)
-    device.cache_table.set_valid(5, False, now=1)
+    device.cache_table.invalidate(5, now=1)
     assert device.allocate_slot() != addr
 
 

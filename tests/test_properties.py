@@ -1,5 +1,9 @@
+import json
 import random
+from collections import Counter
+from unittest.mock import patch
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
@@ -15,11 +19,14 @@ from ddnsim import (
     NvmDevice,
     RunConfig,
     TraceEvent,
+    parse_config_text,
     parse_policy,
     parse_trace,
     run,
     synthetic_trace,
 )
+
+from test_golden import CASES
 
 # 2-bit cells keep the state space small enough for good shrinking
 TINY = Geometry(
@@ -192,12 +199,45 @@ def test_full_run_replay_is_byte_identical(count, ratio, seed):
 @given(seed=st.integers(0, 2**31 - 1))
 @settings(max_examples=10, deadline=None)
 def test_ledger_additivity_over_a_run(seed):
+    """Every charge belongs to a deletion or a flush: at the default
+    (integer) latencies a run's ledger total is exactly its deletions' costs
+    plus one program per flushed line, under every policy."""
     cfg = RunConfig(seed=seed)
-    cfg.policies = (parse_policy("EraseBased"),)
     text = synthetic_trace(20, 1.0, seed, 8, 3)
     events = parse_trace(text, 8, 3)
-    (policy_run,) = run(cfg, events).runs
-    ledger = policy_run.collector.ledger
-    assert ledger.total_us == ledger.snapshot().total_us
-    deletion_total = sum(d.cost.total_us for d in policy_run.collector.deletions)
-    assert deletion_total <= ledger.total_us
+    flushes = Counter()
+    flush_write = NvmController.flush_write
+
+    def counting_flush_write(controller, *args):
+        flushes[controller.policy.label] += 1
+        return flush_write(controller, *args)
+
+    with patch.object(NvmController, "flush_write", counting_flush_write):
+        runs = run(cfg, events).runs
+    assert len(runs) == 4
+    for policy_run in runs:
+        ledger = policy_run.collector.ledger
+        assert ledger.total_us == ledger.snapshot().total_us
+        deletion_total = sum(d.cost.total_us for d in policy_run.collector.deletions)
+        assert flushes[policy_run.label] >= 20
+        assert ledger.total_us == deletion_total + flushes[policy_run.label] * cfg.t_program_us
+
+
+def _records_by_policy(report):
+    groups = {}
+    for line in report.jsonl_text.splitlines():
+        groups.setdefault(json.loads(line)["policy"], []).append(line)
+    return groups
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_reports_do_not_depend_on_policy_order(name):
+    config_text, build_trace, *_ = CASES[name]
+    cfg = parse_config_text(config_text)
+    events = parse_trace(build_trace(cfg), cfg.cells_per_cache_slot, cfg.bits_per_cell)
+    forward = run(cfg, events)
+    cfg.policies = cfg.policies[::-1]
+    backward = run(cfg, events)
+    header, *rows = forward.csv_text.splitlines()
+    assert backward.csv_text.splitlines() == [header, *reversed(rows)]
+    assert _records_by_policy(backward) == _records_by_policy(forward)

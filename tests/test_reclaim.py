@@ -126,7 +126,7 @@ def _apply(device, op, n, level_bits, now):
         if op == "invalidate":
             if not valid:
                 return None
-            table.set_valid(valid[n % len(valid)], False, now)
+            table.invalidate(valid[n % len(valid)], now)
         elif op == "gc":
             device.garbage_collect(n % TINY.blocks)
         else:
@@ -177,7 +177,7 @@ def test_finished_reclaim_device_is_freed_without_the_cycle_collector():
         addr = device.allocate_slot()
         device.program_slot(addr, bytes((cid, 3)))
         table.register(cid, addr, now=0)
-    table.set_valid(0, False, now=1)
+    table.invalidate(0, now=1)
     table.register(1, device.allocate_slot(), now=2)
     table.drop(2)
     freed = weakref.ref(device)
