@@ -11,16 +11,16 @@ and slots ``page_number * slots_per_page + slot``, and a slot's address is
 that number, a plain ``int``; one ``bytearray`` holds
 every cell level (a level fits in a byte, so ``bits_per_cell <= 8``), one
 holds each page's status, one each slot's occupancy, and a list holds each
-page's partial-program count. An erase is a slice assignment and a GC
-migration a slice copy. The cache table indexes its entries by slot (see
-``CacheTable``); at most one valid entry holds a slot.
+page's partial-program count. An erase is a slice assignment; GC moves runs of
+live pages into runs of free pages, a slice per run. The cache table indexes
+its entries by slot (see ``CacheTable``); at most one valid entry holds a slot.
 """
 
 import heapq
 from enum import Enum
-from itertools import repeat
 from dataclasses import dataclass
 from functools import cached_property
+from operator import lt
 from typing import NamedTuple
 
 from .metrics import LatencyLedger
@@ -76,13 +76,7 @@ class Geometry:
     cells_per_cache_slot: int = 8
 
     def __post_init__(self):
-        for name in (
-            "blocks",
-            "pages_per_block",
-            "cells_per_page",
-            "bits_per_cell",
-            "cells_per_cache_slot",
-        ):
+        for name in self.__dataclass_fields__:
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.bits_per_cell > 8:
@@ -235,11 +229,11 @@ class CacheTable:
         """Repoint the valid entries in slots [src, src + n) to the same
         places in [dst, dst + n), which must hold none; returns ``held`` of
         the source. No release is reported: the caller erases the source."""
-        if 1 in self._held[dst : dst + n]:
+        if self._held.find(1, dst, dst + n) != -1:
             raise DeviceError(f"slots {dst}..{dst + n - 1} already hold valid data")
         ids, mask = self._valid_at[src : src + n], self._held[src : src + n]
         self._valid_at[dst : dst + n], self._valid_at[src : src + n] = ids, [None] * n
-        self._held[dst : dst + n], self._held[src : src + n] = mask, bytes(n)
+        self._held[dst : dst + n], self._held[src : src + n] = mask, bytearray(n)
         for slot, cid in enumerate(ids, dst):
             if cid is not None:
                 self._entries[cid].addr = slot
@@ -247,9 +241,7 @@ class CacheTable:
 
     def valid_entries(self):
         """(cache_id, entry) pairs for valid entries, ascending cache_id."""
-        return [
-            (cid, e) for cid, e in sorted(self._entries.items()) if e.valid
-        ]
+        return [(cid, e) for cid, e in sorted(self._entries.items()) if e.valid]
 
     def items(self):
         return self._entries.items()
@@ -321,6 +313,9 @@ class NvmDevice:
         )
         self._alloc_hint = 0
         self._dest_page_hint = 0
+        n = g.pages_per_block  # an erase copies in these states of an erased block
+        self._erased = (bytearray(n * g.cells_per_page), bytearray(n), [0] * n,
+                        bytearray(n * g.slots_per_page))
         # Reclaim: the lowest slot the allocator has not yet handed out.
         self._high_water = 0
 
@@ -384,11 +379,11 @@ class NvmDevice:
         start = addr * g.cells_per_cache_slot
         end = start + g.cells_per_cache_slot
         if self.kind is DeviceKind.NON_OVERWRITABLE:
-            for cell, (old, new) in enumerate(zip(self._cells[start:end], data)):
-                if new < old:
-                    raise MonotoneViolation(
-                        f"cell {cell} of slot {addr} would drop {old} -> {new}"
-                    )
+            old = self._cells[start:end]
+            if any(map(lt, data, old)):
+                cell = list(map(lt, data, old)).index(True)
+                raise MonotoneViolation(f"cell {cell} of slot {addr} would drop "
+                                        f"{old[cell]} -> {data[cell]}")
             if self._programmed[index]:
                 if self._program_counts[index] >= self.nop_limit:
                     raise NopExceeded(
@@ -403,79 +398,91 @@ class NvmDevice:
         """Reset the block to level 0 (the only downward path) unless valid data holds it."""
         self._check_block(block)
         g = self.geometry
-        base, per_block = block * g.slots_per_block, g.slots_per_block
-        if 1 in self.cache_table.held(base, base + per_block):
+        pages, slots, width = g.pages_per_block, g.slots_per_block, g.cells_per_page
+        first, base = block * pages, block * slots
+        if 1 in self.cache_table.held(base, base + slots):
             raise DeviceError(f"block {block} still holds valid data")
-        first, last = block * g.pages_per_block, (block + 1) * g.pages_per_block
-        self._cells[first * g.cells_per_page : last * g.cells_per_page] = bytes(
-            g.pages_per_block * g.cells_per_page
-        )
-        self._programmed[first:last] = bytes(g.pages_per_block)
-        self._program_counts[first:last] = [0] * g.pages_per_block
-        self._allocated[base : base + per_block] = bytes(per_block)
+        cells, status, counts, occupancy = self._erased  # a bytearray copies in directly
+        self._cells[first * width : (first + pages) * width] = cells
+        self._programmed[first : first + pages] = status
+        self._program_counts[first : first + pages] = counts
+        self._allocated[base : base + slots] = occupancy
         if self.reclaim_invalid_slots:
             # Unallocated slots at or above the high-water mark need no queueing.
-            for slot in range(base, min(base + per_block, self._high_water)):
+            for slot in range(base, min(base + slots, self._high_water)):
                 self._reusable.push(slot)
         self.erase_counts[block] += 1
         self._alloc_hint = min(self._alloc_hint, base)
         self.ledger.charge_erase(self.latency.t_erase_us)
 
     def garbage_collect(self, block: int):
-        """Move the block's pages holding valid data out (order and slot places
-        kept, stale slots erased), then erase it; a read and a program per page."""
+        """Move the block's live pages (those holding a valid slot) out, then erase it.
+        Each stretch shared by a run of live pages and a run of free pages moves as one
+        slice, slot places kept and stale slots zeroed; a read and a program per page."""
         self._check_block(block)
-        g, table = self.geometry, self.cache_table
-        per_page, width, cells = g.slots_per_page, g.cells_per_cache_slot, self._cells
-        base = block * g.slots_per_block
-        held, pages = table.held(base, base + g.slots_per_block), []
-        slot = held.find(1)
-        while slot != -1:  # one find per live page
-            pages.append((base + slot) // per_page)
-            slot = held.find(1, slot - slot % per_page + per_page)
-        dests = self._find_free_pages(len(pages), exclude_block=block) if pages else []
-        i = 0
-        while i < len(pages):  # consecutive pages bound for consecutive ones move as slices
-            j = i + 1
-            while j < len(pages) and pages[j] - pages[i] == dests[j] - dests[i] == j - i:
-                j += 1
-            src, dst, n = pages[i] * per_page, dests[i] * per_page, (j - i) * per_page
-            mask = self._allocated[dst : dst + n] = table.move(src, dst, n)
-            # Copy the run with its stale slots zeroed: AND with 0xff for each held cell.
-            keep = mask.replace(b"\0", bytes(width)).replace(b"\1", b"\xff" * width)
-            run = int.from_bytes(cells[src * width : (src + n) * width], "big")
-            run &= int.from_bytes(keep, "big")
-            cells[dst * width : (dst + n) * width] = run.to_bytes(n * width, "big")
-            self._programmed[dests[i] : dests[j - 1] + 1] = b"\x01" * (j - i)
-            i = j
-        for cost in repeat(self.latency.gc_migration_per_page_us, len(dests)):
-            self.ledger.charge_gc_migration(cost)
+        g, table, cells = self.geometry, self.cache_table, self._cells
+        per_page, width = g.slots_per_page, g.cells_per_cache_slot
+        first_page = block * g.pages_per_block
+        held = table.held(first_page * per_page, (first_page + g.pages_per_block) * per_page)
+        bits = folded = int.from_bytes(held, "little")
+        for k in range(1, per_page):  # one byte per page: OR its slots into the first
+            folded |= bits >> 8 * k
+        live = folded.to_bytes(len(held), "little")[::per_page] + b"\0"  # 0 ends a run
+        count = live.count(1)
+        src = end = 0  # the live run [src, end) being moved, in pages of the block
+        for dst, room in self._find_free_pages(count, block):
+            while room:
+                if src == end:
+                    src = live.find(1, end)
+                    end = live.find(0, src)
+                n = end - src if end - src < room else room
+                s, d, k = (first_page + src) * per_page, dst * per_page, n * per_page
+                mask = self._allocated[d : d + k] = table.move(s, d, k)
+                # Copy the slots with the stale ones zeroed: AND with 0xff per held cell.
+                keep = mask.replace(b"\0", bytes(width)).replace(b"\1", b"\xff" * width)
+                run = int.from_bytes(cells[s * width : (s + k) * width], "little")
+                run &= int.from_bytes(keep, "little")
+                cells[d * width : (d + k) * width] = run.to_bytes(k * width, "little")
+                self._programmed[dst : dst + n] = b"\x01" * n
+                src, dst, room = src + n, dst + n, room - n
+        charge, cost = self.ledger.charge_gc_migration, self.latency.gc_migration_per_page_us
+        for _ in range(count):
+            charge(cost)
         self.erase_block(block)
 
     def _find_free_pages(self, count: int, exclude_block: int) -> list:
-        """Numbers of ``count`` erased pages with no allocated slots, for GC
-        migration.
-
-        Rotating first-fit: the search resumes where the previous one left
-        off and wraps around once, so repeated collections stay O(1) per page
-        over the life of the device.
-        """
-        g = self.geometry
-        total_pages = g.blocks * g.pages_per_block
-        found = []
-        index = self._dest_page_hint
-        for _ in range(total_pages):
-            if index // g.pages_per_block != exclude_block and not self._programmed[index]:
-                base = index * g.slots_per_page
-                if not any(self._allocated[base : base + g.slots_per_page]):
-                    found.append(index)
-            index += 1
-            if index == total_pages:
-                index = 0
-            if len(found) == count:
-                self._dest_page_hint = index
-                return found
-        raise NoFreePages(f"need {count} destination pages, found {len(found)}")
+        """``count`` erased pages with no allocated slot outside ``exclude_block``, as
+        runs ``(first page, length)``. Rotating first-fit: it resumes after the last
+        page taken and wraps around once, jumping with ``bytearray.find`` and reading no
+        further than the pages still needed. Raises ``NoFreePages`` before any change."""
+        g, programmed, allocated = self.geometry, self._programmed, self._allocated
+        per_page, skip = g.slots_per_page, exclude_block * g.pages_per_block
+        skip_end, start = skip + g.pages_per_block, self._dest_page_hint
+        runs, need, lo, hi = [], count, start, len(programmed)
+        while need:
+            lo = programmed.find(0, lo, hi)
+            if lo == -1:  # end of [start, total): wrap to [0, start), once
+                if hi == start:
+                    raise NoFreePages(f"need {count} destination pages, found {count - need}")
+                lo, hi = 0, start
+                continue
+            stop = programmed.find(1, lo, lo + need)
+            if stop == -1 or stop > hi:
+                stop = lo + need if lo + need < hi else hi
+            if lo < skip_end and stop > skip:  # the run reaches into the victim block
+                if lo >= skip:
+                    lo = skip_end
+                    continue
+                stop = skip
+            resume, taken = stop, allocated.find(1, lo * per_page, stop * per_page)
+            if taken != -1:  # a page holding an allocated slot is not free
+                stop, resume = taken // per_page, taken // per_page + 1
+            if stop > lo:
+                runs.append((lo, stop - lo))
+                need -= stop - lo
+            lo = resume
+        self._dest_page_hint = lo % len(programmed)
+        return runs
 
     # -- slot allocation ----------------------------------------------------
 
@@ -529,16 +536,9 @@ class NvmDevice:
 
     # -- introspection ------------------------------------------------------
 
-    @property
-    def total_erases(self) -> int:
-        return sum(self.erase_counts)
-
     def free_page_count(self) -> int:
         return self._programmed.count(0)
 
     def valid_payloads(self) -> dict:
         """cache_id -> stored word for every valid entry (no latency charge)."""
-        return {
-            cid: self.peek_slot(entry.addr)
-            for cid, entry in self.cache_table.valid_entries()
-        }
+        return {cid: self.peek_slot(e.addr) for cid, e in self.cache_table.valid_entries()}

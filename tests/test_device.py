@@ -111,6 +111,27 @@ def test_nand_downward_program_rejected_without_mutation(make_device):
     assert device.ledger.total_us == before_ledger
 
 
+@pytest.mark.parametrize(
+    "new, message",
+    [
+        (w(2, 5, 6, 7), "cell 0 of slot {addr} would drop 3 -> 2"),
+        (w(3, 4, 2, 0), "cell 1 of slot {addr} would drop 5 -> 4"),
+        (w(3, 5, 6, 5), "cell 3 of slot {addr} would drop 6 -> 5"),
+    ],
+    ids=["first-cell", "first-of-three-cells", "last-cell"],
+)
+def test_monotone_violation_names_the_first_dropping_cell(make_device, new, message):
+    device = make_device(nop_limit=2)
+    addr = at(1, 2, 1)
+    device.program_slot(addr, w(3, 5, 6, 6))
+    device.program_slot(at(1, 2, 0), w(1, 1, 1, 1))  # one partial program
+    before = (bytes(device._cells), device.page(1, 2), device.ledger.snapshot())
+    with pytest.raises(MonotoneViolation) as raised:
+        device.program_slot(addr, new)
+    assert str(raised.value) == message.format(addr=addr)
+    assert (bytes(device._cells), device.page(1, 2), device.ledger.snapshot()) == before
+
+
 def test_overwritable_accepts_any_levels(make_device):
     device = make_device(kind=DeviceKind.OVERWRITABLE)
     addr = at(0, 0, 0)
@@ -183,7 +204,7 @@ def test_erase_block(make_device):
     device.erase_block(1)
     assert device.ledger.total_us - before == 4000.0
     assert device.erase_counts[1] == 1
-    assert device.total_erases == 1
+    assert sum(device.erase_counts) == 1
     for page in (device.page(1, p) for p in range(4)):
         assert page.status is PageStatus.FREE
         assert page.partial_program_count == 0
