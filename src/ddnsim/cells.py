@@ -5,10 +5,15 @@ erased state. A word is the ``bytes`` of one slot's cell levels, cell 0
 first. NAND-like memory cannot lower a cell without erasing the whole
 block, but it can always push a cell to a strictly higher level in place.
 An in-place overwrite of a cell at level L therefore draws from
-{L+1, ..., top}; a cell already at the top level keeps its value.
+{L+1, ..., top}; a cell already at the top level keeps its value. Random
+stream: a policy run draws from its own ``random.Random(seed)``, one
+``getrandbits(k)`` per draw under ``randint``'s rejection rule (a draw from n
+values takes ``k = n.bit_length()`` bits, redrawn while ``>= n``), so words
+are a per-cell ``randint``'s and reports byte-identical across CPython 3.10-3.13.
 """
 
 from random import Random
+from functools import cache
 from dataclasses import dataclass
 
 __all__ = [
@@ -67,15 +72,29 @@ def available_levels(original: int, bits_per_cell: int) -> set:
 
 
 def gen_upward_random(original: int, bits_per_cell: int, rng: Random) -> int:
-    """Uniform random level strictly above ``original``; unchanged at the top.
+    """Uniform random level strictly above ``original``; unchanged at the top."""
+    _check_level(original, bits_per_cell)
+    return gen_upward_word(bytes((original,)), bits_per_cell, rng)[0]
 
-    Result >= original always, with equality exactly when original is the
-    maximum level.
-    """
-    top = _check_level(original, bits_per_cell)
-    if original == top:
-        return original
-    return rng.randint(original + 1, top)
+
+@cache
+def _draws(bits_per_cell: int) -> tuple:
+    """(first, n, k) per level: an upward move goes to first plus a draw from n values
+    of k bits (none at the top: ``getrandbits(0)`` is 0); then a uniform level's."""
+    top = max_level(bits_per_cell)
+    upward = tuple((level + 1, top - level, (top - level).bit_length()) for level in range(top))
+    return upward + ((top, 1, 0),), ((0, top + 1, (top + 1).bit_length()),)
+
+
+def _redraw(levels: bytes, draws: tuple, rng: Random) -> bytes:
+    getrandbits, word = rng.getrandbits, bytearray()
+    for level in levels:
+        first, n, k = draws[level]
+        r = getrandbits(k)
+        while r >= n:
+            r = getrandbits(k)
+        word.append(first + r)
+    return bytes(word)
 
 
 _HEX_DIGITS = frozenset("0123456789abcdefABCDEF")
@@ -131,16 +150,20 @@ def word_to_hex(word: bytes, bits_per_cell: int) -> str:
 
 
 def gen_upward_word(original: bytes, bits_per_cell: int, rng: Random) -> bytes:
-    """Apply gen_upward_random to every cell independently."""
-    return bytes(gen_upward_random(level, bits_per_cell, rng) for level in original)
+    """gen_upward_random of every cell, in cell order; levels above the top
+    raise ``ValueError`` before anything is drawn."""
+    upward = _draws(bits_per_cell)[0]
+    if max(original, default=0) >= len(upward):
+        _check_level(max(original), bits_per_cell)
+    return _redraw(original, upward, rng)
 
 
 def gen_uniform_word(cells: int, bits_per_cell: int, rng: Random) -> bytes:
     """Uniform word over the full level range, for freely rewritable memory."""
-    top = max_level(bits_per_cell)
+    uniform = _draws(bits_per_cell)[1]
     if cells < 1:
         raise ValueError(f"cells must be >= 1, got {cells}")
-    return bytes(rng.randint(0, top) for _ in range(cells))
+    return _redraw(bytes(cells), uniform, rng)
 
 
 @dataclass(frozen=True)

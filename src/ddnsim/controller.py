@@ -35,7 +35,11 @@ from .device import (
     NvmDevice,
     PageStatus,
 )
-from .metrics import LatencyLedger
+from .metrics import LatencyLedger, ledger_costs
+
+# Looked up once: an enum member lookup through the class costs ~0.2 us on 3.11.
+_FREE, _PROGRAMMED = PageStatus.FREE, PageStatus.PROGRAMMED
+_OVERWRITABLE = DeviceKind.OVERWRITABLE
 
 
 class ProtocolError(Exception):
@@ -145,6 +149,14 @@ class NvmController:
         self.policy = policy
         self.rng = rng
         self.collector = collector
+        # Fixed for the run: report label, deletion action, DdnNonRandom fill word.
+        kind, g = policy.kind, device.geometry
+        self._label = policy.label
+        self._overwrites = kind in (PolicyKind.DDN_RANDOM, PolicyKind.DDN_NON_RANDOM)
+        self._erases = kind is PolicyKind.ERASE_BASED
+        self._fill_word = None
+        if kind is PolicyKind.DDN_NON_RANDOM:
+            self._fill_word = gen_fill_word(policy.fill, g.cells_per_cache_slot, g.bits_per_cell)
         # (written_at, sequence, cache_id, entry) per flushed copy while secure
         # mode is on. An item is stale once its entry is invalid or no longer
         # the table's entry for cache_id; stale items are skipped lazily.
@@ -161,9 +173,9 @@ class NvmController:
         addr = self.device.allocate_slot()
         self.device.program_slot(addr, payload)
         table = self.device.cache_table
-        table.register(cache_id, addr, now)
+        entry = table.register(cache_id, addr, now)
         if self.policy.t_secure is not None:
-            item = (now, next(self._sequence), cache_id, table.get(cache_id))
+            item = (now, next(self._sequence), cache_id, entry)
             heapq.heappush(self._resident, item)
             if len(self._resident) > 2 * len(table):
                 self._resident = [item for item in self._resident if self._live(item)]
@@ -198,7 +210,7 @@ class NvmController:
             item = heapq.heappop(resident)
             if self._live(item):
                 due.append(item[2:])
-        due.sort(key=lambda pair: pair[0])
+        due.sort()  # by cache_id: live ids are unique, so entries are never compared
         return [self._scrub(cid, entry, now, secure=True) for cid, entry in due]
 
     def next_scrub_due(self) -> int | None:
@@ -224,16 +236,13 @@ class NvmController:
         generation.
         """
         dev = self.device
-        if dev.page_status(addr) is not PageStatus.PROGRAMMED:
+        if dev.page_status(addr) is not _PROGRAMMED:
             raise ProtocolError(f"ddn_process on unprogrammed page at slot {addr}")
-        g = dev.geometry
-        fill = self.policy.fill if self.policy.kind is PolicyKind.DDN_NON_RANDOM else None
-        if fill is not None:
-            word = gen_fill_word(fill, g.cells_per_cache_slot, g.bits_per_cell)
-        elif dev.kind is DeviceKind.OVERWRITABLE:
+        g, word = dev.geometry, self._fill_word
+        if word is None and dev.kind is _OVERWRITABLE:
             dev.ledger.charge_gen(dev.latency.t_gen_us)
             word = gen_uniform_word(g.cells_per_cache_slot, g.bits_per_cell, self.rng)
-        else:
+        elif word is None:
             current = dev.read_slot(addr)
             dev.ledger.charge_gen(dev.latency.t_gen_us)
             word = gen_upward_word(current, g.bits_per_cell, self.rng)
@@ -245,11 +254,9 @@ class NvmController:
         addr = entry.addr
         pre = dev.peek_slot(addr)
         dev.cache_table.invalidate(cache_id, now)
-        before = dev.ledger.snapshot()
-        fallback = False
-        error = None
-        kind = self.policy.kind
-        if secure or kind in (PolicyKind.DDN_RANDOM, PolicyKind.DDN_NON_RANDOM):
+        before = ledger_costs(dev.ledger)
+        fallback, error = False, None
+        if secure or self._overwrites:
             action = "secure-scrub" if secure else "ddn-overwrite"
             try:
                 self.ddn_process(addr)
@@ -263,30 +270,23 @@ class NvmController:
                     error = str(exc)
             except (MonotoneViolation, NoFreePages) as exc:
                 error = str(exc)
-        elif kind is PolicyKind.MARK_ONLY:
-            action = "mark-only"
-        else:  # PolicyKind.ERASE_BASED
+        elif self._erases:
             action = "gc-erase"
             try:
                 dev.garbage_collect(dev.geometry.block_of(addr))
             except NoFreePages as exc:
                 error = str(exc)
-        cost = dev.ledger - before
-        if dev.page_status(addr) is PageStatus.FREE:
+        else:
+            action = "mark-only"
+        cost = dev.ledger.since(before)
+        if dev.page_status(addr) is _FREE:
             residual = 0
         else:
             post = dev.peek_slot(addr)
             residual = sum(map(eq, pre, post))
+        # Positional: keyword arguments would cost about 0.5 us per deletion.
         outcome = DeletionOutcome(
-            cache_id=cache_id,
-            tick=now,
-            policy=self.policy.label,
-            action=action,
-            cost=cost,
-            residual_cells=residual,
-            slot_cells=len(pre),
-            fallback=fallback,
-            error=error,
+            cache_id, now, self._label, action, cost, residual, len(pre), fallback, error
         )
         if self.collector is not None:
             self.collector.record_deletion(outcome)

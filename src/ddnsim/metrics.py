@@ -8,7 +8,7 @@ identical runs.
 """
 
 import json
-from operator import attrgetter, sub
+from operator import attrgetter
 from dataclasses import dataclass
 
 
@@ -16,9 +16,9 @@ class ReportError(Exception):
     """Raised when report inputs are inconsistent (e.g. different traces)."""
 
 
-# The five device-time categories, in report column order.
+# The five device-time categories, in report column order, and a ledger's as a tuple.
 COST_FIELDS = ("rd_us", "wr_us", "gen_us", "erase_us", "gc_us")
-_costs = attrgetter(*COST_FIELDS)
+ledger_costs = attrgetter(*COST_FIELDS)
 
 
 @dataclass(slots=True)
@@ -26,8 +26,8 @@ class LatencyLedger:
     """Device time in microseconds per operation category.
 
     The one cost type: a device charges its run's ledger, a deletion's cost
-    is the ledger minus a snapshot taken before it, and a policy's mean cost
-    per deletion is a ledger as well.
+    is the ledger ``since`` the ``ledger_costs`` taken before it, and a
+    policy's mean cost per deletion is a ledger as well.
     """
 
     rd_us: float = 0.0
@@ -55,11 +55,11 @@ class LatencyLedger:
     def total_us(self) -> float:
         return self.rd_us + self.wr_us + self.gen_us + self.erase_us + self.gc_us
 
-    def snapshot(self) -> "LatencyLedger":
-        return LatencyLedger(*_costs(self))
-
-    def __sub__(self, other: "LatencyLedger") -> "LatencyLedger":
-        return LatencyLedger(*map(sub, _costs(self), _costs(other)))
+    def since(self, before: tuple) -> "LatencyLedger":
+        """What was charged after ``before``, an earlier ``ledger_costs(self)``."""
+        rd, wr, gen, erase, gc = before
+        return LatencyLedger(self.rd_us - rd, self.wr_us - wr, self.gen_us - gen,
+                             self.erase_us - erase, self.gc_us - gc)
 
 
 class MetricsCollector:

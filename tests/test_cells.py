@@ -171,6 +171,57 @@ def test_uniform_word_covers_full_range():
     assert set(out) == set(range(8))
 
 
+def _randint_upward(word, bits_per_cell, rng):
+    """The per-cell randint generator the getrandbits draws replaced."""
+    top = max_level(bits_per_cell)
+    return bytes(level if level == top else rng.randint(level + 1, top) for level in word)
+
+
+def _randint_uniform(cells, bits_per_cell, rng):
+    return bytes(rng.randint(0, max_level(bits_per_cell)) for _ in range(cells))
+
+
+@settings(max_examples=400)
+@given(
+    st.integers(1, 8).flatmap(
+        lambda b: st.tuples(
+            st.just(b), st.lists(st.integers(0, 2**b - 1), min_size=1, max_size=24)
+        )
+    ),
+    st.integers(0, 2**64 - 1),
+)
+def test_generators_draw_the_randint_stream(pair, seed):
+    """Same words as a per-cell randint, and the same generator state after."""
+    b, levels = pair
+    word = bytes(levels)
+    ours, reference = random.Random(seed), random.Random(seed)
+    assert gen_upward_word(word, b, ours) == _randint_upward(word, b, reference)
+    assert ours.getstate() == reference.getstate()
+    assert gen_uniform_word(len(word), b, ours) == _randint_uniform(len(word), b, reference)
+    assert ours.getstate() == reference.getstate()
+    assert gen_upward_random(word[0], b, ours) == _randint_upward(word[:1], b, reference)[0]
+    assert ours.getstate() == reference.getstate()
+
+
+@pytest.mark.parametrize("b", [1, 3, 8])
+def test_generators_reject_bad_input_before_drawing(b):
+    rng = random.Random(3)
+    state = rng.getstate()
+    top = max_level(b)
+    if b < 8:  # a byte cannot hold a level above 255
+        with pytest.raises(ValueError, match=f"level {top + 1} out of range"):
+            gen_upward_word(bytes((0, top, top + 1, 0)), b, rng)
+        with pytest.raises(ValueError, match=f"level {top + 1} out of range"):
+            gen_upward_random(top + 1, b, rng)
+    with pytest.raises(ValueError, match="level -1 out of range"):
+        gen_upward_random(-1, b, rng)
+    with pytest.raises(ValueError, match="cells must be >= 1, got 0"):
+        gen_uniform_word(0, b, rng)
+    with pytest.raises(ValueError, match="bits_per_cell must be >= 1"):
+        gen_upward_word(bytes((0,)), 0, rng)
+    assert rng.getstate() == state
+
+
 def test_fill_word_all_max():
     word = gen_fill_word(ALL_MAX, 4, 3)
     assert word == bytes((7, 7, 7, 7))

@@ -250,6 +250,30 @@ def test_cli_rejects_reclaim_on_nand(tmp_path, capsys):
     assert "reclaim_invalid_slots" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "line, shown",
+    [
+        ("t_read_us = nan", "nan"),
+        ("t_gen_us = inf", "inf"),
+        ("t_program_us = 1e400", "inf"),
+        ("t_erase_us = -inf", "-inf"),
+    ],
+)
+def test_cli_rejects_non_finite_latencies(tmp_path, capsys, line, shown):
+    """A NaN or infinite device time would print nan or inf in the report."""
+    cfg_file = tmp_path / "latency.cfg"
+    cfg_file.write_text(line + "\n")
+    out_file = tmp_path / "report.csv"
+    args = ["--config", str(cfg_file), "--synthetic", "20", "--seed", "1"]
+    name = line.split(" = ")[0]
+    message = f"ddnsim: config error: {name} must be finite and >= 0, got {shown}\n"
+    assert main([*args, "--out", str(out_file)]) == 2
+    assert not out_file.exists()
+    assert capsys.readouterr().err == message
+    assert main(args) == 2
+    assert capsys.readouterr() == ("", message)
+
+
 def test_cli_rejects_unaligned_slot_width_from_either_trace_source(tmp_path, capsys):
     cfg_file = tmp_path / "unaligned.cfg"
     cfg_file.write_text("cells_per_page = 15\ncells_per_cache_slot = 5\n")

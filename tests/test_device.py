@@ -15,6 +15,8 @@ from ddnsim import (
     UnknownCacheId,
 )
 
+from ddnsim.metrics import ledger_costs
+
 from conftest import SMALL
 
 
@@ -125,11 +127,11 @@ def test_monotone_violation_names_the_first_dropping_cell(make_device, new, mess
     addr = at(1, 2, 1)
     device.program_slot(addr, w(3, 5, 6, 6))
     device.program_slot(at(1, 2, 0), w(1, 1, 1, 1))  # one partial program
-    before = (bytes(device._cells), device.page(1, 2), device.ledger.snapshot())
+    before = (bytes(device._cells), device.page(1, 2), ledger_costs(device.ledger))
     with pytest.raises(MonotoneViolation) as raised:
         device.program_slot(addr, new)
     assert str(raised.value) == message.format(addr=addr)
-    assert (bytes(device._cells), device.page(1, 2), device.ledger.snapshot()) == before
+    assert (bytes(device._cells), device.page(1, 2), ledger_costs(device.ledger)) == before
 
 
 def test_overwritable_accepts_any_levels(make_device):
@@ -219,12 +221,12 @@ def test_erase_refuses_a_block_holding_valid_data(make_device):
     addr = device.allocate_slot()
     device.program_slot(addr, w(1, 2, 3, 4))
     device.cache_table.register(7, addr, now=0)
-    before = device.ledger.snapshot()
+    before = ledger_costs(device.ledger)
     with pytest.raises(DeviceError, match="^block 0 still holds valid data$"):
         device.erase_block(0)
     assert device.peek_slot(addr) == w(1, 2, 3, 4)
     assert device.erase_counts[0] == 0
-    assert device.ledger == before
+    assert ledger_costs(device.ledger) == before
     assert device.allocate_slot() != addr
     device.cache_table.invalidate(7, now=1)
     device.erase_block(0)  # stale data is no obstacle
@@ -313,9 +315,9 @@ def _stage_valid(device, cache_id, addr, word):
 
 def test_gc_cost_empty_victim(make_device):
     device = make_device()
-    before = device.ledger.snapshot()
+    before = ledger_costs(device.ledger)
     device.garbage_collect(2)
-    delta = device.ledger.snapshot() - before
+    delta = device.ledger.since(before)
     assert delta.erase_us == 4000.0
     assert delta.gc_us == 0.0
     assert delta.total_us == 4000.0
@@ -327,9 +329,9 @@ def test_gc_cost_three_valid_pages(make_device):
     _stage_valid(device, 1, at(0, 0, 0), w(1, 2, 3, 4))
     _stage_valid(device, 2, at(0, 1, 1), w(2, 3, 4, 5))
     _stage_valid(device, 3, at(0, 3, 0), w(3, 4, 5, 6))
-    before = device.ledger.snapshot()
+    before = ledger_costs(device.ledger)
     device.garbage_collect(0)
-    delta = device.ledger.snapshot() - before
+    delta = device.ledger.since(before)
     assert delta.gc_us == 3 * 649.0 == 1947.0
     assert delta.erase_us == 4000.0
     assert delta.total_us == 5947.0

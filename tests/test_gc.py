@@ -31,6 +31,7 @@ from ddnsim import (
     run,
     synthetic_trace,
 )
+from ddnsim.metrics import ledger_costs
 
 
 class ReferenceGcDevice(NvmDevice):
@@ -147,7 +148,7 @@ def _state(device):
         list(device._program_counts),
         list(device.erase_counts),
         dict(device.cache_table.items()),
-        device.ledger.snapshot(),
+        ledger_costs(device.ledger),
     )
 
 

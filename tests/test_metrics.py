@@ -12,7 +12,7 @@ from ddnsim import (
     render_comparison_csv,
     render_deletions_jsonl,
 )
-from ddnsim.metrics import _fmt
+from ddnsim.metrics import _fmt, ledger_costs
 
 
 def outcome(policy="MarkOnly", tick=0, cache_id=1, residual=8, slot=8, **costs):
@@ -42,18 +42,17 @@ def test_ledger_accumulates_by_category():
     ledger.charge_erase(4000)
     ledger.charge_gc_migration(649)
     assert ledger.total_us == 5398.0
-    snap = ledger.snapshot()
-    assert snap == LatencyLedger(49, 600, 100, 4000, 649)
-    assert snap.total_us == ledger.total_us
+    assert ledger == LatencyLedger(49, 600, 100, 4000, 649)
+    assert ledger_costs(ledger) == (49, 600, 100, 4000, 649)
 
 
 def test_snapshot_delta():
     ledger = LatencyLedger()
     ledger.charge_read(49)
-    before = ledger.snapshot()
+    before = ledger_costs(ledger)
     ledger.charge_program(600)
     ledger.charge_read(49)
-    delta = ledger.snapshot() - before
+    delta = ledger.since(before)
     assert delta == LatencyLedger(rd_us=49, wr_us=600)
 
 

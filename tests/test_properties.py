@@ -25,6 +25,7 @@ from ddnsim import (
     run,
     synthetic_trace,
 )
+from ddnsim.metrics import ledger_costs
 
 from test_golden import CASES
 
@@ -217,7 +218,7 @@ def test_ledger_additivity_over_a_run(seed):
     assert len(runs) == 4
     for policy_run in runs:
         ledger = policy_run.collector.ledger
-        assert ledger.total_us == ledger.snapshot().total_us
+        assert ledger.total_us == sum(ledger_costs(ledger))
         deletion_total = sum(d.cost.total_us for d in policy_run.collector.deletions)
         assert flushes[policy_run.label] >= 20
         assert ledger.total_us == deletion_total + flushes[policy_run.label] * cfg.t_program_us
