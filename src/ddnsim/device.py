@@ -113,6 +113,11 @@ class Geometry:
         return slot // self.slots_per_block
 
 
+# A device time above this (11.6 days) is a config error: the ledger sums
+# charges, and near the float limit they would overflow to inf and nan.
+MAX_LATENCY_US = 1e12
+
+
 @dataclass(frozen=True)
 class LatencyParams:
     """Per-operation device times in microseconds."""
@@ -127,6 +132,8 @@ class LatencyParams:
             us = getattr(self, name)
             if not (math.isfinite(us) and us >= 0):
                 raise ValueError(f"{name} must be finite and >= 0, got {us}")
+            if us > MAX_LATENCY_US:
+                raise ValueError(f"{name} must be <= 1e12 us, got {us}")
 
     @property
     def gc_migration_per_page_us(self) -> float:

@@ -274,6 +274,26 @@ def test_cli_rejects_non_finite_latencies(tmp_path, capsys, line, shown):
     assert capsys.readouterr() == ("", message)
 
 
+def test_cli_rejects_latencies_above_the_bound(tmp_path, capsys):
+    """A finite but huge device time would overflow the ledger sums to inf and
+    nan; the bound itself still runs with finite output."""
+    cfg_file = tmp_path / "latency.cfg"
+    out_file = tmp_path / "report.csv"
+    args = ["--config", str(cfg_file), "--synthetic", "20", "--seed", "1"]
+    cfg_file.write_text("t_erase_us = 1e308\n")
+    message = "ddnsim: config error: t_erase_us must be <= 1e12 us, got 1e+308\n"
+    assert main([*args, "--out", str(out_file)]) == 2
+    assert not out_file.exists()
+    assert capsys.readouterr() == ("", message)
+    cfg_file.write_text("t_erase_us = 1e12\n")
+    for fmt in ("csv", "jsonl"):
+        assert main([*args, "--format", fmt]) == 0
+        out = capsys.readouterr().out
+        assert "EraseBased" in out
+        assert not any(bad in out.lower() for bad in ("nan", "inf"))
+    assert "1000000000000" in out
+
+
 def test_cli_rejects_unaligned_slot_width_from_either_trace_source(tmp_path, capsys):
     cfg_file = tmp_path / "unaligned.cfg"
     cfg_file.write_text("cells_per_page = 15\ncells_per_cache_slot = 5\n")
