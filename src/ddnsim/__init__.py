@@ -10,12 +10,8 @@ mark-only and erase-based baselines.
 from .cells import (
     ALL_MAX,
     FillKind,
-    available_levels,
-    decode_bits,
-    encode_level,
     gen_fill_word,
     gen_uniform_word,
-    gen_upward_random,
     gen_upward_word,
     max_level,
     word_from_hex,

@@ -1,4 +1,4 @@
-"""Multi-level cell model: level encodings, hex word codec, overwrite words.
+"""Multi-level cell model: levels, the hex word codec, overwrite words.
 
 A cell stores one of ``2**bits_per_cell`` program levels; level 0 is the
 erased state. A word is the ``bytes`` of one slot's cell levels, cell 0
@@ -19,12 +19,8 @@ from dataclasses import dataclass
 __all__ = [
     "ALL_MAX",
     "FillKind",
-    "available_levels",
-    "decode_bits",
-    "encode_level",
     "gen_fill_word",
     "gen_uniform_word",
-    "gen_upward_random",
     "gen_upward_word",
     "hex_digits",
     "max_level",
@@ -45,36 +41,6 @@ def _check_level(level: int, bits_per_cell: int) -> int:
     if not 0 <= level <= top:
         raise ValueError(f"level {level} out of range [0, {top}]")
     return top
-
-
-def encode_level(level: int, bits_per_cell: int) -> str:
-    """Binary encoding of a level, most-significant bit first."""
-    _check_level(level, bits_per_cell)
-    return format(level, f"0{bits_per_cell}b")
-
-
-def decode_bits(bits: str, bits_per_cell: int) -> int:
-    """Inverse of encode_level. The bit string must be exactly one cell wide."""
-    if len(bits) != bits_per_cell:
-        raise ValueError(
-            f"expected {bits_per_cell} bits, got {len(bits)} ({bits!r})"
-        )
-    if any(c not in "01" for c in bits):
-        raise ValueError(f"not a binary string: {bits!r}")
-    return int(bits, 2)
-
-
-def available_levels(original: int, bits_per_cell: int) -> set:
-    """Levels an in-place overwrite may move a cell to: everything strictly
-    above the current level. Empty for a cell already at the top."""
-    top = _check_level(original, bits_per_cell)
-    return set(range(original + 1, top + 1))
-
-
-def gen_upward_random(original: int, bits_per_cell: int, rng: Random) -> int:
-    """Uniform random level strictly above ``original``; unchanged at the top."""
-    _check_level(original, bits_per_cell)
-    return gen_upward_word(bytes((original,)), bits_per_cell, rng)[0]
 
 
 @cache
@@ -109,6 +75,31 @@ def hex_digits(cells: int, bits_per_cell: int) -> int:
     return width // 4
 
 
+@cache
+def _decoder(cells: int, bits_per_cell: int) -> tuple:
+    """(digits, shifts, mask, table, pad) for decoding one slot's payload.
+
+    The value is read in chunks of ``8 // bits_per_cell`` cells, most
+    significant first; ``table[chunk]`` is the chunk's cell levels, so each
+    table has at most 256 entries. When the chunks overhang the word, the
+    first chunk holds ``pad`` leading zero cells, which are dropped.
+    """
+    if bits_per_cell > 8:
+        raise ValueError(
+            f"bits_per_cell must be <= 8 (a level is stored in one byte), "
+            f"got {bits_per_cell}"
+        )
+    digits = hex_digits(cells, bits_per_cell)
+    top = max_level(bits_per_cell)
+    per_chunk = 8 // bits_per_cell
+    chunks = -(-cells // per_chunk)
+    chunk_bits = per_chunk * bits_per_cell
+    cell_shifts = range(chunk_bits - bits_per_cell, -1, -bits_per_cell)
+    table = tuple(bytes(v >> s & top for s in cell_shifts) for v in range(1 << chunk_bits))
+    shifts = tuple(range((chunks - 1) * chunk_bits, -1, -chunk_bits))
+    return digits, shifts, (1 << chunk_bits) - 1, table, chunks * per_chunk - cells
+
+
 def word_from_hex(text: str, cells: int, bits_per_cell: int) -> bytes:
     """Parse a 0x-prefixed hex payload whose bit width is cells * bits_per_cell.
 
@@ -116,26 +107,19 @@ def word_from_hex(text: str, cells: int, bits_per_cell: int) -> bytes:
     ``hex_digits``). Cell 0 is the most significant ``bits_per_cell`` bits of
     the value.
     """
-    if not text.lower().startswith("0x"):
+    if text[:2] not in ("0x", "0X"):
         raise ValueError(f"payload must be 0x-prefixed hex: {text!r}")
     digits = text[2:]
-    if bits_per_cell > 8:
+    n, shifts, mask, table, pad = _decoder(cells, bits_per_cell)
+    if len(digits) != n:
         raise ValueError(
-            f"bits_per_cell must be <= 8 (a level is stored in one byte), "
-            f"got {bits_per_cell}"
-        )
-    width = hex_digits(cells, bits_per_cell) * 4
-    if len(digits) * 4 != width:
-        raise ValueError(
-            f"payload {text!r} is {len(digits) * 4} bits, slot is {width} bits"
+            f"payload {text!r} is {len(digits) * 4} bits, slot is {n * 4} bits"
         )
     # int(..., 16) alone would also take "_", a sign or surrounding spaces.
     if not digits or not _HEX_DIGITS.issuperset(digits):
         raise ValueError(f"not a hex payload: {text!r}")
     value = int(digits, 16)
-    mask = max_level(bits_per_cell)
-    shifts = range(width - bits_per_cell, -1, -bits_per_cell)
-    return bytes(value >> s & mask for s in shifts)
+    return b"".join([table[value >> s & mask] for s in shifts])[pad:]
 
 
 def word_to_hex(word: bytes, bits_per_cell: int) -> str:
@@ -150,8 +134,9 @@ def word_to_hex(word: bytes, bits_per_cell: int) -> str:
 
 
 def gen_upward_word(original: bytes, bits_per_cell: int, rng: Random) -> bytes:
-    """gen_upward_random of every cell, in cell order; levels above the top
-    raise ``ValueError`` before anything is drawn."""
+    """A uniform level strictly above each cell's, in cell order; a cell at the
+    top keeps it. Levels above the top raise ``ValueError`` before anything
+    is drawn."""
     upward = _draws(bits_per_cell)[0]
     if max(original, default=0) >= len(upward):
         _check_level(max(original), bits_per_cell)

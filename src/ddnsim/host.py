@@ -34,13 +34,19 @@ class TraceError(Exception):
         super().__init__(f"line {line}: {message}" if line else message)
 
 
-@dataclass(frozen=True)
 class TraceEvent:
-    kind: str
-    cache_id: int | None = None
-    payload: bytes | None = None
-    ticks: int | None = None
-    line: int = 0
+    """One trace event: its kind letter, the fields that kind takes (None for
+    the others) and its 1-based line number (0 if built by hand)."""
+
+    __slots__ = ("kind", "cache_id", "payload", "ticks", "line")
+
+    def __init__(self, kind: str, cache_id: int | None = None, payload: bytes | None = None,
+                 ticks: int | None = None, line: int = 0):
+        self.kind = kind
+        self.cache_id = cache_id
+        self.payload = payload
+        self.ticks = ticks
+        self.line = line
 
 
 def _parse_id(token: str, lineno: int) -> int:
@@ -52,14 +58,14 @@ def _parse_id(token: str, lineno: int) -> int:
 def parse_trace(text: str, cells_per_slot: int, bits_per_cell: int) -> list:
     """Parse trace text into events, rejecting malformed lines by number."""
     events = []
+    append = events.append
     written = set()
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+    for lineno, line in enumerate(text.splitlines(), start=1):
         parts = line.split()
+        if not parts or parts[0][0] == "#":
+            continue
         op = parts[0]
-        if op in ("W", "U"):
+        if op == "W" or op == "U":
             if len(parts) != 3:
                 raise TraceError(f"{op} needs <id> <hexpayload>", lineno)
             cache_id = _parse_id(parts[1], lineno)
@@ -70,21 +76,19 @@ def parse_trace(text: str, cells_per_slot: int, bits_per_cell: int) -> list:
             if op == "U" and cache_id not in written:
                 raise TraceError(f"U for cache id {cache_id} before any W", lineno)
             written.add(cache_id)
-            events.append(TraceEvent(op, cache_id=cache_id, payload=payload, line=lineno))
-        elif op in ("I", "D"):
-            if len(parts) != 2:
-                raise TraceError(f"{op} needs <id>", lineno)
-            events.append(
-                TraceEvent(op, cache_id=_parse_id(parts[1], lineno), line=lineno)
-            )
-        elif op == "T":
-            if len(parts) != 2 or not parts[1].isdigit():
-                raise TraceError("T needs a non-negative tick count", lineno)
-            events.append(TraceEvent("T", ticks=int(parts[1]), line=lineno))
+            append(TraceEvent(op, cache_id, payload, None, lineno))
         elif op == "F":
             if len(parts) != 1:
                 raise TraceError("F takes no arguments", lineno)
-            events.append(TraceEvent("F", line=lineno))
+            append(TraceEvent("F", None, None, None, lineno))
+        elif op == "I" or op == "D":
+            if len(parts) != 2:
+                raise TraceError(f"{op} needs <id>", lineno)
+            append(TraceEvent(op, _parse_id(parts[1], lineno), None, None, lineno))
+        elif op == "T":
+            if len(parts) != 2 or not parts[1].isdigit():
+                raise TraceError("T needs a non-negative tick count", lineno)
+            append(TraceEvent("T", None, None, int(parts[1]), lineno))
         else:
             raise TraceError(f"unknown event {op!r}", lineno)
     return events

@@ -84,12 +84,15 @@ class MetricsCollector:
 
     def mean_costs(self) -> LatencyLedger:
         """Mean per-deletion cost over the recorded deletions."""
-        n = len(self.deletions)
-        if not n:
+        costs = list(map(_cost, self.deletions))
+        if not costs:
             return LatencyLedger()
-        return LatencyLedger(
-            *(sum(getattr(d.cost, f) for d in self.deletions) / n for f in COST_FIELDS)
-        )
+        n = len(costs)
+        return LatencyLedger(*(sum(map(get, costs)) / n for get in _COST_GETTERS))
+
+
+_cost = attrgetter("cost")
+_COST_GETTERS = tuple(map(attrgetter, COST_FIELDS))
 
 
 @dataclass
@@ -138,20 +141,23 @@ def render_comparison_csv(runs) -> str:
 
 
 def render_deletions_jsonl(runs) -> str:
-    """One JSON object per deletion record, grouped by policy in run order."""
+    """One JSON object per deletion record, grouped by policy in run order.
+
+    The keys are ``tick, cache_id, policy``, the cost fields and
+    ``residual_cells, slot_cells``, with ``json.dumps``'s separators. Each
+    record is one f-string: ``json.dumps`` writes an int as ``str`` and a
+    finite float as its shortest ``repr``, and latencies are bounded, so the
+    costs are finite.
+    """
     lines = []
     for r in runs:
-        for d in r.collector.deletions:
-            lines.append(
-                json.dumps(
-                    {
-                        "tick": d.tick,
-                        "cache_id": d.cache_id,
-                        "policy": r.label,
-                        **{f: getattr(d.cost, f) for f in COST_FIELDS},
-                        "residual_cells": d.residual_cells,
-                        "slot_cells": d.slot_cells,
-                    }
-                )
-            )
+        policy = json.dumps(r.label)
+        lines += [
+            f'{{"tick": {d.tick}, "cache_id": {d.cache_id}, "policy": {policy}, '
+            f'"rd_us": {c.rd_us!r}, "wr_us": {c.wr_us!r}, "gen_us": {c.gen_us!r}, '
+            f'"erase_us": {c.erase_us!r}, "gc_us": {c.gc_us!r}, '
+            f'"residual_cells": {d.residual_cells}, "slot_cells": {d.slot_cells}}}'
+            for d in r.collector.deletions
+            for c in (d.cost,)
+        ]
     return "\n".join(lines) + ("\n" if lines else "")

@@ -14,7 +14,7 @@ from .cells import hex_digits
 from .config import RunConfig
 from .controller import NvmController
 from .device import NvmDevice
-from .host import Host, TraceEvent
+from .host import Host
 from .metrics import (
     LatencyLedger,
     MetricsCollector,
@@ -42,22 +42,18 @@ class RunReport:
         return render_deletions_jsonl(self.runs)
 
 
-def canonical_event(event: TraceEvent) -> str:
-    if event.kind in ("W", "U"):
-        return f"{event.kind} {event.cache_id} {event.payload.hex()}"
-    if event.kind in ("I", "D"):
-        return f"{event.kind} {event.cache_id}"
-    if event.kind == "T":
-        return f"T {event.ticks}"
-    return event.kind
-
-
 def trace_fingerprint(events) -> str:
-    digest = hashlib.sha256()
-    for event in events:
-        digest.update(canonical_event(event).encode())
-        digest.update(b"\n")
-    return digest.hexdigest()
+    """sha256 of the canonical trace text: one line per event, the payload as
+    the hex of its cell levels (``W 3 0207...``, ``I 3``, ``T 10``, ``F``)."""
+    lines = [
+        f"{e.kind} {e.cache_id} {e.payload.hex()}" if e.kind in ("W", "U")
+        else f"{e.kind} {e.cache_id}" if e.kind in ("I", "D")
+        else f"T {e.ticks}" if e.kind == "T"
+        else e.kind
+        for e in events
+    ]
+    lines.append("")
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
 
 
 def run_policy(config: RunConfig, policy, events) -> MetricsCollector:

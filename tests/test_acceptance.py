@@ -16,9 +16,7 @@ from ddnsim import (
     NvmController,
     NvmDevice,
     RunConfig,
-    available_levels,
-    encode_level,
-    gen_upward_random,
+    gen_upward_word,
     parse_policy,
     parse_trace,
     run,
@@ -39,12 +37,12 @@ def _controller(policy, geometry, seed=7, nop_limit=8, t_secure=None):
 
 def test_criterion_1_upward_overwrite_words_are_exact():
     # a cell at level 4 (bits '100') may only go to '101', '110' or '111'
-    assert available_levels(4, 3) == {5, 6, 7}
     rng = random.Random(0xC0FFEE)
-    seen = {encode_level(gen_upward_random(4, 3, rng), 3) for _ in range(100_000)}
-    assert seen == {"101", "110", "111"}
+    seen = {gen_upward_word(b"\x04", 3, rng)[0] for _ in range(100_000)}
+    assert seen == {5, 6, 7}
+    assert {format(level, "03b") for level in seen} == {"101", "110", "111"}
     rng = random.Random(1)
-    assert all(gen_upward_random(7, 3, rng) == 7 for _ in range(100_000))
+    assert all(gen_upward_word(b"\x07", 3, rng) == b"\x07" for _ in range(100_000))
     print("PASS criterion 1: overwrite words for '100' are exactly "
           "{'101','110','111'}; '111' is always maintained")
 

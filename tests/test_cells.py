@@ -1,3 +1,4 @@
+import math
 import random
 from collections import Counter
 
@@ -10,12 +11,8 @@ from ddnsim import (
     ConfigError,
     FillKind,
     RunConfig,
-    available_levels,
-    decode_bits,
-    encode_level,
     gen_fill_word,
     gen_uniform_word,
-    gen_upward_random,
     gen_upward_word,
     TraceError,
     max_level,
@@ -24,74 +21,66 @@ from ddnsim import (
     word_from_hex,
     word_to_hex,
 )
-from ddnsim.cells import hex_digits
+from ddnsim.cells import _draws, hex_digits
 
 
-def test_encode_level_examples():
-    assert encode_level(4, 3) == "100"
-    assert encode_level(0, 3) == "000"
-    assert encode_level(7, 3) == "111"
+def _upward(level, bits_per_cell, rng):
+    """One cell's upward overwrite: a one-cell word."""
+    return gen_upward_word(bytes((level,)), bits_per_cell, rng)[0]
 
 
-def test_encode_level_range_errors():
-    with pytest.raises(ValueError):
-        encode_level(8, 3)
-    with pytest.raises(ValueError):
-        encode_level(-1, 3)
-    with pytest.raises(ValueError):
-        encode_level(0, 0)
+def _reachable(level, bits_per_cell):
+    """Every level an upward overwrite of a cell at ``level`` can draw."""
+    first, n, _ = _draws(bits_per_cell)[0][level]
+    return set(range(first, first + n))
 
 
-def test_decode_bits_examples():
-    assert decode_bits("100", 3) == 4
-    assert decode_bits("000", 3) == 0
-    assert decode_bits("111", 3) == 7
-
-
-def test_decode_bits_rejects_bad_input():
-    with pytest.raises(ValueError):
-        decode_bits("10", 3)
-    with pytest.raises(ValueError):
-        decode_bits("1011", 3)
-    with pytest.raises(ValueError):
-        decode_bits("102", 3)
-    with pytest.raises(ValueError):
-        decode_bits("1_1", 3)
+def _aligned_cells(bits_per_cell):
+    """The fewest cells whose width is a whole number of hex digits."""
+    return 4 // math.gcd(4, bits_per_cell)
 
 
 @given(st.integers(1, 8).flatmap(lambda b: st.tuples(st.just(b), st.integers(0, 2**b - 1))))
 def test_encode_decode_bijection(pair):
+    """A level survives the hex codec in every cell of an aligned word."""
     b, level = pair
-    assert decode_bits(encode_level(level, b), b) == level
+    cells = _aligned_cells(b)
+    for position in range(cells):
+        word = bytes(level if i == position else 0 for i in range(cells))
+        assert word_from_hex(word_to_hex(word, b), cells, b) == word
 
 
 def test_bijection_exhaustive_small_widths():
     for b in range(1, 5):
-        levels = [decode_bits(encode_level(l, b), b) for l in range(2**b)]
-        assert levels == list(range(2**b))
+        cells = _aligned_cells(b)
+        words = [bytes((level,)) * cells for level in range(2**b)]
+        hexes = [word_to_hex(word, b) for word in words]
+        assert len(set(hexes)) == 2**b
+        assert [word_from_hex(h, cells, b) for h in hexes] == words
 
 
 def test_available_levels_examples():
-    assert available_levels(4, 3) == {5, 6, 7}
-    assert available_levels(7, 3) == set()
-    assert available_levels(0, 3) == {1, 2, 3, 4, 5, 6, 7}
+    assert _reachable(4, 3) == {5, 6, 7}
+    assert _reachable(7, 3) == {7}  # the top level stays
+    assert _reachable(0, 3) == {1, 2, 3, 4, 5, 6, 7}
 
 
 @given(st.integers(1, 8).flatmap(lambda b: st.tuples(st.just(b), st.integers(0, 2**b - 1))))
 def test_available_levels_cardinality(pair):
     b, level = pair
-    assert len(available_levels(level, b)) == max_level(b) - level
+    top = max_level(b)
+    assert _reachable(level, b) == (set(range(level + 1, top + 1)) or {top})
 
 
 def test_upward_random_stays_within_available():
     rng = random.Random(1234)
     for _ in range(2000):
-        assert gen_upward_random(4, 3, rng) in {5, 6, 7}
+        assert _upward(4, 3, rng) in {5, 6, 7}
 
 
 def test_upward_random_top_level_maintained():
     rng = random.Random(5)
-    assert all(gen_upward_random(7, 3, rng) == 7 for _ in range(1000))
+    assert all(_upward(7, 3, rng) == 7 for _ in range(1000))
 
 
 @given(
@@ -100,7 +89,7 @@ def test_upward_random_top_level_maintained():
 )
 def test_upward_random_monotone(pair, seed):
     b, level = pair
-    out = gen_upward_random(level, b, random.Random(seed))
+    out = _upward(level, b, random.Random(seed))
     assert out >= level
     assert (out == level) == (level == max_level(b))
 
@@ -109,7 +98,7 @@ def test_upward_random_uniform_band():
     # each of the three available levels should appear ~1/3 of the time
     rng = random.Random(99)
     draws = 80_000
-    counts = Counter(gen_upward_random(4, 3, rng) for _ in range(draws))
+    counts = Counter(_upward(4, 3, rng) for _ in range(draws))
     assert set(counts) == {5, 6, 7}
     for level in (5, 6, 7):
         assert abs(counts[level] / draws - 1 / 3) < 0.02
@@ -121,9 +110,9 @@ def test_upward_random_uniform_band():
 )
 def test_upward_random_chi_square(original, critical):
     rng = random.Random(4321)
-    choices = sorted(available_levels(original, 3))
+    choices = range(original + 1, 8)
     draws = 10_000
-    counts = Counter(gen_upward_random(original, 3, rng) for _ in range(draws))
+    counts = Counter(_upward(original, 3, rng) for _ in range(draws))
     expected = draws / len(choices)
     stat = sum((counts[c] - expected) ** 2 / expected for c in choices)
     assert stat < critical
@@ -199,7 +188,7 @@ def test_generators_draw_the_randint_stream(pair, seed):
     assert ours.getstate() == reference.getstate()
     assert gen_uniform_word(len(word), b, ours) == _randint_uniform(len(word), b, reference)
     assert ours.getstate() == reference.getstate()
-    assert gen_upward_random(word[0], b, ours) == _randint_upward(word[:1], b, reference)[0]
+    assert gen_upward_word(word[:1], b, ours) == _randint_upward(word[:1], b, reference)
     assert ours.getstate() == reference.getstate()
 
 
@@ -212,9 +201,7 @@ def test_generators_reject_bad_input_before_drawing(b):
         with pytest.raises(ValueError, match=f"level {top + 1} out of range"):
             gen_upward_word(bytes((0, top, top + 1, 0)), b, rng)
         with pytest.raises(ValueError, match=f"level {top + 1} out of range"):
-            gen_upward_random(top + 1, b, rng)
-    with pytest.raises(ValueError, match="level -1 out of range"):
-        gen_upward_random(-1, b, rng)
+            gen_upward_word(bytes((top + 1,)), b, rng)
     with pytest.raises(ValueError, match="cells must be >= 1, got 0"):
         gen_uniform_word(0, b, rng)
     with pytest.raises(ValueError, match="bits_per_cell must be >= 1"):
@@ -267,17 +254,16 @@ def test_generated_words_are_slot_long_bytes_in_range(bits_per_cell, cells, seed
 
 
 def _reference_from_hex(digits, cells, bits_per_cell):
-    """Hex -> binary string -> one decode_bits call per cell."""
+    """Hex -> binary string -> one int(..., 2) per cell."""
     bits = format(int(digits, 16), f"0{cells * bits_per_cell}b")
     return bytes(
-        decode_bits(bits[i : i + bits_per_cell], bits_per_cell)
-        for i in range(0, len(bits), bits_per_cell)
+        int(bits[i : i + bits_per_cell], 2) for i in range(0, len(bits), bits_per_cell)
     )
 
 
 def _reference_to_hex(word, bits_per_cell):
-    """One encode_level call per cell -> binary string -> hex."""
-    bits = "".join(encode_level(l, bits_per_cell) for l in word)
+    """One binary string per cell -> hex."""
+    bits = "".join(format(l, f"0{bits_per_cell}b") for l in word)
     return "0x" + format(int(bits, 2), f"0{len(bits) // 4}X")
 
 
@@ -352,3 +338,49 @@ def test_one_hex_width_check_for_config_codec_and_generator():
 def test_word_to_hex_rejects_unaligned_width():
     with pytest.raises(ValueError):
         word_to_hex(bytes((1, 2, 3)), 3)
+
+
+def _shift_mask_reference(value, cells, bits_per_cell):
+    """Cell i is the i-th most significant bits_per_cell bits of the value."""
+    mask = (1 << bits_per_cell) - 1
+    return bytes(value >> (cells - 1 - i) * bits_per_cell & mask for i in range(cells))
+
+
+@st.composite
+def aligned_words(draw):
+    """(value, cells, bits_per_cell) for a nibble-aligned width."""
+    bits_per_cell = draw(st.integers(1, 8))
+    step = 4 // math.gcd(4, bits_per_cell)
+    cells = step * draw(st.integers(1, 40 // step))
+    return draw(st.integers(0, 2 ** (cells * bits_per_cell) - 1)), cells, bits_per_cell
+
+
+@settings(max_examples=400)
+@given(aligned_words(), st.booleans(), st.booleans())
+def test_word_from_hex_matches_shift_and_mask(word, upper_prefix, upper_digits):
+    value, cells, bits_per_cell = word
+    digits = f"{value:0{cells * bits_per_cell // 4}x}"
+    text = ("0X" if upper_prefix else "0x") + (digits.upper() if upper_digits else digits)
+    assert word_from_hex(text, cells, bits_per_cell) == _shift_mask_reference(
+        value, cells, bits_per_cell
+    )
+
+
+@given(aligned_words(), st.integers(0, 39), st.sampled_from(["_", "+", "-", " ", "g", "Z", "٣"]))
+def test_word_from_hex_rejections_keep_their_messages(word, position, junk):
+    value, cells, bits_per_cell = word
+    n = cells * bits_per_cell // 4
+    digits = f"{value:0{n}X}"
+
+    def rejects(text, message, bits=bits_per_cell):
+        with pytest.raises(ValueError) as info:
+            word_from_hex(text, cells, bits)
+        assert str(info.value) == message
+
+    rejects(digits, f"payload must be 0x-prefixed hex: {digits!r}")
+    for wrong in (digits[1:], digits + "0"):
+        rejects("0x" + wrong, f"payload {'0x' + wrong!r} is {len(wrong) * 4} bits, slot is {n * 4} bits")
+    position %= n
+    bad = "0x" + digits[:position] + junk + digits[position + 1 :]
+    rejects(bad, f"not a hex payload: {bad!r}")
+    rejects("0x" + digits, "bits_per_cell must be <= 8 (a level is stored in one byte), got 9", 9)

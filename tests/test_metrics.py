@@ -1,6 +1,8 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ddnsim import (
     DeletionOutcome,
@@ -9,10 +11,11 @@ from ddnsim import (
     PolicyRun,
     ReportError,
     comparison_rows,
+    parse_policy,
     render_comparison_csv,
     render_deletions_jsonl,
 )
-from ddnsim.metrics import _fmt, ledger_costs
+from ddnsim.metrics import COST_FIELDS, _fmt, ledger_costs
 
 
 def outcome(policy="MarkOnly", tick=0, cache_id=1, residual=8, slot=8, **costs):
@@ -155,3 +158,41 @@ def test_jsonl_keys_and_values():
 
 def test_jsonl_empty():
     assert render_deletions_jsonl([_run("MarkOnly", [])]) == ""
+
+
+def _reference_jsonl(runs):
+    """One json.dumps per deletion record, in the documented key order."""
+    lines = []
+    for r in runs:
+        for d in r.collector.deletions:
+            record = {"tick": d.tick, "cache_id": d.cache_id, "policy": r.label}
+            record.update((f, getattr(d.cost, f)) for f in COST_FIELDS)
+            record.update(residual_cells=d.residual_cells, slot_cells=d.slot_cells)
+            lines.append(json.dumps(record))
+    return "\n".join(lines) + ("\n" if lines else "")
+
+
+# Every label parse_policy can produce, out-of-range fill levels included.
+_labels = st.one_of(
+    st.sampled_from(["MarkOnly", "EraseBased", "DdnRandom", "DdnNonRandom", "DdnNonRandom(AllMax)"]),
+    st.integers(-5, 300).map(lambda k: f"DdnNonRandom(Level={k})"),
+).map(lambda text: parse_policy(text).label)
+_costs = st.one_of(
+    st.sampled_from([0.0, 5e-324, 2.2250738585072014e-308, 1e18, 49.0, 0.1 + 0.2]),
+    st.floats(0.0, 1e18, allow_nan=False, allow_infinity=False),
+)
+_counts = st.integers(0, 2**63)
+_records = st.builds(
+    lambda tick, cache_id, costs, residual, slot: DeletionOutcome(
+        cache_id, tick, "", "test", LatencyLedger(*costs), residual, slot
+    ),
+    _counts, _counts, st.tuples(*[_costs] * len(COST_FIELDS)), _counts, _counts,
+)
+
+
+@settings(max_examples=300)
+@given(st.lists(st.tuples(_labels, st.lists(_records, max_size=4)), max_size=4))
+def test_jsonl_matches_json_dumps(policies):
+    """The f-string renderer writes the bytes of json.dumps, record by record."""
+    runs = [_run(label, records) for label, records in policies]
+    assert render_deletions_jsonl(runs) == _reference_jsonl(runs)
