@@ -19,6 +19,8 @@ class ReportError(Exception):
 # The five device-time categories, in report column order, and a ledger's as a tuple.
 COST_FIELDS = ("rd_us", "wr_us", "gen_us", "erase_us", "gc_us")
 ledger_costs = attrgetter(*COST_FIELDS)
+_COST_GETTERS = tuple(map(attrgetter, COST_FIELDS))
+_cost = attrgetter("cost")
 
 
 @dataclass(slots=True)
@@ -89,10 +91,6 @@ class MetricsCollector:
             return LatencyLedger()
         n = len(costs)
         return LatencyLedger(*(sum(map(get, costs)) / n for get in _COST_GETTERS))
-
-
-_cost = attrgetter("cost")
-_COST_GETTERS = tuple(map(attrgetter, COST_FIELDS))
 
 
 @dataclass

@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from ddnsim import (
@@ -95,6 +97,14 @@ def test_trace_fingerprint_sees_events_not_layout():
     fingerprints = {fingerprint(text) for text in other_events}
     assert len(fingerprints) == len(other_events) and base not in fingerprints
 
+
+
+def test_trace_fingerprint_is_the_sha256_of_the_canonical_text():
+    """One line per event, the payload as the hex of its cell levels."""
+    events = parse_trace("W 1 0xABC\nF\nT 3\nU 1 0x123\nI 1\nD 1\n", 4, 3)
+    canonical = "W 1 05020704\nF\nT 3\nU 1 00040403\nI 1\nD 1\n"
+    assert trace_fingerprint(events) == hashlib.sha256(canonical.encode()).hexdigest()
+    assert trace_fingerprint([]) == hashlib.sha256(b"").hexdigest()
 
 # -- protocol ---------------------------------------------------------------
 
