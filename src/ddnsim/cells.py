@@ -16,31 +16,23 @@ from random import Random
 from functools import cache
 from dataclasses import dataclass
 
-__all__ = [
-    "ALL_MAX",
-    "FillKind",
-    "gen_fill_word",
-    "gen_uniform_word",
-    "gen_upward_word",
-    "hex_digits",
-    "max_level",
-    "word_from_hex",
-    "word_to_hex",
-]
-
 
 def max_level(bits_per_cell: int) -> int:
     """Highest program level a cell of the given width can hold."""
     if bits_per_cell < 1:
         raise ValueError(f"bits_per_cell must be >= 1, got {bits_per_cell}")
+    if bits_per_cell > 8:
+        raise ValueError(
+            f"bits_per_cell must be <= 8 (a level is stored in one byte), "
+            f"got {bits_per_cell}"
+        )
     return (1 << bits_per_cell) - 1
 
 
-def _check_level(level: int, bits_per_cell: int) -> int:
+def _check_level(level: int, bits_per_cell: int):
     top = max_level(bits_per_cell)
     if not 0 <= level <= top:
         raise ValueError(f"level {level} out of range [0, {top}]")
-    return top
 
 
 @cache
@@ -84,13 +76,8 @@ def _decoder(cells: int, bits_per_cell: int) -> tuple:
     table has at most 256 entries. When the chunks overhang the word, the
     first chunk holds ``pad`` leading zero cells, which are dropped.
     """
-    if bits_per_cell > 8:
-        raise ValueError(
-            f"bits_per_cell must be <= 8 (a level is stored in one byte), "
-            f"got {bits_per_cell}"
-        )
-    digits = hex_digits(cells, bits_per_cell)
     top = max_level(bits_per_cell)
+    digits = hex_digits(cells, bits_per_cell)
     per_chunk = 8 // bits_per_cell
     chunks = -(-cells // per_chunk)
     chunk_bits = per_chunk * bits_per_cell
@@ -124,13 +111,11 @@ def word_from_hex(text: str, cells: int, bits_per_cell: int) -> bytes:
 
 def word_to_hex(word: bytes, bits_per_cell: int) -> str:
     """Inverse of word_from_hex for nibble-aligned words."""
-    width = len(word) * bits_per_cell
-    if width % 4:
-        raise ValueError(f"word width {width} bits is not hex-representable")
+    digits = hex_digits(len(word), bits_per_cell)
     value = 0
     for level in word:
         value = value << bits_per_cell | level
-    return f"0x{value:0{width // 4}X}"
+    return f"0x{value:0{digits}X}"
 
 
 def gen_upward_word(original: bytes, bits_per_cell: int, rng: Random) -> bytes:

@@ -8,7 +8,9 @@ from dataclasses import dataclass, field, fields, replace
 
 from .cells import gen_fill_word, hex_digits
 from .controller import PolicyKind, parse_policy
-from .device import DeviceKind, Geometry, LatencyParams
+from .device import DeviceKind, Geometry, LatencyParams, NvmDevice
+from .host import Host
+from .metrics import _fmt
 
 
 class ConfigError(Exception):
@@ -69,6 +71,9 @@ class RunConfig:
             self.geometry()
             self.latency()
             hex_digits(self.cells_per_cache_slot, self.bits_per_cell)
+            self.run_policies()
+            NvmDevice.check_settings(self.device_kind, self.nop_limit, self.reclaim_invalid_slots)
+            Host.check_settings(self.dram_capacity, self.flush_idle_threshold)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
         if self.seed is None:
@@ -83,17 +88,6 @@ class RunConfig:
                     raise ConfigError(f"{policy.label}: {exc}") from exc
         if self.out_format not in ("csv", "jsonl"):
             raise ConfigError(f"out_format must be csv or jsonl, got {self.out_format!r}")
-        if self.nop_limit < 0:
-            raise ConfigError("nop_limit must be >= 0")
-        if self.flush_idle_threshold < 0:
-            raise ConfigError("flush_idle_threshold must be >= 0")
-        if self.dram_capacity < 1:
-            raise ConfigError("dram_capacity must be >= 1")
-        if self.t_secure is not None and self.t_secure < 1:
-            raise ConfigError("t_secure must be >= 1")
-        if self.reclaim_invalid_slots and self.device_kind is not DeviceKind.OVERWRITABLE:
-            # Reclaimed slots keep their old levels, which NAND cannot program down.
-            raise ConfigError("reclaim_invalid_slots needs device_kind = overwritable")
 
 
 def _parse_int(value: str) -> int:
@@ -192,8 +186,7 @@ def _fmt_value(value) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, float):
-        s = f"{value:.6f}".rstrip("0").rstrip(".")
-        return s or "0"
+        return _fmt(value)
     if isinstance(value, DeviceKind):
         return value.value
     if isinstance(value, tuple):  # policies

@@ -14,10 +14,9 @@ once it has sat in NVM for that many ticks.
 """
 
 import re
-import heapq
-import itertools
 from enum import Enum
 from operator import eq
+from collections import OrderedDict
 from dataclasses import dataclass
 
 from .cells import (
@@ -132,7 +131,6 @@ class DeletionOutcome:
 
     cache_id: int
     tick: int
-    policy: str
     action: str
     cost: LatencyLedger
     residual_cells: int = 0
@@ -149,19 +147,17 @@ class NvmController:
         self.policy = policy
         self.rng = rng
         self.collector = collector
-        # Fixed for the run: report label, deletion action, DdnNonRandom fill word.
+        # Fixed for the run: deletion action, DdnNonRandom fill word.
         kind, g = policy.kind, device.geometry
-        self._label = policy.label
         self._overwrites = kind in (PolicyKind.DDN_RANDOM, PolicyKind.DDN_NON_RANDOM)
         self._erases = kind is PolicyKind.ERASE_BASED
         self._fill_word = None
         if kind is PolicyKind.DDN_NON_RANDOM:
             self._fill_word = gen_fill_word(policy.fill, g.cells_per_cache_slot, g.bits_per_cell)
-        # (written_at, sequence, cache_id, entry) per flushed copy while secure
-        # mode is on. An item is stale once its entry is invalid or no longer
-        # the table's entry for cache_id; stale items are skipped lazily.
-        self._resident = []
-        self._sequence = itertools.count()
+        # cache_id -> entry for every valid copy while secure mode is on, oldest
+        # flush first: flushes stamp the never-decreasing clock and move the id
+        # to the end, and a scrub removes it.
+        self._resident = OrderedDict()
 
     # -- host-facing --------------------------------------------------------
 
@@ -169,17 +165,17 @@ class NvmController:
         return self.device.cache_table.get(cache_id)
 
     def flush_write(self, cache_id: int, payload: bytes, now: int) -> int:
-        """Store a flushed cache line: allocate, program, register as valid."""
+        """Store a flushed cache line: allocate, program, register as valid.
+
+        ``now`` never decreases from one call to the next, as the host's
+        clock does not, so secure mode keeps copies in due order.
+        """
         addr = self.device.allocate_slot()
         self.device.program_slot(addr, payload)
-        table = self.device.cache_table
-        entry = table.register(cache_id, addr, now)
+        entry = self.device.cache_table.register(cache_id, addr, now)
         if self.policy.t_secure is not None:
-            item = (now, next(self._sequence), cache_id, entry)
-            heapq.heappush(self._resident, item)
-            if len(self._resident) > 2 * len(table):
-                self._resident = [item for item in self._resident if self._live(item)]
-                heapq.heapify(self._resident)
+            self._resident[cache_id] = entry
+            self._resident.move_to_end(cache_id)
         return addr
 
     def handle_invalidation(self, cache_id: int, now: int) -> DeletionOutcome:
@@ -190,7 +186,7 @@ class NvmController:
         """
         entry = self.device.cache_table.get(cache_id)
         if entry is None:
-            raise ProtocolError(f"invalidation of unknown cache_id {cache_id}")
+            raise ProtocolError(f"no flushed copy for cache id {cache_id}")
         if not entry.valid:
             raise ProtocolError(f"cache_id {cache_id} is already invalid")
         return self._scrub(cache_id, entry, now, secure=False)
@@ -202,27 +198,21 @@ class NvmController:
         Scrubbed entries go invalid, so each is scrubbed exactly once.
         Outcomes come back in ascending cache_id order.
         """
-        if self.policy.t_secure is None:
+        t_secure = self.policy.t_secure
+        if t_secure is None:
             raise ProtocolError("secure mode not configured")
-        resident = self._resident
         due = []
-        while resident and now - resident[0][0] >= self.policy.t_secure:
-            item = heapq.heappop(resident)
-            if self._live(item):
-                due.append(item[2:])
-        due.sort()  # by cache_id: live ids are unique, so entries are never compared
+        for cid, entry in self._resident.items():
+            if now - entry.written_at < t_secure:
+                break
+            due.append((cid, entry))
+        due.sort()  # by cache_id: ids are unique, so entries are never compared
         return [self._scrub(cid, entry, now, secure=True) for cid, entry in due]
 
     def next_scrub_due(self) -> int | None:
         """Earliest tick at which ``secure_tick`` scrubs something, if any."""
-        resident = self._resident
-        while resident and not self._live(resident[0]):
-            heapq.heappop(resident)
-        return resident[0][0] + self.policy.t_secure if resident else None
-
-    def _live(self, item) -> bool:
-        _, _, cache_id, entry = item
-        return entry.valid and self.device.cache_table.get(cache_id) is entry
+        resident, t_secure = self._resident, self.policy.t_secure
+        return next(iter(resident.values())).written_at + t_secure if resident else None
 
     # -- deletion machinery -------------------------------------------------
 
@@ -254,6 +244,7 @@ class NvmController:
         addr = entry.addr
         pre = dev.peek_slot(addr)
         dev.cache_table.invalidate(cache_id, now)
+        self._resident.pop(cache_id, None)
         before = ledger_costs(dev.ledger)
         fallback, error = False, None
         if secure or self._overwrites:
@@ -262,22 +253,18 @@ class NvmController:
                 self.ddn_process(addr)
             except NopExceeded:
                 # Out of in-place reprogram budget: physically delete instead.
-                action = "erase-fallback"
-                fallback = True
-                try:
-                    dev.garbage_collect(dev.geometry.block_of(addr))
-                except NoFreePages as exc:
-                    error = str(exc)
+                action, fallback = "erase-fallback", True
             except (MonotoneViolation, NoFreePages) as exc:
                 error = str(exc)
         elif self._erases:
             action = "gc-erase"
+        else:
+            action = "mark-only"
+        if action in ("gc-erase", "erase-fallback"):
             try:
                 dev.garbage_collect(dev.geometry.block_of(addr))
             except NoFreePages as exc:
                 error = str(exc)
-        else:
-            action = "mark-only"
         cost = dev.ledger.since(before)
         if dev.page_status(addr) is _FREE:
             residual = 0
@@ -286,7 +273,7 @@ class NvmController:
             residual = sum(map(eq, pre, post))
         # Positional: keyword arguments would cost about 0.5 us per deletion.
         outcome = DeletionOutcome(
-            cache_id, now, self._label, action, cost, residual, len(pre), fallback, error
+            cache_id, now, action, cost, residual, len(pre), fallback, error
         )
         if self.collector is not None:
             self.collector.record_deletion(outcome)

@@ -24,6 +24,7 @@ from functools import cached_property
 from operator import lt
 from typing import NamedTuple
 
+from .cells import max_level as _max_level
 from .metrics import LatencyLedger
 
 
@@ -81,11 +82,7 @@ class Geometry:
         for name in self.__dataclass_fields__:
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
-        if self.bits_per_cell > 8:
-            raise ValueError(
-                f"bits_per_cell must be <= 8 (a level is stored in one byte), "
-                f"got {self.bits_per_cell}"
-            )
+        _max_level(self.bits_per_cell)  # raises unless bits_per_cell <= 8
         if self.cells_per_page % self.cells_per_cache_slot:
             raise ValueError(
                 f"cells_per_page ({self.cells_per_page}) must be a multiple of "
@@ -106,7 +103,7 @@ class Geometry:
 
     @cached_property
     def max_level(self) -> int:
-        return (1 << self.bits_per_cell) - 1
+        return _max_level(self.bits_per_cell)
 
     def block_of(self, slot: int) -> int:
         """The block holding a slot."""
@@ -175,9 +172,6 @@ class CacheTable:
         self._held = bytearray(total_slots)
         self._stale_at = {}
         self._on_release = on_release
-
-    def __len__(self) -> int:
-        return len(self._entries)
 
     def get(self, cache_id) -> CacheEntry | None:
         return self._entries.get(cache_id)
@@ -254,9 +248,6 @@ class CacheTable:
         """(cache_id, entry) pairs for valid entries, ascending cache_id."""
         return [(cid, e) for cid, e in sorted(self._entries.items()) if e.valid]
 
-    def items(self):
-        return self._entries.items()
-
 
 class _ReclaimHeap:
     """Min-heap of the slots that may have become reusable, each at most once.
@@ -298,10 +289,7 @@ class NvmDevice:
         self.geometry = geometry if geometry is not None else Geometry()
         self.kind = kind
         self.latency = latency if latency is not None else LatencyParams()
-        if nop_limit < 0:
-            raise ValueError(f"nop_limit must be >= 0, got {nop_limit}")
-        if reclaim_invalid_slots and kind is not DeviceKind.OVERWRITABLE:
-            raise ValueError("reclaim_invalid_slots needs an overwritable device")
+        self.check_settings(kind, nop_limit, reclaim_invalid_slots)
         self.nop_limit = nop_limit
         self.ledger = ledger if ledger is not None else LatencyLedger()
         self.reclaim_invalid_slots = reclaim_invalid_slots
@@ -330,6 +318,14 @@ class NvmDevice:
                         bytearray(n * g.slots_per_page))
         # Reclaim: the lowest slot the allocator has not yet handed out.
         self._high_water = 0
+
+    @staticmethod
+    def check_settings(kind: DeviceKind, nop_limit: int, reclaim_invalid_slots: bool):
+        """Raise ``ValueError``, naming the config key, for settings no device can run."""
+        if nop_limit < 0:
+            raise ValueError(f"nop_limit must be >= 0, got {nop_limit}")
+        if reclaim_invalid_slots and kind is not DeviceKind.OVERWRITABLE:
+            raise ValueError("reclaim_invalid_slots needs device_kind = overwritable")
 
     # -- addressing ---------------------------------------------------------
 

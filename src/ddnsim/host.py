@@ -16,8 +16,8 @@ Trace grammar, one event per line (``#`` starts a comment):
     T <n>                 advance time n ticks
     F                     flush all dirty lines now
 
-``<id>`` is a decimal integer; ``<hexpayload>`` is 0x-prefixed hex exactly
-as wide as one cache slot.
+``<id>`` and ``<n>`` are ASCII decimal digits; ``<hexpayload>`` is
+0x-prefixed hex exactly as wide as one cache slot.
 """
 
 import heapq
@@ -49,9 +49,12 @@ class TraceEvent:
         self.line = line
 
 
-def _parse_id(token: str, lineno: int) -> int:
-    if not token.isdigit():
-        raise TraceError(f"cache id must be a decimal integer, got {token!r}", lineno)
+def _parse_decimal(token: str, lineno: int,
+                   error: str = "cache id must be a decimal integer, got {!r}") -> int:
+    """A token of ASCII digits as an int, else ``TraceError(error.format(token))``:
+    ``str.isdigit`` alone also takes ``²``, which ``int`` rejects, and ``٣``."""
+    if not (token.isascii() and token.isdigit()):
+        raise TraceError(error.format(token), lineno)
     return int(token)
 
 
@@ -68,7 +71,7 @@ def parse_trace(text: str, cells_per_slot: int, bits_per_cell: int) -> list:
         if op == "W" or op == "U":
             if len(parts) != 3:
                 raise TraceError(f"{op} needs <id> <hexpayload>", lineno)
-            cache_id = _parse_id(parts[1], lineno)
+            cache_id = _parse_decimal(parts[1], lineno)
             try:
                 payload = word_from_hex(parts[2], cells_per_slot, bits_per_cell)
             except ValueError as exc:
@@ -84,11 +87,11 @@ def parse_trace(text: str, cells_per_slot: int, bits_per_cell: int) -> list:
         elif op == "I" or op == "D":
             if len(parts) != 2:
                 raise TraceError(f"{op} needs <id>", lineno)
-            append(TraceEvent(op, _parse_id(parts[1], lineno), None, None, lineno))
+            append(TraceEvent(op, _parse_decimal(parts[1], lineno), None, None, lineno))
         elif op == "T":
-            if len(parts) != 2 or not parts[1].isdigit():
-                raise TraceError("T needs a non-negative tick count", lineno)
-            append(TraceEvent("T", None, None, int(parts[1]), lineno))
+            token = parts[1] if len(parts) == 2 else ""
+            ticks = _parse_decimal(token, lineno, "T needs a non-negative tick count")
+            append(TraceEvent("T", None, None, ticks, lineno))
         else:
             raise TraceError(f"unknown event {op!r}", lineno)
     return events
@@ -97,7 +100,6 @@ def parse_trace(text: str, cells_per_slot: int, bits_per_cell: int) -> list:
 @dataclass
 class DramSlot:
     payload: bytes
-    dirty: bool
     last_used: int
 
 
@@ -110,10 +112,7 @@ class Host:
         capacity: int = 65536,
         flush_idle_threshold: int = 10,
     ):
-        if capacity < 1:
-            raise ValueError(f"capacity must be >= 1, got {capacity}")
-        if flush_idle_threshold < 0:
-            raise ValueError("flush_idle_threshold must be >= 0")
+        self.check_settings(capacity, flush_idle_threshold)
         self.controller = controller
         self.capacity = capacity
         self.flush_idle_threshold = flush_idle_threshold
@@ -125,6 +124,14 @@ class Host:
         # built at the first eviction, so a DRAM that never fills keeps none.
         self._lru = None
         self.now = 0
+
+    @staticmethod
+    def check_settings(capacity: int, flush_idle_threshold: int):
+        """Raise ``ValueError``, naming the config key, for settings no host can run."""
+        if capacity < 1:
+            raise ValueError(f"dram_capacity must be >= 1, got {capacity}")
+        if flush_idle_threshold < 0:
+            raise ValueError(f"flush_idle_threshold must be >= 0, got {flush_idle_threshold}")
 
     # -- trace replay -------------------------------------------------------
 
@@ -152,10 +159,6 @@ class Host:
             if entry is not None and entry.valid:
                 self.controller.handle_invalidation(event.cache_id, self.now)
         elif kind in ("I", "D"):
-            if self.controller.entry(event.cache_id) is None:
-                raise TraceError(
-                    f"no flushed copy for cache id {event.cache_id}", event.line
-                )
             self.controller.handle_invalidation(event.cache_id, self.now)
         elif kind == "T":
             self._advance(self.now + event.ticks)
@@ -193,10 +196,9 @@ class Host:
         if slot is None:
             if len(self.slots) >= self.capacity:
                 self._evict_one()
-            self.slots[cache_id] = DramSlot(payload, True, self.now)
+            self.slots[cache_id] = DramSlot(payload, self.now)
         else:
             slot.payload = payload
-            slot.dirty = True
             slot.last_used = self.now
         self._dirty[cache_id] = self.now
         self._dirty.move_to_end(cache_id)
@@ -221,14 +223,12 @@ class Host:
             slot = slots.get(victim)
             if slot is not None and slot.last_used == last_used:
                 break
-        if slot.dirty:
+        if victim in self._dirty:
             self._flush(victim, self.now)
         del slots[victim]
 
     def _flush(self, cache_id: int, now: int):
-        slot = self.slots[cache_id]
-        self.controller.flush_write(cache_id, slot.payload, now)
-        slot.dirty = False
+        self.controller.flush_write(cache_id, self.slots[cache_id].payload, now)
         del self._dirty[cache_id]
 
     def flush_idle(self, now: int) -> list:

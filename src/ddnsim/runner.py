@@ -27,11 +27,14 @@ from .metrics import (
 
 @dataclass
 class RunReport:
-    """Every policy's run and the comparison rows; each report text is
-    rendered on first access, so a run pays only for the format it reads."""
+    """Every policy's run; the comparison rows and each report text are built
+    on first access, so a run pays only for the format it reads."""
 
     runs: list
-    rows: list
+
+    @cached_property
+    def rows(self) -> list:
+        return comparison_rows(self.runs)
 
     @cached_property
     def csv_text(self) -> str:
@@ -86,7 +89,7 @@ def run(config: RunConfig, events) -> RunReport:
         PolicyRun(policy.label, run_policy(config, policy, events), fingerprint)
         for policy in config.run_policies()
     ]
-    return RunReport(runs=runs, rows=comparison_rows(runs))
+    return RunReport(runs)
 
 
 def synthetic_trace(

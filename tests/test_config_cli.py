@@ -55,6 +55,7 @@ def test_validate_requires_seed():
         {"policies": ()},
         {"t_secure": 0},
         {"dram_capacity": 0},
+        {"flush_idle_threshold": -1},
         {"nop_limit": -1},
         {"cells_per_page": 10, "cells_per_cache_slot": 4},
         {"reclaim_invalid_slots": True},
@@ -218,6 +219,22 @@ def test_cli_trace_errors(tmp_path, capsys):
     assert "trace error" in err
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("W ² 0x000000\n", "line 1: cache id must be a decimal integer, got '²'"),
+        ("W ٣ 0x000000\n", "line 1: cache id must be a decimal integer, got '٣'"),
+        ("W 1 0x000000\nI ²\n", "line 2: cache id must be a decimal integer, got '²'"),
+        ("T ²\n", "line 1: T needs a non-negative tick count"),
+    ],
+)
+def test_cli_rejects_non_ascii_digits(tmp_path, capsys, text, message):
+    trace = tmp_path / "digits.trace"
+    trace.write_text(text, encoding="utf-8")
+    assert main(["--seed", "1", "--trace", str(trace)]) == 3
+    assert capsys.readouterr() == ("", f"ddnsim: trace error: {message}\n")
+
+
 def test_cli_device_full_exit_code(tmp_path, capsys):
     cfg_file = tmp_path / "tiny.cfg"
     cfg_file.write_text(
@@ -248,6 +265,26 @@ def test_cli_rejects_reclaim_on_nand(tmp_path, capsys):
     rc = main(["--config", str(cfg_file), "--synthetic", "5", "--seed", "1"])
     assert rc == 2
     assert "reclaim_invalid_slots" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        ("t_secure = 0", "t_secure must be >= 1, got 0"),
+        ("nop_limit = -1", "nop_limit must be >= 0, got -1"),
+        ("dram_capacity = 0", "dram_capacity must be >= 1, got 0"),
+        ("flush_idle_threshold = -1", "flush_idle_threshold must be >= 0, got -1"),
+        ("reclaim_invalid_slots = true", "reclaim_invalid_slots needs device_kind = overwritable"),
+        ("bits_per_cell = 9", "bits_per_cell must be <= 8 (a level is stored in one byte), got 9"),
+    ],
+)
+def test_cli_range_errors_exit_2_before_the_trace_is_read(tmp_path, capsys, line, message):
+    cfg_file = tmp_path / "bad.cfg"
+    cfg_file.write_text(line + "\n")
+    # The trace does not exist: reading it first would exit 3.
+    args = ["--config", str(cfg_file), "--seed", "1", "--trace", str(tmp_path / "missing.trace")]
+    assert main(args) == 2
+    assert capsys.readouterr() == ("", f"ddnsim: config error: {message}\n")
 
 
 @pytest.mark.parametrize(

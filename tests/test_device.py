@@ -435,3 +435,8 @@ def test_no_reclaim_by_default(make_device):
 def test_reclaim_needs_overwritable_device(make_device):
     with pytest.raises(ValueError, match="reclaim_invalid_slots"):
         make_device(reclaim_invalid_slots=True)
+
+
+def test_nop_limit_must_be_non_negative(make_device):
+    with pytest.raises(ValueError, match="nop_limit must be >= 0, got -1"):
+        make_device(nop_limit=-1)

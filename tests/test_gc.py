@@ -42,7 +42,7 @@ class ReferenceGcDevice(NvmDevice):
         g = self.geometry
         table = self.cache_table
         by_page = {}
-        for cid, entry in sorted(table.items()):
+        for cid, entry in sorted(table._entries.items()):
             if entry.valid and g.block_of(entry.addr) == block:
                 by_page.setdefault(entry.addr // g.slots_per_page, []).append((cid, entry))
         if by_page:
@@ -147,7 +147,7 @@ def _state(device):
         bytes(device._allocated),
         list(device._program_counts),
         list(device.erase_counts),
-        dict(device.cache_table.items()),
+        dict(device.cache_table._entries.items()),
         ledger_costs(device.ledger),
     )
 

@@ -149,7 +149,7 @@ def test_flush_idle_inclusive_boundary(host):
     entry = host.controller.entry(5)
     assert entry is not None and entry.valid
     assert entry.written_at == 10
-    assert not host.slots[5].dirty
+    assert 5 not in host._dirty
 
 
 def test_clean_slots_never_reflushed(host):
@@ -191,10 +191,22 @@ def test_invalidate_and_deidentify_events(host):
 
 def test_invalidate_requires_flushed_copy(host):
     host.apply_event(ev_w(5))
-    with pytest.raises(TraceError):
+    with pytest.raises(TraceError, match="^line 2: no flushed copy for cache id 5$"):
         host.apply_event(TraceEvent("I", cache_id=5, line=2))
-    with pytest.raises(TraceError):
-        host.apply_event(TraceEvent("I", cache_id=99, line=3))
+    with pytest.raises(TraceError, match="^line 3: no flushed copy for cache id 99$"):
+        host.apply_event(TraceEvent("D", cache_id=99, line=3))
+
+
+@pytest.mark.parametrize(
+    "settings, message",
+    [
+        ({"capacity": 0}, "dram_capacity must be >= 1, got 0"),
+        ({"flush_idle_threshold": -1}, "flush_idle_threshold must be >= 0, got -1"),
+    ],
+)
+def test_host_rejects_bad_settings(make_controller, settings, message):
+    with pytest.raises(ValueError, match=message):
+        Host(make_controller("MarkOnly"), **settings)
 
 
 def test_double_invalidate_is_rejected(host):

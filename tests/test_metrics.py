@@ -18,11 +18,10 @@ from ddnsim import (
 from ddnsim.metrics import COST_FIELDS, _fmt, ledger_costs
 
 
-def outcome(policy="MarkOnly", tick=0, cache_id=1, residual=8, slot=8, **costs):
+def outcome(tick=0, cache_id=1, residual=8, slot=8, **costs):
     return DeletionOutcome(
         cache_id=cache_id,
         tick=tick,
-        policy=policy,
         action="test",
         cost=LatencyLedger(**costs),
         residual_cells=residual,
@@ -62,9 +61,9 @@ def test_snapshot_delta():
 def test_record_deletion_accumulates_residuals():
     collector = collector_with(
         [
-            outcome("MarkOnly", residual=8),
-            outcome("EraseBased", residual=0),
-            outcome("DdnRandom", residual=1),
+            outcome(residual=8),
+            outcome(residual=0),
+            outcome(residual=1),
         ]
     )
     assert collector.invalidated_cells_total == 24
@@ -95,7 +94,7 @@ def _run(label, outcomes, fingerprint="f1"):
 
 
 def test_comparison_rows():
-    ddn = _run("DdnRandom", [outcome("DdnRandom", rd_us=49.0, wr_us=600.0, gen_us=100.0, residual=1)])
+    ddn = _run("DdnRandom", [outcome(rd_us=49.0, wr_us=600.0, gen_us=100.0, residual=1)])
     ddn.collector.ledger.charge_read(49)
     rows = comparison_rows([ddn])
     assert rows[0]["policy"] == "DdnRandom"
@@ -112,7 +111,7 @@ def test_comparison_rejects_mismatched_traces():
 
 
 def test_csv_layout_and_formatting():
-    ddn = _run("DdnRandom", [outcome("DdnRandom", rd_us=49.0, wr_us=600.0, gen_us=100.0, residual=1)])
+    ddn = _run("DdnRandom", [outcome(rd_us=49.0, wr_us=600.0, gen_us=100.0, residual=1)])
     text = render_comparison_csv([ddn])
     lines = text.splitlines()
     assert lines[0] == "POLICY,RD,WR,GEN,ERASE,GC,TOTAL_US,REMANENCE"
@@ -131,7 +130,7 @@ def test_fmt_numbers():
 def test_jsonl_keys_and_values():
     run = _run(
         "DdnRandom",
-        [outcome("DdnRandom", tick=3, cache_id=9, rd_us=49.0, wr_us=600.0, gen_us=100.0, residual=1)],
+        [outcome(tick=3, cache_id=9, rd_us=49.0, wr_us=600.0, gen_us=100.0, residual=1)],
     )
     text = render_deletions_jsonl([run])
     (line,) = text.strip().splitlines()
@@ -184,7 +183,7 @@ _costs = st.one_of(
 _counts = st.integers(0, 2**63)
 _records = st.builds(
     lambda tick, cache_id, costs, residual, slot: DeletionOutcome(
-        cache_id, tick, "", "test", LatencyLedger(*costs), residual, slot
+        cache_id, tick, "test", LatencyLedger(*costs), residual, slot
     ),
     _counts, _counts, st.tuples(*[_costs] * len(COST_FIELDS)), _counts, _counts,
 )

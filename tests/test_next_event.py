@@ -50,7 +50,7 @@ def _host(policy, t_secure, threshold, capacity, seed):
 
 def _evict_by_scan(host):
     victim = min(host.slots.items(), key=lambda kv: (kv[1].last_used, kv[0]))[0]
-    if host.slots[victim].dirty:
+    if victim in host._dirty:
         host._flush(victim, host.now)
     del host.slots[victim]
 
@@ -67,7 +67,7 @@ def _reference_apply(host, event):
         now = host.now
         for cid in sorted(
             cid for cid, slot in host.slots.items()
-            if slot.dirty and now - slot.last_used >= host.flush_idle_threshold
+            if cid in host._dirty and now - slot.last_used >= host.flush_idle_threshold
         ):
             host._flush(cid, now)
         if t_secure is not None:
@@ -99,7 +99,7 @@ def _event(ref, kind, pick, bits, ticks):
         cache_id = valid[pick % len(valid)] if pick % 2 and valid else pick % 10
         return TraceEvent("W", cache_id=cache_id, payload=_payload(bits))
     if kind == "U":
-        ids = sorted(set(ref.slots) | {cid for cid, _ in table.items()})
+        ids = sorted(set(ref.slots) | {cid for cid, _ in table._entries.items()})
     else:
         ids = valid
     if not ids:
@@ -143,6 +143,13 @@ steps = st.lists(
            ("T", 0, 0, 9)],
     policy="DdnRandom", threshold=3, t_secure=2, capacity=8, seed=1,
 )
+# a re-flushed copy goes to the back of the secure queue: line 2 (flushed at
+# tick 1) is due at tick 4, before line 0's second copy (tick 2) at tick 5
+@example(
+    trace=[("W", 0, 1, 0), ("F", 0, 0, 0), ("T", 0, 0, 1), ("W", 2, 2, 0), ("F", 0, 0, 0),
+           ("T", 0, 0, 1), ("W", 0, 3, 0), ("F", 0, 0, 0), ("T", 0, 0, 5)],
+    policy="DdnRandom", threshold=3, t_secure=3, capacity=8, seed=1,
+)
 @settings(max_examples=200, deadline=None)
 def test_next_event_clock_matches_per_tick_loop(
     trace, policy, threshold, t_secure, capacity, seed
@@ -174,8 +181,8 @@ def test_next_event_clock_matches_per_tick_loop(
         ]
 
     assert deletions(host) == deletions(ref)
-    assert dict(host.controller.device.cache_table.items()) == dict(
-        ref.controller.device.cache_table.items()
+    assert dict(host.controller.device.cache_table._entries.items()) == dict(
+        ref.controller.device.cache_table._entries.items()
     )
 
 
@@ -202,7 +209,7 @@ def test_idle_time_costs_one_step_per_due_tick(monkeypatch):
     table = host.controller.device.cache_table
     deletions = host.controller.collector.deletions
     assert [d.action for d in deletions] == ["secure-scrub"] * 3
-    due_ticks = {entry.written_at for _, entry in table.items()} | {d.tick for d in deletions}
+    due_ticks = {entry.written_at for _, entry in table._entries.items()} | {d.tick for d in deletions}
     assert due_ticks == {10, 15}
     # one step per due tick, plus one step to the end of each T event
     assert calls["flush_idle"] <= len(due_ticks) + 2

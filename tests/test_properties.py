@@ -141,7 +141,7 @@ def test_exactly_once_invalidation(actions, seed):
             expected_requests += 1
             nvm_valid.discard(cid)
     assert len(deletions) == expected_requests
-    assert {cid for cid, e in device.cache_table.items() if e.valid} == nvm_valid
+    assert {cid for cid, e in device.cache_table._entries.items() if e.valid} == nvm_valid
 
 
 @given(

