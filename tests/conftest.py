@@ -3,6 +3,7 @@ import random
 import pytest
 
 from ddnsim import (
+    DeletionPolicy,
     DeviceKind,
     Geometry,
     LatencyLedger,
@@ -52,9 +53,7 @@ def make_controller():
         )
         pol = parse_policy(policy)
         if t_secure is not None:
-            from dataclasses import replace
-
-            pol = replace(pol, t_secure=t_secure)
+            pol = DeletionPolicy(pol.kind, pol.fill, t_secure)
         return NvmController(device, pol, random.Random(seed), collector)
 
     return build

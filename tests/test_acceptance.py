@@ -7,6 +7,7 @@ Every test prints one PASS line with the measured values, so
 import random
 
 from ddnsim import (
+    DeletionPolicy,
     Geometry,
     LatencyLedger,
     LatencyParams,
@@ -25,13 +26,11 @@ from ddnsim import (
 
 
 def _controller(policy, geometry, seed=7, nop_limit=8, t_secure=None):
-    from dataclasses import replace
-
     ledger = LatencyLedger()
     device = NvmDevice(geometry=geometry, nop_limit=nop_limit, ledger=ledger)
     pol = parse_policy(policy)
     if t_secure is not None:
-        pol = replace(pol, t_secure=t_secure)
+        pol = DeletionPolicy(pol.kind, pol.fill, t_secure)
     return NvmController(device, pol, random.Random(seed), MetricsCollector(ledger))
 
 

@@ -112,6 +112,24 @@ def test_config_round_trip():
     assert parse_config_text(format_config(cfg)) == cfg
 
 
+def test_non_default_config_round_trips():
+    cfg = RunConfig(
+        seed=5, device_kind=DeviceKind.OVERWRITABLE, t_secure=3,
+        reclaim_invalid_slots=True, policies=(parse_policy("DdnNonRandom(Level=2)"),),
+    )
+    assert parse_config_text(format_config(cfg)) == cfg
+    assert parse_config_text(format_config(cfg)) != RunConfig(seed=5)
+
+
+def test_parse_config_text_leaves_its_base_unchanged():
+    base = RunConfig(seed=2, t_secure=4)
+    cfg = parse_config_text("blocks = 8\nseed = 9\npolicies = MarkOnly\n", base)
+    assert (cfg.blocks, cfg.seed, cfg.t_secure) == (8, 9, 4)
+    assert [p.label for p in cfg.policies] == ["MarkOnly"]
+    assert base == RunConfig(seed=2, t_secure=4)
+    assert format_config(base) == format_config(RunConfig(seed=2, t_secure=4))
+
+
 def test_run_policies_injects_t_secure():
     cfg = RunConfig(seed=1, t_secure=30)
     assert all(p.t_secure == 30 for p in cfg.run_policies())
@@ -130,6 +148,33 @@ def test_print_config_defaults(capsys):
     assert "t_erase_us = 4000" in out
     assert "bits_per_cell = 3" in out
     assert parse_config_text(out) == RunConfig()
+
+
+DEFAULT_CONFIG_TEXT = """\
+blocks = 256
+pages_per_block = 64
+cells_per_page = 16
+bits_per_cell = 3
+cells_per_cache_slot = 8
+device_kind = non-overwritable
+t_read_us = 49
+t_program_us = 600
+t_gen_us = 100
+t_erase_us = 4000
+nop_limit = 4
+flush_idle_threshold = 10
+dram_capacity = 65536
+t_secure = none
+reclaim_invalid_slots = false
+policies = MarkOnly,EraseBased,DdnRandom,DdnNonRandom(AllMax)
+seed = none
+out_format = csv
+"""
+
+
+def test_print_config_default_bytes(capsys):
+    assert main(["--print-config"]) == 0
+    assert capsys.readouterr() == (DEFAULT_CONFIG_TEXT, "")
 
 
 def test_print_config_reflects_overrides(tmp_path, capsys):

@@ -1,5 +1,4 @@
 import random
-from dataclasses import replace
 
 import pytest
 
@@ -38,12 +37,32 @@ def build(policy, seed=7, kind=DeviceKind.NON_OVERWRITABLE, nop_limit=4, t_secur
     device = NvmDevice(geometry=G3, kind=kind, nop_limit=nop_limit, ledger=ledger)
     pol = parse_policy(policy)
     if t_secure is not None:
-        pol = replace(pol, t_secure=t_secure)
+        pol = DeletionPolicy(pol.kind, pol.fill, t_secure)
     return NvmController(device, pol, random.Random(seed), collector)
 
 
 def invalidate(controller, cache_id, now=0):
     return controller.handle_invalidation(cache_id, now)
+
+
+def test_value_types_are_equal_and_hash_equal_by_value():
+    pairs = [
+        (DeletionPolicy(PolicyKind.DDN_NON_RANDOM, FillKind(2), 3),
+         DeletionPolicy(PolicyKind.DDN_NON_RANDOM, parse_policy("DdnNonRandom(2)").fill, 3)),
+        (DeletionPolicy(PolicyKind.DDN_NON_RANDOM), parse_policy("DdnNonRandom")),
+        (FillKind(2), FillKind(level=2)),
+        (FillKind(), ALL_MAX),
+        (Geometry(blocks=8), Geometry(blocks=8, bits_per_cell=3)),
+    ]
+    for a, b in pairs:
+        assert a is not b
+        assert a == b and not a != b
+        assert hash(a) == hash(b)
+    assert len({a for pair in pairs for a in pair}) == len(pairs)
+    assert DeletionPolicy(PolicyKind.DDN_RANDOM) != DeletionPolicy(PolicyKind.DDN_RANDOM, t_secure=2)
+    assert FillKind(2) != FillKind(3) != ALL_MAX
+    assert Geometry(blocks=8) != Geometry(blocks=16)
+    assert FillKind(2) != (2,)
 
 
 def test_parse_policy_names_and_labels():

@@ -12,13 +12,13 @@ import random
 import subprocess
 import sys
 import types
-from dataclasses import replace
 from pathlib import Path
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ddnsim import (
+    DeletionPolicy,
     DeviceError,
     Geometry,
     Host,
@@ -41,7 +41,7 @@ GEOMETRY = Geometry(
 def _host(policy, t_secure, threshold, capacity, seed):
     pol = parse_policy(policy)
     if t_secure is not None:
-        pol = replace(pol, t_secure=t_secure)
+        pol = DeletionPolicy(pol.kind, pol.fill, t_secure)
     ledger = LatencyLedger()
     device = NvmDevice(geometry=GEOMETRY, ledger=ledger)
     controller = NvmController(device, pol, random.Random(seed), MetricsCollector(ledger))
