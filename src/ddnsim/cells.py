@@ -14,7 +14,8 @@ are a per-cell ``randint``'s and reports byte-identical across CPython 3.10-3.13
 
 from random import Random
 from functools import cache
-from dataclasses import dataclass
+
+from .values import Value
 
 
 def max_level(bits_per_cell: int) -> int:
@@ -136,15 +137,17 @@ def gen_uniform_word(cells: int, bits_per_cell: int, rng: Random) -> bytes:
     return _redraw(bytes(cells), uniform, rng)
 
 
-@dataclass(frozen=True)
-class FillKind:
+class FillKind(Value):
     """Fixed overwrite pattern needing no random source.
 
     ``level is None`` means every cell goes to the maximum level for the
     target word's width; otherwise every cell goes to the given level.
     """
 
-    level: int | None = None
+    __slots__ = ("level",)
+
+    def __init__(self, level: int | None = None):
+        self.level = level
 
     @property
     def label(self) -> str:

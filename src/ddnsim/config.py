@@ -4,13 +4,12 @@ Defaults model a small 3-bit-per-cell NAND-like device with the stock page
 read/program, generation, and block-erase times (49 / 600 / 100 / 4000 us).
 """
 
-from dataclasses import dataclass, field, fields, replace
-
 from .cells import gen_fill_word, hex_digits
-from .controller import PolicyKind, parse_policy
+from .controller import DeletionPolicy, PolicyKind, parse_policy
 from .device import DeviceKind, Geometry, LatencyParams, NvmDevice
 from .host import Host
 from .metrics import _fmt
+from .values import Record
 
 
 class ConfigError(Exception):
@@ -18,76 +17,6 @@ class ConfigError(Exception):
 
 
 DEFAULT_POLICY_NAMES = ("MarkOnly", "EraseBased", "DdnRandom", "DdnNonRandom")
-
-
-def _default_policies():
-    return tuple(parse_policy(name) for name in DEFAULT_POLICY_NAMES)
-
-
-@dataclass
-class RunConfig:
-    blocks: int = 256
-    pages_per_block: int = 64
-    cells_per_page: int = 16
-    bits_per_cell: int = 3
-    cells_per_cache_slot: int = 8
-    device_kind: DeviceKind = DeviceKind.NON_OVERWRITABLE
-    t_read_us: float = 49.0
-    t_program_us: float = 600.0
-    t_gen_us: float = 100.0
-    t_erase_us: float = 4000.0
-    nop_limit: int = 4
-    flush_idle_threshold: int = 10
-    dram_capacity: int = 65536
-    t_secure: int | None = None
-    reclaim_invalid_slots: bool = False
-    policies: tuple = field(default_factory=_default_policies)
-    seed: int | None = None
-    out_format: str = "csv"
-
-    def geometry(self) -> Geometry:
-        return Geometry(
-            blocks=self.blocks,
-            pages_per_block=self.pages_per_block,
-            cells_per_page=self.cells_per_page,
-            bits_per_cell=self.bits_per_cell,
-            cells_per_cache_slot=self.cells_per_cache_slot,
-        )
-
-    def latency(self) -> LatencyParams:
-        return LatencyParams(
-            t_read_us=self.t_read_us,
-            t_program_us=self.t_program_us,
-            t_gen_us=self.t_gen_us,
-            t_erase_us=self.t_erase_us,
-        )
-
-    def run_policies(self) -> tuple:
-        """Policies with the global secure-mode limit applied."""
-        return tuple(replace(p, t_secure=self.t_secure) for p in self.policies)
-
-    def validate(self):
-        try:
-            self.geometry()
-            self.latency()
-            hex_digits(self.cells_per_cache_slot, self.bits_per_cell)
-            self.run_policies()
-            NvmDevice.check_settings(self.device_kind, self.nop_limit, self.reclaim_invalid_slots)
-            Host.check_settings(self.dram_capacity, self.flush_idle_threshold)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
-        if self.seed is None:
-            raise ConfigError("seed is required (wall-clock seeding is not allowed)")
-        if not self.policies:
-            raise ConfigError("at least one policy is required")
-        for policy in self.policies:
-            if policy.kind is PolicyKind.DDN_NON_RANDOM:
-                try:
-                    gen_fill_word(policy.fill, self.cells_per_cache_slot, self.bits_per_cell)
-                except ValueError as exc:
-                    raise ConfigError(f"{policy.label}: {exc}") from exc
-        if self.out_format not in ("csv", "jsonl"):
-            raise ConfigError(f"out_format must be csv or jsonl, got {self.out_format!r}")
 
 
 def _parse_int(value: str) -> int:
@@ -136,22 +65,82 @@ def parse_policies(value: str) -> tuple:
         raise ConfigError(str(exc)) from exc
 
 
-# A RunConfig field's type picks its parser, so a new key is one new field.
-_TYPE_PARSERS = {
-    int: _parse_int,
-    float: _parse_float,
-    bool: _parse_bool,
-    DeviceKind: _parse_device_kind,
-    int | None: _parse_optional_int,
-    tuple: parse_policies,
-    str: str,
-}
-_PARSERS = {f.name: _TYPE_PARSERS[f.type] for f in fields(RunConfig)}
+# One entry per config key, in ``format_config`` order: (name, default, parser
+# of the key's text). A new key is one new entry.
+_SCHEMA = (
+    ("blocks", 256, _parse_int),
+    ("pages_per_block", 64, _parse_int),
+    ("cells_per_page", 16, _parse_int),
+    ("bits_per_cell", 3, _parse_int),
+    ("cells_per_cache_slot", 8, _parse_int),
+    ("device_kind", DeviceKind.NON_OVERWRITABLE, _parse_device_kind),
+    ("t_read_us", 49.0, _parse_float),
+    ("t_program_us", 600.0, _parse_float),
+    ("t_gen_us", 100.0, _parse_float),
+    ("t_erase_us", 4000.0, _parse_float),
+    ("nop_limit", 4, _parse_int),
+    ("flush_idle_threshold", 10, _parse_int),
+    ("dram_capacity", 65536, _parse_int),
+    ("t_secure", None, _parse_optional_int),
+    ("reclaim_invalid_slots", False, _parse_bool),
+    ("policies", tuple(map(parse_policy, DEFAULT_POLICY_NAMES)), parse_policies),
+    ("seed", None, _parse_optional_int),
+    ("out_format", "csv", str),
+)
+_PARSERS = {name: parser for name, _, parser in _SCHEMA}
+
+
+class RunConfig(Record):
+    """Every setting of a run, one attribute per ``_SCHEMA`` key; keyword
+    arguments override the defaults."""
+
+    __slots__ = tuple(name for name, _, _ in _SCHEMA)
+
+    def __init__(self, **settings):
+        for name, default, _ in _SCHEMA:
+            setattr(self, name, settings.pop(name, default))
+        if settings:
+            raise TypeError(f"RunConfig got an unknown setting {next(iter(settings))!r}")
+
+    def geometry(self) -> Geometry:
+        return Geometry(self.blocks, self.pages_per_block, self.cells_per_page,
+                        self.bits_per_cell, self.cells_per_cache_slot)
+
+    def latency(self) -> LatencyParams:
+        return LatencyParams(self.t_read_us, self.t_program_us, self.t_gen_us, self.t_erase_us)
+
+    def run_policies(self) -> tuple:
+        """Policies with the global secure-mode limit applied."""
+        return tuple(DeletionPolicy(p.kind, p.fill, self.t_secure) for p in self.policies)
+
+    def validate(self):
+        try:
+            self.geometry()
+            self.latency()
+            hex_digits(self.cells_per_cache_slot, self.bits_per_cell)
+            self.run_policies()
+            NvmDevice.check_settings(self.device_kind, self.nop_limit, self.reclaim_invalid_slots)
+            Host.check_settings(self.dram_capacity, self.flush_idle_threshold)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
+        if self.seed is None:
+            raise ConfigError("seed is required (wall-clock seeding is not allowed)")
+        if not self.policies:
+            raise ConfigError("at least one policy is required")
+        for policy in self.policies:
+            if policy.kind is PolicyKind.DDN_NON_RANDOM:
+                try:
+                    gen_fill_word(policy.fill, self.cells_per_cache_slot, self.bits_per_cell)
+                except ValueError as exc:
+                    raise ConfigError(f"{policy.label}: {exc}") from exc
+        if self.out_format not in ("csv", "jsonl"):
+            raise ConfigError(f"out_format must be csv or jsonl, got {self.out_format!r}")
 
 
 def parse_config_text(text: str, base: RunConfig = None) -> RunConfig:
     """Apply ``key = value`` lines on top of a base config (defaults if none)."""
-    cfg = replace(base) if base is not None else RunConfig()
+    copied = {} if base is None else {name: getattr(base, name) for name in RunConfig.__slots__}
+    cfg = RunConfig(**copied)
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -196,5 +185,5 @@ def _fmt_value(value) -> str:
 
 def format_config(cfg: RunConfig) -> str:
     """Render a config in the same grammar parse_config_text accepts."""
-    lines = [f"{f.name} = {_fmt_value(getattr(cfg, f.name))}" for f in fields(cfg)]
+    lines = [f"{name} = {_fmt_value(getattr(cfg, name))}" for name, _, _ in _SCHEMA]
     return "\n".join(lines) + "\n"

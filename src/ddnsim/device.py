@@ -19,13 +19,12 @@ its entries by slot (see ``CacheTable``); at most one valid entry holds a slot.
 import heapq
 import math
 from enum import Enum
-from dataclasses import dataclass
-from functools import cached_property
 from operator import lt
-from typing import NamedTuple
+from collections import namedtuple
 
 from .cells import max_level as _max_level
 from .metrics import LatencyLedger
+from .values import Record, Value
 
 
 class DeviceError(Exception):
@@ -70,40 +69,30 @@ _STATUS = (PageStatus.FREE, PageStatus.PROGRAMMED)  # by the stored status byte
 _NAND = DeviceKind.NON_OVERWRITABLE  # looked up once: ~0.2 us through the class on 3.11
 
 
-@dataclass(frozen=True)
-class Geometry:
-    blocks: int = 256
-    pages_per_block: int = 64
-    cells_per_page: int = 16
-    bits_per_cell: int = 3
-    cells_per_cache_slot: int = 8
+class Geometry(Value):
+    """Device shape; ``__init__`` checks it and sets the derived sizes."""
 
-    def __post_init__(self):
-        for name in self.__dataclass_fields__:
+    __slots__ = ("blocks", "pages_per_block", "cells_per_page", "bits_per_cell",
+                 "cells_per_cache_slot", "slots_per_page", "slots_per_block",
+                 "total_slots", "max_level")
+
+    def __init__(self, blocks: int = 256, pages_per_block: int = 64, cells_per_page: int = 16,
+                 bits_per_cell: int = 3, cells_per_cache_slot: int = 8):
+        self.blocks, self.pages_per_block, self.cells_per_page = (
+            blocks, pages_per_block, cells_per_page)
+        self.bits_per_cell, self.cells_per_cache_slot = bits_per_cell, cells_per_cache_slot
+        for name in self.__slots__[:5]:
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
-        _max_level(self.bits_per_cell)  # raises unless bits_per_cell <= 8
-        if self.cells_per_page % self.cells_per_cache_slot:
+        self.max_level = _max_level(bits_per_cell)  # raises unless bits_per_cell <= 8
+        if cells_per_page % cells_per_cache_slot:
             raise ValueError(
-                f"cells_per_page ({self.cells_per_page}) must be a multiple of "
-                f"cells_per_cache_slot ({self.cells_per_cache_slot})"
+                f"cells_per_page ({cells_per_page}) must be a multiple of "
+                f"cells_per_cache_slot ({cells_per_cache_slot})"
             )
-
-    @cached_property
-    def slots_per_page(self) -> int:
-        return self.cells_per_page // self.cells_per_cache_slot
-
-    @cached_property
-    def slots_per_block(self) -> int:
-        return self.pages_per_block * self.slots_per_page
-
-    @cached_property
-    def total_slots(self) -> int:
-        return self.blocks * self.slots_per_block
-
-    @cached_property
-    def max_level(self) -> int:
-        return _max_level(self.bits_per_cell)
+        self.slots_per_page = cells_per_page // cells_per_cache_slot
+        self.slots_per_block = pages_per_block * self.slots_per_page
+        self.total_slots = blocks * self.slots_per_block
 
     def block_of(self, slot: int) -> int:
         """The block holding a slot."""
@@ -115,17 +104,16 @@ class Geometry:
 MAX_LATENCY_US = 1e12
 
 
-@dataclass(frozen=True)
-class LatencyParams:
+class LatencyParams(Value):
     """Per-operation device times in microseconds."""
 
-    t_read_us: float = 49.0
-    t_program_us: float = 600.0
-    t_gen_us: float = 100.0
-    t_erase_us: float = 4000.0
+    __slots__ = ("t_read_us", "t_program_us", "t_gen_us", "t_erase_us")
 
-    def __post_init__(self):
-        for name in ("t_read_us", "t_program_us", "t_gen_us", "t_erase_us"):
+    def __init__(self, t_read_us: float = 49.0, t_program_us: float = 600.0,
+                 t_gen_us: float = 100.0, t_erase_us: float = 4000.0):
+        self.t_read_us, self.t_program_us = t_read_us, t_program_us
+        self.t_gen_us, self.t_erase_us = t_gen_us, t_erase_us
+        for name in self.__slots__:
             us = getattr(self, name)
             if not (math.isfinite(us) and us >= 0):
                 raise ValueError(f"{name} must be finite and >= 0, got {us}")
@@ -138,20 +126,18 @@ class LatencyParams:
         return self.t_read_us + self.t_program_us
 
 
-class PageState(NamedTuple):
+class PageState(namedtuple("PageState", "cells status partial_program_count")):
     """A copy of one page's state, as ``NvmDevice.page`` reads it."""
 
-    cells: list
-    status: PageStatus
-    partial_program_count: int
+    __slots__ = ()
 
 
-@dataclass
-class CacheEntry:
-    addr: int
-    valid: bool
-    written_at: int
-    invalidated_at: int | None = None
+class CacheEntry(Record):
+    __slots__ = ("addr", "valid", "written_at", "invalidated_at")
+
+    def __init__(self, addr: int, valid: bool, written_at: int, invalidated_at: int | None = None):
+        self.addr, self.valid = addr, valid
+        self.written_at, self.invalidated_at = written_at, invalidated_at
 
 
 class CacheTable:

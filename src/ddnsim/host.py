@@ -22,10 +22,10 @@ Trace grammar, one event per line (``#`` starts a comment):
 
 import heapq
 from collections import OrderedDict
-from dataclasses import dataclass
 
 from .cells import word_from_hex
 from .controller import NvmController, ProtocolError
+from .values import Record
 
 
 class TraceError(Exception):
@@ -97,10 +97,11 @@ def parse_trace(text: str, cells_per_slot: int, bits_per_cell: int) -> list:
     return events
 
 
-@dataclass
-class DramSlot:
-    payload: bytes
-    last_used: int
+class DramSlot(Record):
+    __slots__ = ("payload", "last_used")
+
+    def __init__(self, payload: bytes, last_used: int):
+        self.payload, self.last_used = payload, last_used
 
 
 class Host:

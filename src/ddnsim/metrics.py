@@ -7,9 +7,9 @@ deletion log (JSON lines). All rendering is deterministic byte-for-byte for
 identical runs.
 """
 
-import json
 from operator import attrgetter
-from dataclasses import dataclass
+
+from .values import Record
 
 
 class ReportError(Exception):
@@ -23,8 +23,7 @@ _COST_GETTERS = tuple(map(attrgetter, COST_FIELDS))
 _cost = attrgetter("cost")
 
 
-@dataclass(slots=True)
-class LatencyLedger:
+class LatencyLedger(Record):
     """Device time in microseconds per operation category.
 
     The one cost type: a device charges its run's ledger, a deletion's cost
@@ -32,11 +31,12 @@ class LatencyLedger:
     policy's mean cost per deletion is a ledger as well.
     """
 
-    rd_us: float = 0.0
-    wr_us: float = 0.0
-    gen_us: float = 0.0
-    erase_us: float = 0.0
-    gc_us: float = 0.0
+    __slots__ = COST_FIELDS
+
+    def __init__(self, rd_us: float = 0.0, wr_us: float = 0.0, gen_us: float = 0.0,
+                 erase_us: float = 0.0, gc_us: float = 0.0):
+        self.rd_us, self.wr_us, self.gen_us = rd_us, wr_us, gen_us
+        self.erase_us, self.gc_us = erase_us, gc_us
 
     def charge_read(self, us: float):
         self.rd_us += us
@@ -93,13 +93,13 @@ class MetricsCollector:
         return LatencyLedger(*(sum(map(get, costs)) / n for get in _COST_GETTERS))
 
 
-@dataclass
 class PolicyRun:
     """One policy's finished run, keyed by the trace it replayed."""
 
-    label: str
-    collector: MetricsCollector
-    trace_fingerprint: str
+    __slots__ = ("label", "collector", "trace_fingerprint")
+
+    def __init__(self, label: str, collector: MetricsCollector, trace_fingerprint: str):
+        self.label, self.collector, self.trace_fingerprint = label, collector, trace_fingerprint
 
 
 def _fmt(x: float) -> str:
@@ -145,8 +145,10 @@ def render_deletions_jsonl(runs) -> str:
     ``residual_cells, slot_cells``, with ``json.dumps``'s separators. Each
     record is one f-string: ``json.dumps`` writes an int as ``str`` and a
     finite float as its shortest ``repr``, and latencies are bounded, so the
-    costs are finite.
+    costs are finite. ``json`` is imported here, so a CSV run never loads it.
     """
+    import json
+
     lines = []
     for r in runs:
         policy = json.dumps(r.label)

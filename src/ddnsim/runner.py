@@ -7,7 +7,6 @@ function of (config, trace, seed).
 
 import random
 import hashlib
-from dataclasses import dataclass
 from functools import cached_property
 
 from .cells import hex_digits
@@ -25,12 +24,12 @@ from .metrics import (
 )
 
 
-@dataclass
 class RunReport:
     """Every policy's run; the comparison rows and each report text are built
     on first access, so a run pays only for the format it reads."""
 
-    runs: list
+    def __init__(self, runs: list):
+        self.runs = runs
 
     @cached_property
     def rows(self) -> list:
