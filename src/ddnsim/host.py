@@ -118,6 +118,8 @@ class Host:
         self.capacity = capacity
         self.flush_idle_threshold = flush_idle_threshold
         self.slots = {}
+        # Every id a W or U has written: reclaim may drop a stale copy's entry.
+        self._written = set()
         # id -> last_used for dirty slots, oldest first: writes stamp the
         # never-decreasing clock and move the id to the end.
         self._dirty = OrderedDict()
@@ -152,8 +154,7 @@ class Host:
         if kind == "W":
             self._write(event.cache_id, event.payload)
         elif kind == "U":
-            known = event.cache_id in self.slots or self.controller.entry(event.cache_id)
-            if not known:
+            if event.cache_id not in self._written:
                 raise TraceError(f"U for unknown cache id {event.cache_id}", event.line)
             self._write(event.cache_id, event.payload)
             entry = self.controller.entry(event.cache_id)
@@ -193,6 +194,7 @@ class Host:
     # -- DRAM side ----------------------------------------------------------
 
     def _write(self, cache_id: int, payload: bytes):
+        self._written.add(cache_id)
         slot = self.slots.get(cache_id)
         if slot is None:
             if len(self.slots) >= self.capacity:

@@ -186,3 +186,23 @@ def test_finished_reclaim_device_is_freed_without_the_cycle_collector():
         assert freed() is None
     finally:
         gc.enable()
+
+
+def test_update_of_an_id_whose_stale_entry_reclaim_dropped(tmp_path, capsys):
+    """Reusing slot 0 drops id 0's invalid entry; ``U 0`` still updates a line
+    written before, so the run matches the device without reclaim."""
+    from ddnsim.cli import main
+
+    trace = tmp_path / "update.trace"
+    trace.write_text("W 0 0x000000\nF\nI 0\nW 1 0x000001\nF\nU 0 0x000002\n")
+    conf = tmp_path / "reclaim.conf"
+    conf.write_text(
+        "device_kind = overwritable\nreclaim_invalid_slots = true\n"
+        "dram_capacity = 1\npolicies = MarkOnly\n"
+    )
+    args = ["--trace", str(trace), "--seed", "1"]
+    assert main(["--config", str(conf), *args]) == 0
+    reclaimed = capsys.readouterr()
+    assert main([*args, "--policy", "MarkOnly"]) == 0
+    expected = "POLICY,RD,WR,GEN,ERASE,GC,TOTAL_US,REMANENCE\nMarkOnly,0,0,0,0,0,1200,1\n"
+    assert reclaimed == capsys.readouterr() == (expected, "")
