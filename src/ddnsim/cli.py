@@ -13,11 +13,22 @@ from .config import ConfigError, RunConfig, format_config, load_config, parse_po
 from .device import DeviceError
 from .host import TraceError, parse_trace
 from .runner import run, synthetic_trace
+from .values import ascii_number
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_TRACE = 3
 EXIT_DEVICE = 4
+
+
+def _number(kind):
+    """An argparse type reading ``kind`` as config files do: ASCII, no ``_``."""
+    def parse(text: str):
+        try:
+            return ascii_number(text, kind)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid {kind.__name__} value: {text!r}") from None
+    return parse
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -35,18 +46,18 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="NAME[,NAME...]",
         help="policies to run (MarkOnly, EraseBased, DdnRandom, DdnNonRandom[(fill)])",
     )
-    p.add_argument("--seed", type=int, help="deterministic RNG seed (required to run)")
+    p.add_argument("--seed", type=_number(int), help="deterministic RNG seed (required to run)")
     p.add_argument("--out", metavar="PATH", help="write the report here instead of stdout")
     p.add_argument("--format", dest="out_format", choices=("csv", "jsonl"))
     p.add_argument(
         "--synthetic",
-        type=int,
+        type=_number(int),
         metavar="N",
         help="generate a synthetic workload of N write/flush/update lines",
     )
     p.add_argument(
         "--update-ratio",
-        type=float,
+        type=_number(float),
         default=None,
         help="fraction of synthetic writes that get updated (default 1.0)",
     )

@@ -9,7 +9,7 @@ from .controller import DeletionPolicy, PolicyKind, parse_policy
 from .device import DeviceKind, Geometry, LatencyParams, NvmDevice
 from .host import Host
 from .metrics import _fmt
-from .values import Record
+from .values import Record, ascii_number
 
 
 class ConfigError(Exception):
@@ -21,14 +21,14 @@ DEFAULT_POLICY_NAMES = ("MarkOnly", "EraseBased", "DdnRandom", "DdnNonRandom")
 
 def _parse_int(value: str) -> int:
     try:
-        return int(value)
+        return ascii_number(value, int)
     except ValueError as exc:
         raise ConfigError(f"expected an integer, got {value!r}") from exc
 
 
 def _parse_float(value: str) -> float:
     try:
-        return float(value)
+        return ascii_number(value, float)
     except ValueError as exc:
         raise ConfigError(f"expected a number, got {value!r}") from exc
 

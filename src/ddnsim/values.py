@@ -38,5 +38,5 @@ def ascii_number(text: str, kind=int):
     """``kind(text)`` in the trace grammar's digits: ``int`` and ``float`` alone
     also read other scripts' digits (``٣``) and ``_`` separators."""
     if not text.isascii() or "_" in text:
-        raise ValueError(f"not an ASCII number: {text!r}")
+        raise ValueError(f"numbers take ASCII characters and no '_', got {text!r}")
     return kind(text)

@@ -280,6 +280,49 @@ def test_cli_rejects_non_ascii_digits(tmp_path, capsys, text, message):
     assert capsys.readouterr() == ("", f"ddnsim: trace error: {message}\n")
 
 
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        ("blocks = ٣٢", "blocks: expected an integer, got '٣٢'"),
+        ("nop_limit = 1_0", "nop_limit: expected an integer, got '1_0'"),
+        ("t_read_us = ٤٩", "t_read_us: expected a number, got '٤٩'"),
+        ("t_erase_us = 4_000.0", "t_erase_us: expected a number, got '4_000.0'"),
+        ("seed = ٣", "seed: expected an integer, got '٣'"),
+    ],
+)
+def test_config_numbers_are_ascii_without_underscores(tmp_path, capsys, line, message):
+    cfg_file = tmp_path / "digits.cfg"
+    cfg_file.write_text(line + "\n", encoding="utf-8")
+    assert main(["--config", str(cfg_file), "--print-config"]) == 2
+    assert capsys.readouterr() == ("", f"ddnsim: config error: line 1: {message}\n")
+
+
+@pytest.mark.parametrize("spec", ["DdnNonRandom(Level=٣)", "DdnNonRandom(٣)", "DdnNonRandom(Level=1_0)"])
+def test_policy_fill_levels_are_ascii_without_underscores(capsys, spec):
+    assert main(["--policy", spec, "--print-config"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("ddnsim: config error: numbers take ASCII")
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["--seed", "٣", "--synthetic", "5"], "argument --seed: invalid int value: '٣'"),
+        (["--seed", "1", "--synthetic", "٣"], "argument --synthetic: invalid int value: '٣'"),
+        (["--seed", "1_0", "--synthetic", "5"], "argument --seed: invalid int value: '1_0'"),
+        (["--seed", "1", "--synthetic", "5", "--update-ratio", "٠.٥"],
+         "argument --update-ratio: invalid float value: '٠.٥'"),
+        (["--seed", "x", "--synthetic", "5"], "argument --seed: invalid int value: 'x'"),
+    ],
+)
+def test_cli_numbers_are_ascii_without_underscores(capsys, args, message):
+    with pytest.raises(SystemExit) as exit_:
+        main(args)
+    assert exit_.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.endswith(f"ddnsim: error: {message}\n")
+
+
 def test_cli_device_full_exit_code(tmp_path, capsys):
     cfg_file = tmp_path / "tiny.cfg"
     cfg_file.write_text(
