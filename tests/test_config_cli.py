@@ -297,7 +297,9 @@ def test_config_numbers_are_ascii_without_underscores(tmp_path, capsys, line, me
     assert capsys.readouterr() == ("", f"ddnsim: config error: line 1: {message}\n")
 
 
-@pytest.mark.parametrize("spec", ["DdnNonRandom(Level=٣)", "DdnNonRandom(٣)", "DdnNonRandom(Level=1_0)"])
+@pytest.mark.parametrize(
+    "spec", ["DdnNonRandom(Level=٣)", "DdnNonRandom(٣)", "DdnNonRandom(Level=1_0)"]
+)
 def test_policy_fill_levels_are_ascii_without_underscores(capsys, spec):
     assert main(["--policy", spec, "--print-config"]) == 2
     out, err = capsys.readouterr()

@@ -59,7 +59,8 @@ def test_value_types_are_equal_and_hash_equal_by_value():
         assert a == b and not a != b
         assert hash(a) == hash(b)
     assert len({a for pair in pairs for a in pair}) == len(pairs)
-    assert DeletionPolicy(PolicyKind.DDN_RANDOM) != DeletionPolicy(PolicyKind.DDN_RANDOM, t_secure=2)
+    random_policy = DeletionPolicy(PolicyKind.DDN_RANDOM)
+    assert random_policy != DeletionPolicy(PolicyKind.DDN_RANDOM, t_secure=2)
     assert FillKind(2) != FillKind(3) != ALL_MAX
     assert Geometry(blocks=8) != Geometry(blocks=16)
     assert FillKind(2) != (2,)
