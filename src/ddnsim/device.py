@@ -14,9 +14,10 @@ holds each page's status, one each slot's occupancy, and a list holds each
 page's partial-program count. An erase is a slice assignment; GC moves runs of
 live pages into runs of free pages, a slice per run. The cache table indexes
 its entries by slot (see ``CacheTable``); at most one valid entry holds a slot.
+Reclaim allocation is one search of the table's holder mask, upward from a
+low-water mark below which every slot is held.
 """
 
-import heapq
 import math
 from enum import Enum
 from operator import lt
@@ -148,16 +149,16 @@ class CacheTable:
     ``bytearray`` searched at C speed, and ``_stale_at`` maps a slot to the
     invalid ids still pointing at it. At most one valid entry holds a slot:
     ``register`` and ``move`` refuse a second, and the device erases no block
-    a valid entry points into. ``on_release(addr)`` is called whenever a
-    valid entry stops holding its address, as the slot may be reusable now.
+    a valid entry points into. ``_low`` is a low-water mark for
+    ``first_unheld``: every slot below it is held.
     """
 
-    def __init__(self, total_slots: int, on_release=None):
+    def __init__(self, total_slots: int):
         self._entries = {}
         self._valid_at = [None] * total_slots
         self._held = bytearray(total_slots)
         self._stale_at = {}
-        self._on_release = on_release
+        self._low = 0
 
     def get(self, cache_id) -> CacheEntry | None:
         return self._entries.get(cache_id)
@@ -175,8 +176,8 @@ class CacheTable:
         """A valid entry stops holding entry.addr."""
         self._valid_at[entry.addr] = None
         self._held[entry.addr] = 0
-        if self._on_release is not None:
-            self._on_release(entry.addr)
+        if entry.addr < self._low:
+            self._low = entry.addr
 
     def register(self, cache_id: int, addr: int, now: int) -> CacheEntry:
         """Insert or replace the entry for cache_id as valid at addr; returns it."""
@@ -216,6 +217,12 @@ class CacheTable:
         """1 for each slot in [start, stop) a valid entry holds, else 0."""
         return self._held[start:stop]
 
+    def first_unheld(self) -> int:
+        """The lowest slot no valid entry holds, or -1 if every slot is held."""
+        slot = self._held.find(0, self._low)
+        self._low = len(self._held) if slot == -1 else slot
+        return slot
+
     def move(self, src: int, dst: int, n: int) -> bytearray:
         """Repoint the valid entries in slots [src, src + n) to the same
         places in [dst, dst + n), which must hold none; returns ``held`` of
@@ -225,6 +232,8 @@ class CacheTable:
         ids, mask = self._valid_at[src : src + n], self._held[src : src + n]
         self._valid_at[dst : dst + n], self._valid_at[src : src + n] = ids, [None] * n
         self._held[dst : dst + n], self._held[src : src + n] = mask, bytearray(n)
+        if src < self._low:
+            self._low = src
         for slot, cid in enumerate(ids, dst):
             if cid is not None:
                 self._entries[cid].addr = slot
@@ -233,24 +242,6 @@ class CacheTable:
     def valid_entries(self):
         """(cache_id, entry) pairs for valid entries, ascending cache_id."""
         return [(cid, e) for cid, e in sorted(self._entries.items()) if e.valid]
-
-
-class _ReclaimHeap:
-    """Min-heap of the slots that may have become reusable, each at most once.
-
-    The cache table's release hook is ``push`` on this object: a hook bound
-    to the device would tie device and table into a cycle that only the
-    cyclic garbage collector frees.
-    """
-
-    def __init__(self, total_slots: int):
-        self.heap = []
-        self.queued = bytearray(total_slots)  # 1 while the slot is in heap
-
-    def push(self, slot: int):
-        if not self.queued[slot]:
-            self.queued[slot] = 1
-            heapq.heappush(self.heap, slot)
 
 
 class NvmDevice:
@@ -288,22 +279,17 @@ class NvmDevice:
             self._program_counts = [0] * pages
             self._allocated = bytearray(g.total_slots)
             self.erase_counts = [0] * g.blocks
-            self._reusable = _ReclaimHeap(g.total_slots) if reclaim_invalid_slots else None
+            self.cache_table = CacheTable(g.total_slots)
+            n = g.pages_per_block  # an erase copies in these states of an erased block
+            self._erased = (bytearray(n * g.cells_per_page), bytearray(n), [0] * n,
+                            bytearray(n * g.slots_per_page))
         except (MemoryError, OverflowError) as exc:
             raise DeviceError(
                 f"cannot allocate a device of {pages * g.cells_per_page} cells "
                 f"({type(exc).__name__})"
             ) from exc
-        self.cache_table = CacheTable(
-            g.total_slots, self._reusable.push if reclaim_invalid_slots else None
-        )
         self._alloc_hint = 0
         self._dest_page_hint = 0
-        n = g.pages_per_block  # an erase copies in these states of an erased block
-        self._erased = (bytearray(n * g.cells_per_page), bytearray(n), [0] * n,
-                        bytearray(n * g.slots_per_page))
-        # Reclaim: the lowest slot the allocator has not yet handed out.
-        self._high_water = 0
 
     @staticmethod
     def check_settings(kind: DeviceKind, nop_limit: int, reclaim_invalid_slots: bool):
@@ -402,10 +388,6 @@ class NvmDevice:
         self._programmed[first : first + pages] = status
         self._program_counts[first : first + pages] = counts
         self._allocated[base : base + slots] = occupancy
-        if self.reclaim_invalid_slots:
-            # Unallocated slots at or above the high-water mark need no queueing.
-            for slot in range(base, min(base + slots, self._high_water)):
-                self._reusable.push(slot)
         self.erase_counts[block] += 1
         self._alloc_hint = min(self._alloc_hint, base)
         self.ledger.charge_erase(self.latency.t_erase_us)
@@ -503,26 +485,15 @@ class NvmDevice:
         raise DeviceFull("no writable slot available")
 
     def _allocate_with_reclaim(self) -> int:
-        # Every reusable slot is in the heap or unallocated at or above the
-        # high-water mark: a slot turns reusable only when its block is
-        # erased or a valid entry stops holding it, and both queue it. Stale
-        # heap items are dropped as they reach the top.
-        heap, queued = self._reusable.heap, self._reusable.queued
-        while heap and self.cache_table.held(heap[0], heap[0] + 1)[0]:
-            queued[heapq.heappop(heap)] = 0
-        total = self.geometry.total_slots
-        while self._high_water < total and self._allocated[self._high_water]:
-            self._high_water += 1
-        slot = min(heap[0] if heap else total, self._high_water)
-        if slot == total:
+        # A held slot is always allocated (a flush allocates before it
+        # registers, GC allocates what it moves in, and no held block is
+        # erased), so the lowest unheld slot is the lowest one to hand out.
+        slot = self.cache_table.first_unheld()
+        if slot == -1:
             raise DeviceFull("no writable slot available")
-        if slot == self._high_water:
-            self._high_water += 1
         if self._allocated[slot]:
             self.cache_table.drop_stale(slot)
         self._allocated[slot] = 1
-        # The slot stays reusable until a valid entry holds it.
-        self._reusable.push(slot)
         return slot
 
     # -- introspection ------------------------------------------------------

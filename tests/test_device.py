@@ -440,3 +440,16 @@ def test_reclaim_needs_overwritable_device(make_device):
 def test_nop_limit_must_be_non_negative(make_device):
     with pytest.raises(ValueError, match="nop_limit must be >= 0, got -1"):
         make_device(nop_limit=-1)
+
+
+def test_cache_table_that_cannot_be_allocated_is_a_device_error(monkeypatch):
+    # Running out of memory while building the cache table must end as a
+    # DeviceError (exit 4), not a MemoryError traceback. Raising it here
+    # takes no memory.
+    class NoMemoryTable:
+        def __init__(self, total_slots):
+            raise MemoryError
+
+    monkeypatch.setattr("ddnsim.device.CacheTable", NoMemoryTable)
+    with pytest.raises(DeviceError, match="cannot allocate"):
+        NvmDevice(geometry=SMALL)

@@ -100,7 +100,7 @@ TINY = Geometry(
 steps = st.lists(
     st.tuples(
         st.sampled_from(["write", "rewrite", "allocate", "invalidate", "gc", "erase"]),
-        st.integers(0, 7),
+        st.integers(0, 15),  # more ids than TINY has slots, so the device can fill
         st.integers(0, 15),
     ),
     max_size=60,
@@ -140,6 +140,10 @@ def _apply(device, op, n, level_bits, now):
 # GC moves two copies to a page above every slot handed out so far; the
 # allocator must skip that page when it gets there.
 @example([("write", 0, 1), ("write", 1, 2), ("gc", 0, 0)] + [("write", n, 3) for n in range(2, 7)])
+# Fill all 12 slots, fail to allocate, then reuse an invalidated slot.
+@example([("write", n, n) for n in range(12)]
+         + [("write", 12, 0), ("gc", 0, 0), ("invalidate", 3, 0), ("write", 12, 5),
+            ("write", 13, 1), ("allocate", 0, 0)])
 @settings(max_examples=300, deadline=None)
 def test_indexed_reclaim_matches_full_scan(program):
     device = NvmDevice(geometry=TINY, kind=DeviceKind.OVERWRITABLE, reclaim_invalid_slots=True)
@@ -151,6 +155,8 @@ def test_indexed_reclaim_matches_full_scan(program):
         assert device._allocated == reference._allocated
         assert dict(device.cache_table._entries.items()) == dict(reference.cache_table._entries.items())
         assert device._cells == reference._cells
+        table = device.cache_table
+        assert 0 not in table._held[: table._low], f"step {now}: unheld slot below the mark"
 
 
 def test_reclaim_replay_never_scans_the_table(monkeypatch):
@@ -167,9 +173,9 @@ def test_reclaim_replay_never_scans_the_table(monkeypatch):
 
 
 def test_finished_reclaim_device_is_freed_without_the_cycle_collector():
-    """The cache table's release hook holds no reference to the device, so a
-    device goes with its last reference instead of waiting for the cyclic
-    garbage collector."""
+    """The cache table holds no reference to the device, so a device goes
+    with its last reference instead of waiting for the cyclic garbage
+    collector."""
     device = NvmDevice(geometry=TINY, kind=DeviceKind.OVERWRITABLE, reclaim_invalid_slots=True)
     table = device.cache_table
     for cid in range(3):
@@ -186,6 +192,29 @@ def test_finished_reclaim_device_is_freed_without_the_cycle_collector():
         assert freed() is None
     finally:
         gc.enable()
+
+
+def test_reclaim_search_reads_each_slot_about_twice():
+    """Each allocation searches the holder mask from the low-water mark, so
+    registering n ids reads about 2n mask bytes in all; a search from slot 0
+    every time would read about n * n / 2."""
+
+    class CountingMask(bytearray):
+        read = 0
+
+        def find(self, sub, start=0, end=None):
+            stop = len(self) if end is None else min(end, len(self))
+            found = super().find(sub, start, stop)
+            CountingMask.read += (stop if found == -1 else found + 1) - start
+            return found
+
+    device = NvmDevice(kind=DeviceKind.OVERWRITABLE, reclaim_invalid_slots=True)
+    table = device.cache_table
+    table._held = CountingMask(table._held)
+    n = 4000
+    for cid in range(n):
+        table.register(cid, device.allocate_slot(), now=cid)
+    assert CountingMask.read <= 2 * n + 8
 
 
 def test_update_of_an_id_whose_stale_entry_reclaim_dropped(tmp_path, capsys):
