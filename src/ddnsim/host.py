@@ -55,7 +55,11 @@ def _parse_decimal(token: str, lineno: int,
     ``str.isdigit`` alone also takes ``²``, which ``int`` rejects, and ``٣``."""
     if not (token.isascii() and token.isdigit()):
         raise TraceError(error.format(token), lineno)
-    return int(token)
+    try:
+        return int(token)
+    except ValueError:  # longer than sys.get_int_max_str_digits()
+        raise TraceError(f"{len(token)}-digit number exceeds Python's integer string "
+                         "limit", lineno) from None
 
 
 def parse_trace(text: str, cells_per_slot: int, bits_per_cell: int) -> list:

@@ -94,11 +94,14 @@ class MetricsCollector:
 
 
 class PolicyRun:
-    """One policy's finished run, keyed by the trace it replayed."""
+    """One policy's finished run, optionally keyed by the trace it replayed:
+    runs built from separate replays can carry ``runner.trace_fingerprint``
+    so that ``comparison_rows`` refuses to compare different traces."""
 
     __slots__ = ("label", "collector", "trace_fingerprint")
 
-    def __init__(self, label: str, collector: MetricsCollector, trace_fingerprint: str):
+    def __init__(self, label: str, collector: MetricsCollector,
+                 trace_fingerprint: str | None = None):
         self.label, self.collector, self.trace_fingerprint = label, collector, trace_fingerprint
 
 

@@ -6,7 +6,6 @@ function of (config, trace, seed).
 """
 
 import random
-import hashlib
 from functools import cached_property
 
 from .cells import hex_digits
@@ -46,7 +45,13 @@ class RunReport:
 
 def trace_fingerprint(events) -> str:
     """sha256 of the canonical trace text: one line per event, the payload as
-    the hex of its cell levels (``W 3 0207...``, ``I 3``, ``T 10``, ``F``)."""
+    the hex of its cell levels (``W 3 0207...``, ``I 3``, ``T 10``, ``F``).
+
+    For callers that combine ``PolicyRun``s from separate replays. ``run``
+    does not need it, so ``hashlib`` (and OpenSSL) is imported only here.
+    """
+    import hashlib
+
     lines = [
         f"{e.kind} {e.cache_id} {e.payload.hex()}" if e.kind in ("W", "U")
         else f"{e.kind} {e.cache_id}" if e.kind in ("I", "D")
@@ -81,11 +86,13 @@ def run_policy(config: RunConfig, policy, events) -> MetricsCollector:
 
 
 def run(config: RunConfig, events) -> RunReport:
-    """Run every configured policy over the same events and build reports."""
+    """Run every configured policy over the same events and build reports.
+
+    The runs share one ``events`` list, so they replay the same trace by
+    construction and carry no fingerprint."""
     config.validate()
-    fingerprint = trace_fingerprint(events)
     runs = [
-        PolicyRun(policy.label, run_policy(config, policy, events), fingerprint)
+        PolicyRun(policy.label, run_policy(config, policy, events))
         for policy in config.run_policies()
     ]
     return RunReport(runs)

@@ -280,6 +280,33 @@ def test_cli_rejects_non_ascii_digits(tmp_path, capsys, text, message):
     assert capsys.readouterr() == ("", f"ddnsim: trace error: {message}\n")
 
 
+# CPython 3.11 (and 3.10.7) refuses int() on more digits than this; 0 means no limit.
+INT_DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+needs_int_digit_limit = pytest.mark.skipif(
+    INT_DIGIT_LIMIT == 0, reason="this Python has no integer string limit"
+)
+
+
+@needs_int_digit_limit
+@pytest.mark.parametrize("op", ["T", "I"])
+def test_cli_rejects_numbers_longer_than_the_int_digit_limit(tmp_path, capsys, op):
+    digits = INT_DIGIT_LIMIT + 1
+    trace = tmp_path / "long.trace"
+    trace.write_text(f"W 1 0x000001\n{op} {'1' * digits}\n")
+    assert main(["--seed", "1", "--trace", str(trace)]) == 3
+    message = f"line 2: {digits}-digit number exceeds Python's integer string limit"
+    assert capsys.readouterr() == ("", f"ddnsim: trace error: {message}\n")
+
+
+@needs_int_digit_limit
+def test_cli_takes_numbers_at_the_int_digit_limit(tmp_path, capsys):
+    big = "9" * INT_DIGIT_LIMIT
+    trace = tmp_path / "long.trace"
+    trace.write_text(f"W {big} 0x000001\nF\nT {big}\nI {big}\n")
+    assert main(["--seed", "1", "--trace", str(trace)]) == 0
+    assert capsys.readouterr().out.startswith("POLICY,RD,WR")
+
+
 @pytest.mark.parametrize(
     "line, message",
     [

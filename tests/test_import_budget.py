@@ -12,7 +12,7 @@ from pathlib import Path
 import ddnsim
 
 SRC = Path(ddnsim.__file__).parents[1]
-UNWANTED = ("dataclasses", "inspect", "json", "typing")
+UNWANTED = ("dataclasses", "hashlib", "inspect", "json", "typing")
 
 PROBE = """
 import sys

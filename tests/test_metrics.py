@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -12,8 +13,10 @@ from ddnsim import (
     ReportError,
     comparison_rows,
     parse_policy,
+    parse_trace,
     render_comparison_csv,
     render_deletions_jsonl,
+    trace_fingerprint,
 )
 from ddnsim.metrics import COST_FIELDS, _fmt, ledger_costs
 
@@ -108,6 +111,14 @@ def test_comparison_rejects_mismatched_traces():
         comparison_rows([_run("A", [], "f1"), _run("B", [], "f2")])
     with pytest.raises(ReportError):
         comparison_rows([])
+    # run() builds its runs from one events list and gives them no fingerprint.
+    unkeyed = [PolicyRun(label, collector_with([])) for label in ("A", "B")]
+    assert [r.trace_fingerprint for r in unkeyed] == [None, None]
+    assert [row["policy"] for row in comparison_rows(unkeyed)] == ["A", "B"]
+    # Runs from separate replays can still be keyed by trace_fingerprint.
+    events = parse_trace("W 1 0xABC\nF\nT 3\nU 1 0x123\nI 1\nD 1\n", 4, 3)
+    canonical = "W 1 05020704\nF\nT 3\nU 1 00040403\nI 1\nD 1\n"
+    assert trace_fingerprint(events) == hashlib.sha256(canonical.encode()).hexdigest()
 
 
 def test_csv_layout_and_formatting():
