@@ -117,8 +117,11 @@ def test_comparison_rejects_mismatched_traces():
     assert [row["policy"] for row in comparison_rows(unkeyed)] == ["A", "B"]
     # Runs from separate replays can still be keyed by trace_fingerprint.
     events = parse_trace("W 1 0xABC\nF\nT 3\nU 1 0x123\nI 1\nD 1\n", 4, 3)
+    fingerprint = trace_fingerprint(events)
     canonical = "W 1 05020704\nF\nT 3\nU 1 00040403\nI 1\nD 1\n"
-    assert trace_fingerprint(events) == hashlib.sha256(canonical.encode()).hexdigest()
+    assert fingerprint == hashlib.sha256(canonical.encode()).hexdigest()
+    keyed = [PolicyRun(label, collector_with([]), fingerprint) for label in ("A", "B")]
+    assert [row["policy"] for row in comparison_rows(keyed)] == ["A", "B"]
 
 
 def test_csv_layout_and_formatting():
