@@ -15,7 +15,7 @@ once it has sat in NVM for that many ticks.
 
 import re
 from enum import Enum
-from operator import eq
+from operator import eq, sub
 from collections import OrderedDict
 
 from .cells import (
@@ -157,6 +157,7 @@ class NvmController:
         # flush first: flushes stamp the never-decreasing clock and move the id
         # to the end, and a scrub removes it.
         self._resident = OrderedDict()
+        self._costs = {}  # spent-cost tuple -> the ledger all such deletions share
 
     # -- host-facing --------------------------------------------------------
 
@@ -264,7 +265,12 @@ class NvmController:
                 dev.garbage_collect(dev.geometry.block_of(addr))
             except NoFreePages as exc:
                 error = str(exc)
-        cost = dev.ledger.since(before)
+        # Float == would merge 0.0 with -0.0, but the ledger never decreases,
+        # so x - x is +0.0, and latencies are finite: sharing moves no byte.
+        spent = tuple(map(sub, ledger_costs(dev.ledger), before))
+        cost = self._costs.get(spent)
+        if cost is None:
+            cost = self._costs[spent] = LatencyLedger(*spent)
         if dev.page_status(addr) is _FREE:
             residual = 0
         else:

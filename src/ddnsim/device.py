@@ -192,11 +192,6 @@ class CacheTable:
         self._held[addr] = 1
         return entry
 
-    def drop(self, cache_id: int):
-        entry = self._entries.pop(cache_id, None)
-        if entry is not None:
-            self._forget(cache_id, entry)
-
     def drop_stale(self, addr: int):
         """Forget every invalid entry pointing at addr."""
         for cid in self._stale_at.pop(addr, ()):
@@ -500,7 +495,3 @@ class NvmDevice:
 
     def free_page_count(self) -> int:
         return self._programmed.count(0)
-
-    def valid_payloads(self) -> dict:
-        """cache_id -> stored word for every valid entry (no latency charge)."""
-        return {cid: self.peek_slot(e.addr) for cid, e in self.cache_table.valid_entries()}

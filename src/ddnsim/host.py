@@ -16,10 +16,11 @@ Trace grammar, one event per line (``#`` starts a comment):
     T <n>                 advance time n ticks
     F                     flush all dirty lines now
 
-``<id>`` and ``<n>`` are ASCII decimal digits; ``<hexpayload>`` is
-0x-prefixed hex exactly as wide as one cache slot.
+``<id>`` and ``<n>`` are ASCII decimal digits, the ``<n>`` adding up to no more
+digits than ``int`` takes; ``<hexpayload>`` is 0x-prefixed hex exactly one cache slot wide.
 """
 
+import sys
 import heapq
 from collections import OrderedDict
 
@@ -67,6 +68,10 @@ def parse_trace(text: str, cells_per_slot: int, bits_per_cell: int) -> list:
     events = []
     append = events.append
     written = set()
+    # The clock sums the T counts; past the int digit limit (0: none) no report
+    # could write a tick. Compare to 10 ** limit: len(str(end)) is quadratic.
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    end, end_bound = 0, 10 ** limit if limit else float("inf")
     for lineno, line in enumerate(text.splitlines(), start=1):
         parts = line.split()
         if not parts or parts[0][0] == "#":
@@ -95,6 +100,9 @@ def parse_trace(text: str, cells_per_slot: int, bits_per_cell: int) -> list:
         elif op == "T":
             token = parts[1] if len(parts) == 2 else ""
             ticks = _parse_decimal(token, lineno, "T needs a non-negative tick count")
+            end += ticks
+            if end >= end_bound:
+                raise TraceError("T counts add up past Python's integer string limit", lineno)
             append(TraceEvent("T", None, None, ticks, lineno))
         else:
             raise TraceError(f"unknown event {op!r}", lineno)

@@ -27,8 +27,9 @@ class LatencyLedger(Record):
     """Device time in microseconds per operation category.
 
     The one cost type: a device charges its run's ledger, a deletion's cost
-    is the ledger ``since`` the ``ledger_costs`` taken before it, and a
-    policy's mean cost per deletion is a ledger as well.
+    is the ledger's difference across it, and a policy's mean cost per
+    deletion is a ledger as well. Deletions of equal cost share one cost
+    ledger, so it is read-only: nothing charges it.
     """
 
     __slots__ = COST_FIELDS
@@ -56,12 +57,6 @@ class LatencyLedger(Record):
     @property
     def total_us(self) -> float:
         return self.rd_us + self.wr_us + self.gen_us + self.erase_us + self.gc_us
-
-    def since(self, before: tuple) -> "LatencyLedger":
-        """What was charged after ``before``, an earlier ``ledger_costs(self)``."""
-        rd, wr, gen, erase, gc = before
-        return LatencyLedger(self.rd_us - rd, self.wr_us - wr, self.gen_us - gen,
-                             self.erase_us - erase, self.gc_us - gc)
 
 
 class MetricsCollector:

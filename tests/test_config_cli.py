@@ -10,6 +10,7 @@ from ddnsim import (
     ConfigError,
     DeviceKind,
     RunConfig,
+    TraceError,
     format_config,
     parse_config_text,
     parse_policy,
@@ -305,6 +306,40 @@ def test_cli_takes_numbers_at_the_int_digit_limit(tmp_path, capsys):
     trace.write_text(f"W {big} 0x000001\nF\nT {big}\nI {big}\n")
     assert main(["--seed", "1", "--trace", str(trace)]) == 0
     assert capsys.readouterr().out.startswith("POLICY,RD,WR")
+
+
+@needs_int_digit_limit
+@pytest.mark.parametrize("out_format", ["csv", "jsonl"])
+def test_cli_rejects_tick_totals_longer_than_the_int_digit_limit(tmp_path, capsys, out_format):
+    """Each T is in range, but the clock they add up to has more digits than
+    the JSONL log could write; both formats reject the trace."""
+    big = "9" * INT_DIGIT_LIMIT
+    trace = tmp_path / "long.trace"
+    trace.write_text(f"W 1 0x000001\nF\nT {big}\nT {big}\nI 1\n")
+    assert main(["--seed", "1", "--trace", str(trace), "--format", out_format]) == 3
+    message = "line 4: T counts add up past Python's integer string limit"
+    assert capsys.readouterr() == ("", f"ddnsim: trace error: {message}\n")
+
+
+@needs_int_digit_limit
+def test_cli_writes_a_tick_total_at_the_int_digit_limit(tmp_path, capsys):
+    last = 10**INT_DIGIT_LIMIT - 1
+    trace = tmp_path / "long.trace"
+    trace.write_text(f"W 1 0x000001\nF\nT {last - 1}\nT 1\nI 1\n")
+    assert main(["--seed", "1", "--trace", str(trace), "--format", "jsonl"]) == 0
+    assert capsys.readouterr().out.startswith(f'{{"tick": {last}, "cache_id": 1')
+
+
+@pytest.mark.parametrize("limit, bounded", [(3, True), (0, False)])
+def test_tick_total_bound_follows_the_int_digit_limit(monkeypatch, limit, bounded):
+    """The T counts may add up to ``limit`` digits; a limit of 0 bounds nothing."""
+    monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: limit, raising=False)
+    assert len(parse_trace("T 998\nT 1\n", 4, 3)) == 2
+    if bounded:
+        with pytest.raises(TraceError, match="line 2: T counts add up past"):
+            parse_trace("T 999\nT 1\n", 4, 3)
+    else:
+        assert len(parse_trace("T 999\nT 1\n", 4, 3)) == 2
 
 
 @pytest.mark.parametrize(

@@ -1,4 +1,6 @@
+import gc
 import random
+import tracemalloc
 
 import pytest
 
@@ -17,8 +19,13 @@ from ddnsim import (
     PolicyKind,
     ProtocolError,
     TraceEvent,
+    parse_config_text,
     parse_policy,
+    parse_trace,
+    run,
+    synthetic_trace,
 )
+from ddnsim.metrics import ledger_costs
 
 # 3-cell slots, 2 slots per page
 G3 = Geometry(
@@ -296,3 +303,46 @@ def test_secure_scrub_overwrites_even_under_mark_only():
     post = controller.device.peek_slot(addr)
     assert all(level >= 1 for level in post)
     assert outcome.residual_cells == 0
+
+
+def _synthetic_events(config_text, count):
+    cfg = parse_config_text(config_text)
+    text = synthetic_trace(count, 1.0, cfg.seed, cfg.cells_per_cache_slot, cfg.bits_per_cell)
+    return cfg, parse_trace(text, cfg.cells_per_cache_slot, cfg.bits_per_cell)
+
+
+def test_deletions_of_equal_cost_share_one_cost_object():
+    """One cost object per distinct cost tuple within a run, even where the
+    ledger differences of one action vary in the last bit."""
+    cfg, events = _synthetic_events(
+        "seed = 1\nt_read_us = 0.1\nt_program_us = 0.3\nt_gen_us = 0.7\n"
+        "t_erase_us = 3.3\nnop_limit = 1\n", 300
+    )
+    report = run(cfg, events)
+    for policy_run in report.runs:
+        deletions = policy_run.collector.deletions
+        shared = {}
+        for d in deletions:
+            assert shared.setdefault(ledger_costs(d.cost), d.cost) is d.cost
+        assert len({id(d.cost) for d in deletions}) == len(shared)
+    erase_based = report.runs[1].collector.deletions
+    assert {d.action for d in erase_based} == {"gc-erase"}
+    assert len({ledger_costs(d.cost) for d in erase_based}) > 1
+
+
+def test_deletion_records_retain_little_memory():
+    """With shared cost objects a deletion record keeps about its own slots
+    (about 105 B on CPython 3.11); a fresh ledger per record kept about 297 B."""
+    cfg, events = _synthetic_events("seed = 1\n", 1500)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        report = run(cfg, events)
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    records = sum(len(r.collector.deletions) for r in report.runs)
+    assert records == 4 * 1500
+    assert retained / records <= 200

@@ -56,7 +56,6 @@ class ReferenceGcDevice(NvmDevice):
                         src * width : (src + 1) * width
                     ]
                     self._allocated[dst] = 1
-                    table.drop(cid)
                     table.register(cid, dst, entry.written_at)
                 self._programmed[dst_page] = 1
                 self.ledger.charge_gc_migration(self.latency.gc_migration_per_page_us)
@@ -328,7 +327,8 @@ def test_a_fully_live_block_moves_as_one_run(calls):
     device.garbage_collect(0)
     assert calls["move"] == [(0, 128, 128)]
     assert calls["charge"] == 64
-    assert device.valid_payloads() == words
+    table = device.cache_table
+    assert {cid: device.peek_slot(e.addr) for cid, e in table.valid_entries()} == words
     assert device.erase_counts[0] == 1
 
 

@@ -130,6 +130,18 @@ CASES = {
         "a2cb2c4020cf3e154a3ef415d682a0030c3236909aa39348915db578aeaf6c0e",
         "7a52e04b8295697aacd0f40afe24d52dd5bd3819ab5271c1f3d8ca9c4574b98c",
     ),
+    # Fractional latencies: ledger differences of one action vary in the last
+    # bit, so deletions share a cost object only when every bit agrees.
+    "fractional-latency": (
+        "seed = 1\nt_read_us = 0.1\nt_program_us = 0.3\nt_gen_us = 0.7\n"
+        "t_erase_us = 3.3\nnop_limit = 1\n",
+        lambda cfg: synthetic_trace(
+            300, 1.0, cfg.seed, cfg.cells_per_cache_slot, cfg.bits_per_cell
+        ),
+        {"mark-only", "gc-erase", "ddn-overwrite", "erase-fallback"},
+        "65860e87f57e10c53b2508e55d23612ce41e6230451dabe843523b32331bfe77",
+        "8f491dfca52175ce77856856a524af1ccf7eac9396d07b84075d21e88538285f",
+    ),
 }
 
 

@@ -227,7 +227,7 @@ def test_capacity_eviction_flushes_dirty_lru(make_controller):
     entry = host.controller.entry(1)
     assert entry is not None and entry.valid
     # the evicted payload is still readable through the NVM copy
-    assert host.controller.device.valid_payloads()[1] == word_from_hex("0x111", 4, 3)
+    assert host.controller.device.peek_slot(entry.addr) == word_from_hex("0x111", 4, 3)
 
 
 def test_update_after_eviction_reinserts_and_invalidates(make_controller):
@@ -245,7 +245,7 @@ def test_dram_is_authoritative(host):
     host.apply_event(ev_u(5, "0xBBB"))
     assert host.slots[5].payload == word_from_hex("0xBBB", 4, 3)
     # the flushed copy went invalid, so DRAM holds the only live payload
-    assert host.controller.device.valid_payloads() == {}
+    assert host.controller.device.cache_table.valid_entries() == []
 
 
 def test_secure_scrub_through_trace(make_controller):

@@ -85,7 +85,7 @@ class ScanDevice(NvmDevice):
                 if any(entry.valid for _, entry in held):
                     continue
                 for cid, _ in held:
-                    self.cache_table.drop(cid)
+                    self.cache_table._forget(cid, self.cache_table._entries.pop(cid))
             self._allocated[slot] = True
             return slot
         raise DeviceFull("no writable slot available")
@@ -184,7 +184,7 @@ def test_finished_reclaim_device_is_freed_without_the_cycle_collector():
         table.register(cid, addr, now=0)
     table.invalidate(0, now=1)
     table.register(1, device.allocate_slot(), now=2)
-    table.drop(2)
+    table._forget(2, table._entries.pop(2))
     freed = weakref.ref(device)
     gc.disable()
     try:
