@@ -15,7 +15,7 @@ once it has sat in NVM for that many ticks.
 
 import re
 from enum import Enum
-from operator import eq, sub
+from operator import eq
 from collections import OrderedDict
 
 from .cells import (
@@ -245,7 +245,8 @@ class NvmController:
         pre = dev.peek_slot(addr)
         dev.cache_table.invalidate(cache_id, now)
         self._resident.pop(cache_id, None)
-        before = ledger_costs(dev.ledger)
+        ledger = dev.ledger
+        rd, wr, gen, erase, gc = ledger_costs(ledger)
         fallback, error = False, None
         if secure or self._overwrites:
             action = "secure-scrub" if secure else "ddn-overwrite"
@@ -267,7 +268,8 @@ class NvmController:
                 error = str(exc)
         # Float == would merge 0.0 with -0.0, but the ledger never decreases,
         # so x - x is +0.0, and latencies are finite: sharing moves no byte.
-        spent = tuple(map(sub, ledger_costs(dev.ledger), before))
+        spent = (ledger.rd_us - rd, ledger.wr_us - wr, ledger.gen_us - gen,
+                 ledger.erase_us - erase, ledger.gc_us - gc)
         cost = self._costs.get(spent)
         if cost is None:
             cost = self._costs[spent] = LatencyLedger(*spent)

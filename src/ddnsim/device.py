@@ -490,8 +490,3 @@ class NvmDevice:
             self.cache_table.drop_stale(slot)
         self._allocated[slot] = 1
         return slot
-
-    # -- introspection ------------------------------------------------------
-
-    def free_page_count(self) -> int:
-        return self._programmed.count(0)

@@ -68,7 +68,7 @@ def test_address_errors(make_device):
         with pytest.raises(AddressError):
             device.program_slot(addr, w(1, 1, 1, 1))
     assert device.ledger.total_us == 0
-    assert device.free_page_count() == SMALL.blocks * SMALL.pages_per_block
+    assert device._programmed.count(0) == SMALL.blocks * SMALL.pages_per_block
     with pytest.raises(AddressError):
         device.erase_block(4)
 

@@ -3,8 +3,9 @@
 Each case exercises a different path of the simulator (plain W/F/U replay,
 secure mode with idle flushes and I/D requests, flushes and scrubs on the
 same tick across zero, one-tick and long time gaps, slot reclaim with LRU
-eviction, NAND erase fallback). A refactor that claims to keep behaviour
-must keep these hashes; a deliberate change of report bytes updates them.
+eviction, NAND erase fallback, fractional latencies). A refactor that claims
+to keep behaviour must keep these hashes; a deliberate change of report bytes
+updates them.
 """
 
 import random
@@ -24,6 +25,11 @@ def _payload(rng, cfg):
 def _readme_synthetic(cfg):
     """The README's ``--synthetic`` command, shortened to 200 writes."""
     return synthetic_trace(200, 1.0, cfg.seed, cfg.cells_per_cache_slot, cfg.bits_per_cell)
+
+
+def _synthetic_300(cfg):
+    """``--synthetic 300`` at the config's seed."""
+    return synthetic_trace(300, 1.0, cfg.seed, cfg.cells_per_cache_slot, cfg.bits_per_cell)
 
 
 def _secure_trace(cfg):
@@ -135,9 +141,7 @@ CASES = {
     "fractional-latency": (
         "seed = 1\nt_read_us = 0.1\nt_program_us = 0.3\nt_gen_us = 0.7\n"
         "t_erase_us = 3.3\nnop_limit = 1\n",
-        lambda cfg: synthetic_trace(
-            300, 1.0, cfg.seed, cfg.cells_per_cache_slot, cfg.bits_per_cell
-        ),
+        _synthetic_300,
         {"mark-only", "gc-erase", "ddn-overwrite", "erase-fallback"},
         "65860e87f57e10c53b2508e55d23612ce41e6230451dabe843523b32331bfe77",
         "8f491dfca52175ce77856856a524af1ccf7eac9396d07b84075d21e88538285f",
