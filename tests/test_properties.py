@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
 from ddnsim import (
+    DeviceKind,
     Geometry,
     Host,
     LatencyLedger,
@@ -18,6 +19,7 @@ from ddnsim import (
     NvmController,
     NvmDevice,
     RunConfig,
+    TraceError,
     TraceEvent,
     parse_config_text,
     parse_policy,
@@ -142,6 +144,63 @@ def test_exactly_once_invalidation(actions, seed):
             nvm_valid.discard(cid)
     assert len(deletions) == expected_requests
     assert {cid for cid, e in device.cache_table._entries.items() if e.valid} == nvm_valid
+
+
+# 64 slots: more than a 40-event trace can flush, so no device fills.
+U_RULE_GEOMETRY = Geometry(
+    blocks=8, pages_per_block=4, cells_per_page=4, bits_per_cell=2,
+    cells_per_cache_slot=2,
+)
+U_RULE_DEVICES = {
+    "nand": {},
+    "overwritable-reclaim": {"kind": DeviceKind.OVERWRITABLE, "reclaim_invalid_slots": True},
+}
+
+
+@given(
+    device=st.sampled_from(sorted(U_RULE_DEVICES)),
+    policy=st.sampled_from(["MarkOnly", "EraseBased", "DdnRandom"]),
+    capacity=st.integers(1, 3),
+    threshold=st.integers(0, 3),
+    events=st.lists(
+        st.tuples(st.sampled_from("WUIFT"), st.integers(0, 4), tiny_words),
+        min_size=1,
+        max_size=40,
+    ),
+)
+@settings(max_examples=150, deadline=None)
+def test_update_is_refused_exactly_for_ids_never_written(
+    device, policy, capacity, threshold, events
+):
+    """A hand-built ``U`` names a line some ``W`` or ``U`` wrote before, or it
+    is a trace error, whatever the DRAM has evicted and reclaim has reused."""
+    ledger = LatencyLedger()
+    nvm = NvmDevice(geometry=U_RULE_GEOMETRY, ledger=ledger, **U_RULE_DEVICES[device])
+    controller = NvmController(
+        nvm, parse_policy(policy), random.Random(0), MetricsCollector(ledger)
+    )
+    host = Host(controller, capacity=capacity, flush_idle_threshold=threshold)
+    written = set()
+    for line, (op, cid, word) in enumerate(events, start=1):
+        if op in "WU":
+            event = TraceEvent(op, cache_id=cid, payload=word, line=line)
+        elif op == "I":
+            event = TraceEvent("I", cache_id=cid, line=line)
+        elif op == "T":
+            event = TraceEvent("T", ticks=cid, line=line)
+        else:
+            event = TraceEvent("F", line=line)
+        if op == "U" and cid not in written:
+            with pytest.raises(TraceError, match=f"^line {line}: U for unknown cache id {cid}$"):
+                host.apply_event(event)
+            continue
+        try:
+            host.apply_event(event)
+        except TraceError as exc:
+            assert op == "I", exc  # no flushed copy, or already invalid
+            assert "U for unknown cache id" not in str(exc)
+        if op in "WU":
+            written.add(cid)
 
 
 @given(
