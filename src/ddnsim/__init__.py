@@ -41,7 +41,6 @@ from .device import (
     NvmDevice,
     PageState,
     PageStatus,
-    UnknownCacheId,
 )
 from .host import DramSlot, Host, TraceError, TraceEvent, parse_trace
 from .metrics import (

@@ -243,7 +243,7 @@ class NvmController:
         dev = self.device
         addr = entry.addr
         pre = dev.peek_slot(addr)
-        dev.cache_table.invalidate(cache_id, now)
+        dev.cache_table.invalidate(cache_id)
         self._resident.pop(cache_id, None)
         ledger = dev.ledger
         rd, wr, gen, erase, gc = ledger_costs(ledger)
@@ -255,7 +255,7 @@ class NvmController:
             except NopExceeded:
                 # Out of in-place reprogram budget: physically delete instead.
                 action, fallback = "erase-fallback", True
-            except (MonotoneViolation, NoFreePages) as exc:
+            except MonotoneViolation as exc:
                 error = str(exc)
         elif self._erases:
             action = "gc-erase"

@@ -52,10 +52,6 @@ class DeviceFull(DeviceError):
     """Slot allocation found no writable slot anywhere."""
 
 
-class UnknownCacheId(DeviceError):
-    """Cache table lookup for an id that was never registered."""
-
-
 class DeviceKind(Enum):
     OVERWRITABLE = "overwritable"
     NON_OVERWRITABLE = "non-overwritable"
@@ -134,20 +130,20 @@ class PageState(namedtuple("PageState", "cells status partial_program_count")):
 
 
 class CacheEntry(Record):
-    __slots__ = ("addr", "valid", "written_at", "invalidated_at")
+    __slots__ = ("addr", "valid", "written_at")
 
-    def __init__(self, addr: int, valid: bool, written_at: int, invalidated_at: int | None = None):
-        self.addr, self.valid = addr, valid
-        self.written_at, self.invalidated_at = written_at, invalidated_at
+    def __init__(self, addr: int, valid: bool, written_at: int):
+        self.addr, self.valid, self.written_at = addr, valid, written_at
 
 
 class CacheTable:
-    """cache_id -> physical slot, valid/invalid bit, timestamps.
+    """cache_id -> physical slot, valid/invalid bit, flush tick.
 
+    Each flushed id keeps its last entry for the whole run, valid or invalid;
+    an invalid entry may name a slot that another id's copy has since reused.
     Slot indexes spare callers a table scan: ``_valid_at`` lists each slot's
-    one valid cache_id or ``None``, ``_held`` marks the same slots in a
-    ``bytearray`` searched at C speed, and ``_stale_at`` maps a slot to the
-    invalid ids still pointing at it. At most one valid entry holds a slot:
+    one valid cache_id or ``None``, and ``_held`` marks the same slots in a
+    ``bytearray`` searched at C speed. At most one valid entry holds a slot:
     ``register`` and ``move`` refuse a second, and the device erases no block
     a valid entry points into. ``_low`` is a low-water mark for
     ``first_unheld``: every slot below it is held.
@@ -157,20 +153,10 @@ class CacheTable:
         self._entries = {}
         self._valid_at = [None] * total_slots
         self._held = bytearray(total_slots)
-        self._stale_at = {}
         self._low = 0
 
     def get(self, cache_id) -> CacheEntry | None:
         return self._entries.get(cache_id)
-
-    def _forget(self, cache_id: int, entry: CacheEntry):
-        if entry.valid:
-            self._release(entry)
-        else:
-            ids = self._stale_at[entry.addr]
-            ids.discard(cache_id)
-            if not ids:
-                del self._stale_at[entry.addr]
 
     def _release(self, entry: CacheEntry):
         """A valid entry stops holding entry.addr."""
@@ -185,28 +171,19 @@ class CacheTable:
         if holder is not None and holder != cache_id:
             raise DeviceError(f"slot {addr} already holds valid cache_id {holder}")
         old = self._entries.get(cache_id)
-        if old is not None:
-            self._forget(cache_id, old)
+        if old is not None and old.valid:
+            self._release(old)
         entry = self._entries[cache_id] = CacheEntry(addr, True, now)
         self._valid_at[addr] = cache_id
         self._held[addr] = 1
         return entry
 
-    def drop_stale(self, addr: int):
-        """Forget every invalid entry pointing at addr."""
-        for cid in self._stale_at.pop(addr, ()):
-            del self._entries[cid]
-
-    def invalidate(self, cache_id: int, now: int):
-        """Clear the valid bit; a second call keeps the first timestamp."""
-        entry = self._entries.get(cache_id)
-        if entry is None:
-            raise UnknownCacheId(f"cache_id {cache_id} not in cache table")
+    def invalidate(self, cache_id: int):
+        """Clear the valid bit of a registered id; a second call does nothing."""
+        entry = self._entries[cache_id]
         if entry.valid:
             entry.valid = False
-            entry.invalidated_at = now
             self._release(entry)
-            self._stale_at.setdefault(entry.addr, set()).add(cache_id)
 
     def held(self, start: int, stop: int) -> bytearray:
         """1 for each slot in [start, stop) a valid entry holds, else 0."""
@@ -463,8 +440,8 @@ class NvmDevice:
 
         Occupied slots stay unavailable until their block is erased; with
         ``reclaim_invalid_slots`` the lowest slot that is unoccupied, or
-        occupied with no valid cache entry pointing at it, is handed out, and
-        reusing an occupied slot drops the invalid entries that point at it.
+        occupied with no valid cache entry pointing at it, is handed out;
+        invalid entries that point at a reused slot stay in the table.
         """
         if self.reclaim_invalid_slots:
             return self._allocate_with_reclaim()
@@ -486,7 +463,5 @@ class NvmDevice:
         slot = self.cache_table.first_unheld()
         if slot == -1:
             raise DeviceFull("no writable slot available")
-        if self._allocated[slot]:
-            self.cache_table.drop_stale(slot)
         self._allocated[slot] = 1
         return slot

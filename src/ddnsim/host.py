@@ -130,8 +130,6 @@ class Host:
         self.capacity = capacity
         self.flush_idle_threshold = flush_idle_threshold
         self.slots = {}
-        # Every id a W or U has written: reclaim may drop a stale copy's entry.
-        self._written = set()
         # id -> last_used for dirty slots, oldest first: writes stamp the
         # never-decreasing clock and move the id to the end.
         self._dirty = OrderedDict()
@@ -166,10 +164,11 @@ class Host:
         if kind == "W":
             self._write(event.cache_id, event.payload)
         elif kind == "U":
-            if event.cache_id not in self._written:
+            # Written before: in DRAM, or flushed (the table keeps every entry).
+            entry = self.controller.entry(event.cache_id)
+            if entry is None and event.cache_id not in self.slots:
                 raise TraceError(f"U for unknown cache id {event.cache_id}", event.line)
             self._write(event.cache_id, event.payload)
-            entry = self.controller.entry(event.cache_id)
             if entry is not None and entry.valid:
                 self.controller.handle_invalidation(event.cache_id, self.now)
         elif kind in ("I", "D"):
@@ -206,7 +205,6 @@ class Host:
     # -- DRAM side ----------------------------------------------------------
 
     def _write(self, cache_id: int, payload: bytes):
-        self._written.add(cache_id)
         slot = self.slots.get(cache_id)
         if slot is None:
             if len(self.slots) >= self.capacity:

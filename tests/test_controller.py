@@ -114,7 +114,6 @@ def test_mark_only_leaves_data_in_place():
     addr = controller.flush_write(1, w(4, 7, 0), now=0)
     outcome = invalidate(controller, 1, now=2)
     assert not controller.entry(1).valid
-    assert controller.entry(1).invalidated_at == 2
     assert outcome.action == "mark-only"
     assert outcome.cost.total_us == 0.0
     assert outcome.residual_cells == 3

@@ -131,7 +131,7 @@ def _apply(device, op, n, level_bits, now):
             return addr
         if op == "invalidate":
             if valid:
-                table.invalidate(valid[n % len(valid)], now)
+                table.invalidate(valid[n % len(valid)])
         else:
             device.garbage_collect(n % device.geometry.blocks)
     except DeviceError as exc:

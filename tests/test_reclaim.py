@@ -4,8 +4,8 @@ A reclaimed slot is one whose cache entries have all gone invalid. Reuse
 must never hand out a slot that a valid entry still points at, or two ids
 would share one copy and one of them would read back the other's data.
 
-The reference below is the full scan: rebuild slot -> entries from the
-whole cache table and take the lowest slot that is unallocated, or
+The reference below is the full scan: collect the slots that valid entries
+name from the whole cache table and take the lowest slot that is unallocated, or
 allocated with no valid entry pointing at it. The device's indexed
 allocator must hand out the same slots and leave the same state.
 """
@@ -15,6 +15,7 @@ import random
 import hashlib
 import weakref
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -76,16 +77,10 @@ class ScanDevice(NvmDevice):
     """The device with reclaim allocation by a scan of the whole table."""
 
     def _allocate_with_reclaim(self):
-        holders = {}
-        for cid, entry in self.cache_table._entries.items():
-            holders.setdefault(entry.addr, []).append((cid, entry))
+        held = {entry.addr for entry in self.cache_table._entries.values() if entry.valid}
         for slot in range(self.geometry.total_slots):
-            if self._allocated[slot]:
-                held = holders.get(slot, ())
-                if any(entry.valid for _, entry in held):
-                    continue
-                for cid, _ in held:
-                    self.cache_table._forget(cid, self.cache_table._entries.pop(cid))
+            if slot in held:
+                continue
             self._allocated[slot] = True
             return slot
         raise DeviceFull("no writable slot available")
@@ -126,7 +121,7 @@ def _apply(device, op, n, level_bits, now):
         if op == "invalidate":
             if not valid:
                 return None
-            table.invalidate(valid[n % len(valid)], now)
+            table.invalidate(valid[n % len(valid)])
         elif op == "gc":
             device.garbage_collect(n % TINY.blocks)
         else:
@@ -182,9 +177,8 @@ def test_finished_reclaim_device_is_freed_without_the_cycle_collector():
         addr = device.allocate_slot()
         device.program_slot(addr, bytes((cid, 3)))
         table.register(cid, addr, now=0)
-    table.invalidate(0, now=1)
+    table.invalidate(0)
     table.register(1, device.allocate_slot(), now=2)
-    table._forget(2, table._entries.pop(2))
     freed = weakref.ref(device)
     gc.disable()
     try:
@@ -217,9 +211,10 @@ def test_reclaim_search_reads_each_slot_about_twice():
     assert CountingMask.read <= 2 * n + 8
 
 
-def test_update_of_an_id_whose_stale_entry_reclaim_dropped(tmp_path, capsys):
-    """Reusing slot 0 drops id 0's invalid entry; ``U 0`` still updates a line
-    written before, so the run matches the device without reclaim."""
+def test_update_of_an_id_whose_slot_reclaim_reused(tmp_path, capsys):
+    """Reusing slot 0 leaves id 0's invalid entry in the table; ``U 0``
+    updates a line written before, so the run matches the device without
+    reclaim."""
     from ddnsim.cli import main
 
     trace = tmp_path / "update.trace"
@@ -235,3 +230,21 @@ def test_update_of_an_id_whose_stale_entry_reclaim_dropped(tmp_path, capsys):
     assert main([*args, "--policy", "MarkOnly"]) == 0
     expected = "POLICY,RD,WR,GEN,ERASE,GC,TOTAL_US,REMANENCE\nMarkOnly,0,0,0,0,0,1200,1\n"
     assert reclaimed == capsys.readouterr() == (expected, "")
+
+
+@pytest.mark.parametrize("reclaim", ["true", "false"])
+def test_second_invalidate_of_an_id_whose_slot_reclaim_reused(tmp_path, capsys, reclaim):
+    """Slot 0 goes to id 1 under reclaim, but id 0 keeps its invalid entry, so
+    a second ``I 0`` is refused as it is on a device without reclaim."""
+    from ddnsim.cli import main
+
+    trace = tmp_path / "twice.trace"
+    trace.write_text("W 0 0x000000\nF\nI 0\nW 1 0x000001\nF\nI 0\n")
+    conf = tmp_path / "reclaim.conf"
+    conf.write_text(
+        f"device_kind = overwritable\nreclaim_invalid_slots = {reclaim}\npolicies = MarkOnly\n"
+    )
+    assert main(["--config", str(conf), "--trace", str(trace), "--seed", "1"]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "ddnsim: trace error: line 6: cache_id 0 is already invalid\n"
