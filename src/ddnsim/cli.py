@@ -80,19 +80,13 @@ def main(argv=None) -> int:
             cfg.seed = args.seed
         if args.out_format:
             cfg.out_format = args.out_format
-    except ConfigError as exc:
-        print(f"ddnsim: config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-
-    if args.print_config:
-        sys.stdout.write(format_config(cfg))
-        return EXIT_OK
-
-    if (args.trace is None) == (args.synthetic is None):
-        print("ddnsim: exactly one of --trace or --synthetic is required", file=sys.stderr)
-        return EXIT_CONFIG
-
-    try:
+        if args.update_ratio is not None and args.synthetic is None:
+            raise ConfigError("--update-ratio needs --synthetic")
+        if args.print_config:
+            return _emit(args.out, lambda write: write(format_config(cfg)))
+        if (args.trace is None) == (args.synthetic is None):
+            print("ddnsim: exactly one of --trace or --synthetic is required", file=sys.stderr)
+            return EXIT_CONFIG
         cfg.validate()
     except ConfigError as exc:
         print(f"ddnsim: config error: {exc}", file=sys.stderr)
@@ -134,16 +128,21 @@ def main(argv=None) -> int:
                 file=sys.stderr,
             )
 
-    payload = report.csv_text if cfg.out_format == "csv" else report.jsonl_text
-    if args.out:
-        try:
-            with open(args.out, "w", encoding="utf-8") as f:
-                f.write(payload)
-        except OSError as exc:
-            print(f"ddnsim: cannot write {args.out}: {exc}", file=sys.stderr)
-            return EXIT_CONFIG
-    else:
-        sys.stdout.write(payload)
+    return _emit(args.out, lambda write: report.write(cfg.out_format, write))
+
+
+def _emit(out, produce) -> int:
+    """Call ``produce`` with the ``write`` of ``--out``'s file, or of stdout
+    when there is none; a file that cannot be written is exit 2."""
+    if not out:
+        produce(sys.stdout.write)
+        return EXIT_OK
+    try:
+        with open(out, "w", encoding="utf-8") as f:
+            produce(f.write)
+    except OSError as exc:
+        print(f"ddnsim: cannot write {out}: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
     return EXIT_OK
 
 

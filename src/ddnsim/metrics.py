@@ -21,6 +21,7 @@ COST_FIELDS = ("rd_us", "wr_us", "gen_us", "erase_us", "gc_us")
 ledger_costs = attrgetter(*COST_FIELDS)
 _COST_GETTERS = tuple(map(attrgetter, COST_FIELDS))
 _cost = attrgetter("cost")
+JSONL_CHUNK = 256  # records per write: about 45 kB; line by line is slower
 
 
 class LatencyLedger(Record):
@@ -136,8 +137,9 @@ def render_comparison_csv(runs) -> str:
     return "\n".join(lines) + "\n"
 
 
-def render_deletions_jsonl(runs) -> str:
-    """One JSON object per deletion record, grouped by policy in run order.
+def render_deletions_jsonl(runs, write) -> None:
+    """Pass ``write`` one JSON line per deletion record, grouped by policy in
+    run order, ``JSONL_CHUNK`` records per call.
 
     The keys are ``tick, cache_id, policy``, the cost fields and
     ``residual_cells, slot_cells``, with ``json.dumps``'s separators. Each
@@ -147,15 +149,15 @@ def render_deletions_jsonl(runs) -> str:
     """
     import json
 
-    lines = []
     for r in runs:
         policy = json.dumps(r.label)
-        lines += [
-            f'{{"tick": {d.tick}, "cache_id": {d.cache_id}, "policy": {policy}, '
-            f'"rd_us": {c.rd_us!r}, "wr_us": {c.wr_us!r}, "gen_us": {c.gen_us!r}, '
-            f'"erase_us": {c.erase_us!r}, "gc_us": {c.gc_us!r}, '
-            f'"residual_cells": {d.residual_cells}, "slot_cells": {d.slot_cells}}}'
-            for d in r.collector.deletions
-            for c in (d.cost,)
-        ]
-    return "\n".join(lines) + ("\n" if lines else "")
+        deletions = r.collector.deletions
+        for start in range(0, len(deletions), JSONL_CHUNK):
+            write("".join([
+                f'{{"tick": {d.tick}, "cache_id": {d.cache_id}, "policy": {policy}, '
+                f'"rd_us": {c.rd_us!r}, "wr_us": {c.wr_us!r}, "gen_us": {c.gen_us!r}, '
+                f'"erase_us": {c.erase_us!r}, "gc_us": {c.gc_us!r}, '
+                f'"residual_cells": {d.residual_cells}, "slot_cells": {d.slot_cells}}}\n'
+                for d in deletions[start:start + JSONL_CHUNK]
+                for c in (d.cost,)
+            ]))

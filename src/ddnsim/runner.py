@@ -40,7 +40,16 @@ class RunReport:
 
     @cached_property
     def jsonl_text(self) -> str:
-        return render_deletions_jsonl(self.runs)
+        chunks = []
+        render_deletions_jsonl(self.runs, chunks.append)
+        return "".join(chunks)
+
+    def write(self, out_format: str, write) -> None:
+        """Pass ``write`` the CSV text whole, or the JSONL log chunk by chunk."""
+        if out_format == "csv":
+            write(self.csv_text)
+        else:
+            render_deletions_jsonl(self.runs, write)
 
 
 def trace_fingerprint(events) -> str:

@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -243,6 +244,52 @@ def test_cli_outputs_are_byte_identical(tmp_path):
     assert main([*args, "--out", str(first)]) == 0
     assert main([*args, "--out", str(second)]) == 0
     assert first.read_bytes() == second.read_bytes()
+
+
+def test_print_config_writes_to_out(tmp_path, capsys):
+    out = tmp_path / "effective.cfg"
+    assert main(["--print-config", "--out", str(out)]) == 0
+    assert capsys.readouterr() == ("", "")
+    assert out.read_text() == DEFAULT_CONFIG_TEXT
+
+
+def test_unwritable_out_is_exit_2_for_reports_and_config(tmp_path, capsys):
+    out = tmp_path / "missing" / "out.txt"
+    for args in (["--print-config"], ["--synthetic", "5", "--seed", "1", "--format", "jsonl"]):
+        assert main([*args, "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"ddnsim: cannot write {out}: ")
+
+
+def test_update_ratio_needs_synthetic(tmp_path, capsys):
+    trace = tmp_path / "t.trace"
+    trace.write_text("F\n")
+    for args in (["--trace", str(trace), "--seed", "1"], ["--print-config"]):
+        assert main([*args, "--update-ratio", "0.3"]) == 2
+        message = "ddnsim: config error: --update-ratio needs --synthetic\n"
+        assert capsys.readouterr() == ("", message)
+
+
+def test_cli_jsonl_run_peaks_no_higher_than_csv(tmp_path):
+    """The CLI streams the JSONL log, so it never holds the whole log: the
+    traced peak of a JSONL run stays within 0.5 MB of the same CSV run's
+    (building the log whole put it 1.3 MB above)."""
+
+    def args(writes, out_format):
+        return ["--synthetic", str(writes), "--seed", "1", "--format", out_format,
+                "--out", str(tmp_path / out_format)]
+
+    def peak(out_format):
+        tracemalloc.start()
+        try:
+            assert main(args(1000, out_format)) == 0
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert main(args(1, "jsonl")) == 0  # imports json before the measured runs
+    assert peak("jsonl") - peak("csv") <= 500_000
 
 
 def test_cli_usage_errors(capsys, tmp_path):

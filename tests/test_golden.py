@@ -15,6 +15,7 @@ from collections import Counter
 import pytest
 
 from ddnsim import parse_config_text, parse_trace, run, synthetic_trace
+from ddnsim.cli import main
 
 
 def _payload(rng, cfg):
@@ -160,3 +161,28 @@ def test_golden_report(name):
     assert not [d.error for r in report.runs for d in r.collector.deletions if d.error]
     assert hashlib.sha256(report.csv_text.encode()).hexdigest() == csv_sha
     assert hashlib.sha256(report.jsonl_text.encode()).hexdigest() == jsonl_sha
+
+
+# The golden cases' config and trace, plus a run that deletes nothing.
+LOG_CASES = {name: case[:2] for name, case in CASES.items()}
+LOG_CASES["empty-log"] = ("seed = 3\n", lambda cfg: "W 0 0x000001\nF\n")
+
+
+@pytest.mark.parametrize("name", sorted(LOG_CASES))
+def test_cli_streams_the_jsonl_log_of_jsonl_text(name, tmp_path, capsys):
+    """The CLI writes the JSONL log in chunks; to a file and to stdout alike,
+    the bytes are ``run(...).jsonl_text``."""
+    config_text, build_trace = LOG_CASES[name]
+    cfg = parse_config_text(config_text)
+    trace_text = build_trace(cfg)
+    events = parse_trace(trace_text, cfg.cells_per_cache_slot, cfg.bits_per_cell)
+    expected = run(cfg, events).jsonl_text
+    assert (expected == "") == (name == "empty-log")
+    config, trace, out = tmp_path / "run.cfg", tmp_path / "run.trace", tmp_path / "log.jsonl"
+    config.write_text(config_text)
+    trace.write_text(trace_text)
+    args = ["--config", str(config), "--trace", str(trace), "--format", "jsonl"]
+    assert main([*args, "--out", str(out)]) == 0
+    assert out.read_bytes() == expected.encode()
+    assert main(args) == 0
+    assert capsys.readouterr() == (expected, "")

@@ -19,7 +19,7 @@ from ddnsim import (
     render_deletions_jsonl,
     trace_fingerprint,
 )
-from ddnsim.metrics import COST_FIELDS, _fmt, ledger_costs
+from ddnsim.metrics import COST_FIELDS, JSONL_CHUNK, _fmt, ledger_costs
 
 
 def outcome(tick=0, cache_id=1, residual=8, slot=8, **costs):
@@ -97,6 +97,12 @@ def _run(label, outcomes, fingerprint="f1"):
     return PolicyRun(label, collector_with(outcomes), fingerprint)
 
 
+def _jsonl(runs):
+    chunks = []
+    render_deletions_jsonl(runs, chunks.append)
+    return "".join(chunks)
+
+
 def test_comparison_rows():
     ddn = _run("DdnRandom", [outcome(rd_us=49.0, wr_us=600.0, gen_us=100.0, residual=1)])
     ddn.collector.ledger.charge_read(49)
@@ -147,7 +153,7 @@ def test_jsonl_keys_and_values():
         "DdnRandom",
         [outcome(tick=3, cache_id=9, rd_us=49.0, wr_us=600.0, gen_us=100.0, residual=1)],
     )
-    text = render_deletions_jsonl([run])
+    text = _jsonl([run])
     (line,) = text.strip().splitlines()
     record = json.loads(line)
     assert list(record) == [
@@ -171,7 +177,23 @@ def test_jsonl_keys_and_values():
 
 
 def test_jsonl_empty():
-    assert render_deletions_jsonl([_run("MarkOnly", [])]) == ""
+    chunks = []
+    render_deletions_jsonl([_run("MarkOnly", [])], chunks.append)
+    assert chunks == []
+
+
+def test_jsonl_is_written_in_chunks_of_whole_records_per_policy():
+    runs = [
+        _run("MarkOnly", [outcome(cache_id=i) for i in range(2 * JSONL_CHUNK + 1)]),
+        _run("EraseBased", []),
+        _run("DdnRandom", [outcome(cache_id=i) for i in range(JSONL_CHUNK)]),
+    ]
+    chunks = []
+    render_deletions_jsonl(runs, chunks.append)
+    assert [c.count("\n") for c in chunks] == [JSONL_CHUNK, JSONL_CHUNK, 1, JSONL_CHUNK]
+    assert all(c.endswith("}\n") for c in chunks)
+    ids = [json.loads(line)["cache_id"] for c in chunks[:3] for line in c.splitlines()]
+    assert ids == list(range(2 * JSONL_CHUNK + 1))
 
 
 def _reference_jsonl(runs):
@@ -209,4 +231,4 @@ _records = st.builds(
 def test_jsonl_matches_json_dumps(policies):
     """The f-string renderer writes the bytes of json.dumps, record by record."""
     runs = [_run(label, records) for label, records in policies]
-    assert render_deletions_jsonl(runs) == _reference_jsonl(runs)
+    assert _jsonl(runs) == _reference_jsonl(runs)
