@@ -133,15 +133,16 @@ def main(argv=None) -> int:
 
 def _emit(out, produce) -> int:
     """Call ``produce`` with the ``write`` of ``--out``'s file, or of stdout
-    when there is none; a file that cannot be written is exit 2."""
-    if not out:
-        produce(sys.stdout.write)
-        return EXIT_OK
+    when there is none; either one failing (a closed pipe too) is exit 2."""
     try:
-        with open(out, "w", encoding="utf-8") as f:
-            produce(f.write)
+        if not out:
+            produce(sys.stdout.write)
+            sys.stdout.flush()
+        else:
+            with open(out, "w", encoding="utf-8") as f:
+                produce(f.write)
     except OSError as exc:
-        print(f"ddnsim: cannot write {out}: {exc}", file=sys.stderr)
+        print(f"ddnsim: cannot write {out or 'stdout'}: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     return EXIT_OK
 

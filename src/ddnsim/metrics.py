@@ -151,13 +151,12 @@ def render_deletions_jsonl(runs, write) -> None:
 
     for r in runs:
         policy = json.dumps(r.label)
-        deletions = r.collector.deletions
-        for start in range(0, len(deletions), JSONL_CHUNK):
+        for start in range(0, len(r.collector.deletions), JSONL_CHUNK):
             write("".join([
                 f'{{"tick": {d.tick}, "cache_id": {d.cache_id}, "policy": {policy}, '
                 f'"rd_us": {c.rd_us!r}, "wr_us": {c.wr_us!r}, "gen_us": {c.gen_us!r}, '
                 f'"erase_us": {c.erase_us!r}, "gc_us": {c.gc_us!r}, '
                 f'"residual_cells": {d.residual_cells}, "slot_cells": {d.slot_cells}}}\n'
-                for d in deletions[start:start + JSONL_CHUNK]
+                for d in r.collector.deletions[start:start + JSONL_CHUNK]
                 for c in (d.cost,)
             ]))

@@ -570,6 +570,23 @@ def test_module_entry_point_runs():
     assert result.stdout.startswith("POLICY,RD,WR,GEN,ERASE,GC,TOTAL_US,REMANENCE")
 
 
+def test_cli_closed_stdout_pipe_is_exit_2():
+    """The JSONL log goes to stdout in chunks; a reader that stops early
+    closes the pipe under a later chunk, which is exit 2, not a traceback."""
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "ddnsim", "--synthetic", "1000", "--seed", "1", "--format", "jsonl"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        cwd=Path(ddnsim.__file__).parents[1],
+    )
+    assert proc.stdout.read(100).startswith(b'{"tick": ')
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 2
+    assert err == b"ddnsim: cannot write stdout: [Errno 32] Broken pipe\n"
+
+
 def test_cli_warns_once_per_policy_with_failed_deletions(capsys):
     args = ["--synthetic", "300", "--seed", "1"]
     assert main([*args, "--policy", "DdnNonRandom(Level=1),DdnRandom"]) == 0
