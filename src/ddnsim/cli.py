@@ -73,8 +73,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
 
     try:
-        cfg = load_config(args.config) if args.config else RunConfig()
-        if args.policy:
+        cfg = load_config(args.config) if args.config is not None else RunConfig()
+        if args.policy is not None:
             cfg.policies = parse_policies(args.policy)
         if args.seed is not None:
             cfg.seed = args.seed
@@ -135,14 +135,14 @@ def _emit(out, produce) -> int:
     """Call ``produce`` with the ``write`` of ``--out``'s file, or of stdout
     when there is none; either one failing (a closed pipe too) is exit 2."""
     try:
-        if not out:
+        if out is None:
             produce(sys.stdout.write)
             sys.stdout.flush()
         else:
             with open(out, "w", encoding="utf-8") as f:
                 produce(f.write)
     except OSError as exc:
-        print(f"ddnsim: cannot write {out or 'stdout'}: {exc}", file=sys.stderr)
+        print(f"ddnsim: cannot write {'stdout' if out is None else out}: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     return EXIT_OK
 

@@ -16,9 +16,6 @@ class ConfigError(Exception):
     pass
 
 
-DEFAULT_POLICY_NAMES = ("MarkOnly", "EraseBased", "DdnRandom", "DdnNonRandom")
-
-
 def _parse_int(value: str) -> int:
     try:
         return ascii_number(value, int)
@@ -83,7 +80,9 @@ _SCHEMA = (
     ("dram_capacity", 65536, _parse_int),
     ("t_secure", None, _parse_optional_int),
     ("reclaim_invalid_slots", False, _parse_bool),
-    ("policies", tuple(map(parse_policy, DEFAULT_POLICY_NAMES)), parse_policies),
+    # Every kind, DdnNonRandom filling AllMax: what parse_policies reads from
+    # "MarkOnly,EraseBased,DdnRandom,DdnNonRandom", without its regex.
+    ("policies", tuple(map(DeletionPolicy, PolicyKind)), parse_policies),
     ("seed", None, _parse_optional_int),
     ("out_format", "csv", str),
 )
@@ -125,6 +124,8 @@ class RunConfig(Record):
             raise ConfigError(str(exc)) from exc
         if self.seed is None:
             raise ConfigError("seed is required (wall-clock seeding is not allowed)")
+        if self.seed < 0:  # Random(-n) seeds exactly as Random(n) does
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if not self.policies:
             raise ConfigError("at least one policy is required")
         for policy in self.policies:

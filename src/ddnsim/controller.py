@@ -13,7 +13,6 @@ With a secure-mode residence limit configured, even valid data is scrubbed
 once it has sat in NVM for that many ticks.
 """
 
-import re
 from enum import Enum
 from operator import eq
 from collections import OrderedDict
@@ -88,7 +87,10 @@ def parse_policy(text: str) -> DeletionPolicy:
 
     Case, spaces, hyphens and underscores in the name are ignored. The
     optional fill argument (``(...)`` or ``:...``) is ``AllMax`` or a level.
+    ``re`` is imported here, so importing the package never loads it.
     """
+    import re
+
     m = re.fullmatch(
         r"\s*([A-Za-z _\-]+?)\s*(?:[:(]\s*([^()]*?)\s*\)?)?\s*", text
     )

@@ -21,7 +21,6 @@ low-water mark below which every slot is held.
 import math
 from enum import Enum
 from operator import lt
-from collections import namedtuple
 
 from .cells import max_level as _max_level
 from .metrics import LatencyLedger
@@ -123,10 +122,14 @@ class LatencyParams(Value):
         return self.t_read_us + self.t_program_us
 
 
-class PageState(namedtuple("PageState", "cells status partial_program_count")):
+class PageState(Record):
     """A copy of one page's state, as ``NvmDevice.page`` reads it."""
 
-    __slots__ = ()
+    __slots__ = ("cells", "status", "partial_program_count")
+
+    def __init__(self, cells: list, status: PageStatus, partial_program_count: int):
+        self.cells, self.status = cells, status
+        self.partial_program_count = partial_program_count
 
 
 class CacheEntry(Record):

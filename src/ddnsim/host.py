@@ -21,12 +21,13 @@ digits than ``int`` takes; ``<hexpayload>`` is 0x-prefixed hex exactly one cache
 """
 
 import sys
-import heapq
 from collections import OrderedDict
 
 from .cells import word_from_hex
 from .controller import NvmController, ProtocolError
 from .values import Record
+
+heapq = None  # bound by Host._rebuild_lru, so a run whose DRAM never fills never imports it
 
 
 class TraceError(Exception):
@@ -222,6 +223,9 @@ class Host:
                 self._rebuild_lru()
 
     def _rebuild_lru(self):
+        global heapq
+        if heapq is None:
+            import heapq
         self._lru = [(slot.last_used, cid) for cid, slot in self.slots.items()]
         heapq.heapify(self._lru)
 

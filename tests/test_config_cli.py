@@ -20,6 +20,7 @@ from ddnsim import (
     synthetic_trace,
 )
 from ddnsim.cli import main
+from ddnsim.config import parse_policies
 
 
 def test_defaults_match_documented_device_times():
@@ -39,6 +40,10 @@ def test_defaults_match_documented_device_times():
         "DdnNonRandom(AllMax)",
     ]
     assert cfg.seed is None  # must be provided explicitly
+
+
+def test_default_policies_equal_the_parsed_names():
+    assert RunConfig().policies == parse_policies("MarkOnly,EraseBased,DdnRandom,DdnNonRandom")
 
 
 def test_validate_requires_seed():
@@ -301,6 +306,25 @@ def test_cli_usage_errors(capsys, tmp_path):
     assert main(["--synthetic", "5", "--seed", "1", "--update-ratio", "1.5"]) == 2
     assert main(["--synthetic", "5", "--seed", "1", "--policy", "Nope"]) == 2
     capsys.readouterr()
+    # An empty value is an error, not the option left out.
+    assert main(["--synthetic", "5", "--seed", "1", "--policy", ""]) == 2
+    assert "at least one policy is required" in capsys.readouterr().err
+    assert main(["--synthetic", "5", "--seed", "1", "--config", ""]) == 2
+    assert "config error: cannot read config" in capsys.readouterr().err
+    assert main(["--synthetic", "5", "--seed", "1", "--out", ""]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "ddnsim: cannot write : " in captured.err
+
+
+def test_negative_seed_is_a_config_error(tmp_path, capsys):
+    # CPython seeds Random(-7) as Random(7), so a negative seed would repeat a run.
+    assert main(["--synthetic", "5", "--seed", "-7"]) == 2
+    assert "config error: seed must be >= 0, got -7" in capsys.readouterr().err
+    config = tmp_path / "seed.cfg"
+    config.write_text("seed = -7\n")
+    assert main(["--synthetic", "5", "--config", str(config)]) == 2
+    assert "config error: seed must be >= 0, got -7" in capsys.readouterr().err
+    assert main(["--synthetic", "5", "--seed", "0"]) == 0
 
 
 def test_cli_trace_errors(tmp_path, capsys):

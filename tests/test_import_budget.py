@@ -12,7 +12,7 @@ from pathlib import Path
 import ddnsim
 
 SRC = Path(ddnsim.__file__).parents[1]
-UNWANTED = ("dataclasses", "hashlib", "inspect", "json", "typing")
+UNWANTED = ("dataclasses", "hashlib", "heapq", "inspect", "json", "typing")
 
 PROBE = """
 import sys
@@ -39,3 +39,14 @@ def test_cli_loads_json_only_to_render_jsonl(tmp_path):
     assert result.stdout.splitlines() == ["[]", "[]", "['json']"]
     assert (tmp_path / "report.csv").read_text().startswith("POLICY,RD,WR")
     assert (tmp_path / "report.jsonl").read_text().startswith('{"tick": ')
+
+
+def test_package_import_loads_no_regex_heap_or_argparse():
+    # The CLI loads re through argparse; the library alone needs neither, and
+    # heapq waits for a DRAM that fills.
+    probe = "import sys; sys.path.insert(0, sys.argv[1]); import ddnsim; " \
+            "print(sorted({'argparse', 'heapq', 're'} & set(sys.modules)))"
+    result = subprocess.run([sys.executable, "-S", "-c", probe, str(SRC)],
+                            capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "[]\n"
