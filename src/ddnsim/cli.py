@@ -6,6 +6,7 @@ the exit code as they are; each policy with such failures gets one warning
 line on stderr.
 """
 
+import os
 import sys
 import argparse
 
@@ -83,6 +84,7 @@ def main(argv=None) -> int:
         if args.update_ratio is not None and args.synthetic is None:
             raise ConfigError("--update-ratio needs --synthetic")
         if args.print_config:
+            cfg.validate(require_seed=False)
             return _emit(args.out, lambda write: write(format_config(cfg)))
         if (args.trace is None) == (args.synthetic is None):
             print("ddnsim: exactly one of --trace or --synthetic is required", file=sys.stderr)
@@ -147,5 +149,21 @@ def _emit(out, produce) -> int:
     return EXIT_OK
 
 
+def console_main():
+    """Entry point of ``python -m ddnsim`` and the ``ddnsim`` script: run
+    ``main``, flush stdout and stderr, and end the process with ``os._exit``,
+    skipping the interpreter's teardown, which no output needs. A failing
+    flush is exit 2, as in ``_emit``. Usage errors and uncaught exceptions
+    leave ``main`` as before and take the normal exit."""
+    code = main()
+    try:
+        for stream in (sys.stdout, sys.stderr):
+            if stream is not None:  # None when the process started without it
+                stream.flush()
+    except OSError:
+        code = EXIT_CONFIG
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    console_main()

@@ -112,7 +112,7 @@ class RunConfig(Record):
         """Policies with the global secure-mode limit applied."""
         return tuple(DeletionPolicy(p.kind, p.fill, self.t_secure) for p in self.policies)
 
-    def validate(self):
+    def validate(self, require_seed=True):  # --print-config needs no seed
         try:
             self.geometry()
             self.latency()
@@ -123,8 +123,9 @@ class RunConfig(Record):
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
         if self.seed is None:
-            raise ConfigError("seed is required (wall-clock seeding is not allowed)")
-        if self.seed < 0:  # Random(-n) seeds exactly as Random(n) does
+            if require_seed:
+                raise ConfigError("seed is required (wall-clock seeding is not allowed)")
+        elif self.seed < 0:  # Random(-n) seeds exactly as Random(n) does
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if not self.policies:
             raise ConfigError("at least one policy is required")
