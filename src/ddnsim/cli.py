@@ -150,11 +150,9 @@ def _emit(out, produce) -> int:
 
 
 def console_main():
-    """Entry point of ``python -m ddnsim`` and the ``ddnsim`` script: run
-    ``main``, flush stdout and stderr, and end the process with ``os._exit``,
-    skipping the interpreter's teardown, which no output needs. A failing
-    flush is exit 2, as in ``_emit``. Usage errors and uncaught exceptions
-    leave ``main`` as before and take the normal exit."""
+    """``python -m ddnsim`` and the ``ddnsim`` script: run ``main``, flush
+    stdout and stderr (a failure is exit 2, as in ``_emit``), and end with
+    ``os._exit``, skipping the interpreter teardown that no output needs."""
     code = main()
     try:
         for stream in (sys.stdout, sys.stderr):

@@ -251,6 +251,17 @@ def test_cli_outputs_are_byte_identical(tmp_path):
     assert first.read_bytes() == second.read_bytes()
 
 
+def test_print_config_validates_all_but_the_seed(capsys):
+    # The messages are the ones a run with the same options gets.
+    assert main(["--print-config", "--seed", "-7"]) == 2
+    assert capsys.readouterr() == ("", "ddnsim: config error: seed must be >= 0, got -7\n")
+    assert main(["--print-config", "--policy", ""]) == 2
+    assert capsys.readouterr() == ("", "ddnsim: config error: at least one policy is required\n")
+    # Only the missing-seed rule is skipped: a config with no seed still prints.
+    assert main(["--print-config"]) == 0
+    assert "seed = none\n" in capsys.readouterr().out
+
+
 def test_print_config_writes_to_out(tmp_path, capsys):
     out = tmp_path / "effective.cfg"
     assert main(["--print-config", "--out", str(out)]) == 0
@@ -581,34 +592,91 @@ def test_cli_rejects_out_of_range_fill_level(capsys):
     assert capsys.readouterr().out.splitlines()[1].startswith("DdnNonRandom(Level=7),")
 
 
-def test_module_entry_point_runs():
-    # Run from the directory holding the imported package, so that ``-m``
-    # finds the same ddnsim whether it is installed or only on pytest's path.
-    result = subprocess.run(
-        [sys.executable, "-m", "ddnsim", "--synthetic", "5", "--seed", "3"],
-        capture_output=True,
-        text=True,
-        cwd=Path(ddnsim.__file__).parents[1],
+# The two ways to start the CLI as a process: ``python -m ddnsim``, and the
+# function the installed ``ddnsim`` script calls. Both end in os._exit.
+ENTRY_POINTS = {
+    "module": [sys.executable, "-m", "ddnsim"],
+    "script": [sys.executable, "-c", "from ddnsim.cli import console_main; console_main()"],
+}
+# Processes run from the directory holding the imported package, so that ``-m``
+# and ``-c`` find the same ddnsim whether it is installed or only on pytest's path.
+CLI_CWD = Path(ddnsim.__file__).parents[1]
+
+
+def run_entry_point(entry, args, **options):
+    return subprocess.run([*ENTRY_POINTS[entry], *args], capture_output=True, cwd=CLI_CWD,
+                          **options)
+
+
+@pytest.mark.parametrize("entry", ENTRY_POINTS)
+def test_entry_points_match_main_in_every_exit_class(entry, tmp_path, capsys):
+    """As a process, each exit class gives the exit code, stdout, stderr and
+    --out bytes that ``main`` gives in process."""
+    bad_trace = tmp_path / "bad.trace"
+    bad_trace.write_text("W 1 0x000001\nX\n")
+    one_page = tmp_path / "one-page.cfg"
+    one_page.write_text(
+        "blocks = 1\npages_per_block = 1\ncells_per_page = 8\n"
+        "cells_per_cache_slot = 8\npolicies = MarkOnly\n"
     )
+    cases = [  # (exit code, start of stdout, stderr lines, arguments)
+        (0, "POLICY,", 0, ["--synthetic", "20", "--seed", "1"]),
+        (0, "", 0, ["--synthetic", "50", "--seed", "1", "--format", "jsonl", "--out", "{out}"]),
+        (0, "POLICY,", 1,
+         ["--synthetic", "300", "--seed", "1", "--policy", "DdnNonRandom(Level=1),DdnRandom"]),
+        (2, "", 1, ["--synthetic", "3", "--seed", "-7"]),
+        (3, "", 1, ["--trace", str(bad_trace), "--seed", "1"]),
+        (4, "", 1, ["--config", str(one_page), "--synthetic", "3", "--seed", "1"]),
+    ]
+    for code, stdout_start, stderr_lines, args in cases:
+        def out_to(name):
+            return [str(tmp_path / name) if arg == "{out}" else arg for arg in args]
+
+        assert main(out_to("main.out")) == code
+        out, err = capsys.readouterr()
+        assert out.startswith(stdout_start) and bool(out) == bool(stdout_start)
+        assert len(err.splitlines()) == stderr_lines
+        result = run_entry_point(entry, out_to("process.out"))
+        assert (result.returncode, result.stdout, result.stderr) == (code, out.encode(), err.encode())
+    written = (tmp_path / "process.out").read_bytes()
+    assert written.startswith(b'{"tick": ') and written == (tmp_path / "main.out").read_bytes()
+
+
+@pytest.mark.parametrize("entry", ENTRY_POINTS)
+def test_entry_points_run_without_a_stdout(entry, tmp_path):
+    # Started with file descriptor 1 closed, Python sets sys.stdout to None;
+    # a run into --out needs no stdout.
+    out = tmp_path / "report.csv"
+    argv = [*ENTRY_POINTS[entry], "--synthetic", "5", "--seed", "3", "--out", str(out)]
+    result = subprocess.run(["sh", "-c", 'exec "$@" >&-', "sh", *argv], capture_output=True,
+                            cwd=CLI_CWD)
+    assert (result.returncode, result.stderr) == (0, b"")
+    assert out.read_text().startswith("POLICY,")
+
+
+def test_module_entry_point_runs():
+    result = run_entry_point("module", ["--synthetic", "5", "--seed", "3"], text=True)
     assert result.returncode == 0
     assert result.stdout.startswith("POLICY,RD,WR,GEN,ERASE,GC,TOTAL_US,REMANENCE")
 
 
 def test_cli_closed_stdout_pipe_is_exit_2():
     """The JSONL log goes to stdout in chunks; a reader that stops early
-    closes the pipe under a later chunk, which is exit 2, not a traceback."""
-    proc = subprocess.Popen(
-        [sys.executable, "-m", "ddnsim", "--synthetic", "1000", "--seed", "1", "--format", "jsonl"],
-        stdout=subprocess.PIPE,
-        stderr=subprocess.PIPE,
-        cwd=Path(ddnsim.__file__).parents[1],
-    )
-    assert proc.stdout.read(100).startswith(b'{"tick": ')
-    proc.stdout.close()
-    err = proc.stderr.read()
-    proc.stderr.close()
-    assert proc.wait(timeout=60) == 2
-    assert err == b"ddnsim: cannot write stdout: [Errno 32] Broken pipe\n"
+    closes the pipe under a later chunk, which is exit 2, not a traceback,
+    from either entry point."""
+    for entry in ENTRY_POINTS:
+        proc = subprocess.Popen(
+            [*ENTRY_POINTS[entry], "--synthetic", "1000", "--seed", "1", "--format", "jsonl"],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            cwd=CLI_CWD,
+        )
+        assert proc.stdout.read(100).startswith(b'{"tick": ')
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == 2, entry
+        assert err == b"ddnsim: cannot write stdout: [Errno 32] Broken pipe\n", entry
 
 
 def test_cli_warns_once_per_policy_with_failed_deletions(capsys):
