@@ -15,7 +15,6 @@ from .cells import (
     gen_upward_word,
     max_level,
     word_from_hex,
-    word_to_hex,
 )
 from .config import ConfigError, RunConfig, format_config, load_config, parse_config_text
 from .controller import (
@@ -39,8 +38,6 @@ from .device import (
     NoFreePages,
     NopExceeded,
     NvmDevice,
-    PageState,
-    PageStatus,
 )
 from .host import DramSlot, Host, TraceError, TraceEvent, parse_trace
 from .metrics import (

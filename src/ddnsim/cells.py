@@ -110,15 +110,6 @@ def word_from_hex(text: str, cells: int, bits_per_cell: int) -> bytes:
     return b"".join([table[value >> s & mask] for s in shifts])[pad:]
 
 
-def word_to_hex(word: bytes, bits_per_cell: int) -> str:
-    """Inverse of word_from_hex for nibble-aligned words."""
-    digits = hex_digits(len(word), bits_per_cell)
-    value = 0
-    for level in word:
-        value = value << bits_per_cell | level
-    return f"0x{value:0{digits}X}"
-
-
 def gen_upward_word(original: bytes, bits_per_cell: int, rng: Random) -> bytes:
     """A uniform level strictly above each cell's, in cell order; a cell at the
     top keeps it. Levels above the top raise ``ValueError`` before anything

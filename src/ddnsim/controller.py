@@ -30,13 +30,11 @@ from .device import (
     NoFreePages,
     NopExceeded,
     NvmDevice,
-    PageStatus,
 )
 from .metrics import LatencyLedger, ledger_costs
 from .values import Value, ascii_number
 
 # Looked up once: an enum member lookup through the class costs ~0.2 us on 3.11.
-_FREE, _PROGRAMMED = PageStatus.FREE, PageStatus.PROGRAMMED
 _OVERWRITABLE = DeviceKind.OVERWRITABLE
 
 
@@ -130,14 +128,12 @@ class DeletionOutcome:
     """
 
     __slots__ = ("cache_id", "tick", "action", "cost", "residual_cells", "slot_cells",
-                 "fallback", "error")
+                 "error")
 
     def __init__(self, cache_id: int, tick: int, action: str, cost: LatencyLedger,
-                 residual_cells: int = 0, slot_cells: int = 0, fallback: bool = False,
-                 error: str | None = None):
+                 residual_cells: int = 0, slot_cells: int = 0, error: str | None = None):
         self.cache_id, self.tick, self.action, self.cost = cache_id, tick, action, cost
-        self.residual_cells, self.slot_cells = residual_cells, slot_cells
-        self.fallback, self.error = fallback, error
+        self.residual_cells, self.slot_cells, self.error = residual_cells, slot_cells, error
 
 
 class NvmController:
@@ -228,7 +224,7 @@ class NvmController:
         generation.
         """
         dev = self.device
-        if dev.page_status(addr) is not _PROGRAMMED:
+        if not dev.is_programmed(addr):
             raise ProtocolError(f"ddn_process on unprogrammed page at slot {addr}")
         g, word = dev.geometry, self._fill_word
         if word is None and dev.kind is _OVERWRITABLE:
@@ -249,14 +245,14 @@ class NvmController:
         self._resident.pop(cache_id, None)
         ledger = dev.ledger
         rd, wr, gen, erase, gc = ledger_costs(ledger)
-        fallback, error = False, None
+        error = None
         if secure or self._overwrites:
             action = "secure-scrub" if secure else "ddn-overwrite"
             try:
                 self.ddn_process(addr)
             except NopExceeded:
                 # Out of in-place reprogram budget: physically delete instead.
-                action, fallback = "erase-fallback", True
+                action = "erase-fallback"
             except MonotoneViolation as exc:
                 error = str(exc)
         elif self._erases:
@@ -275,14 +271,13 @@ class NvmController:
         cost = self._costs.get(spent)
         if cost is None:
             cost = self._costs[spent] = LatencyLedger(*spent)
-        if dev.page_status(addr) is _FREE:
-            residual = 0
+        if dev.is_programmed(addr):
+            residual = sum(map(eq, pre, dev.peek_slot(addr)))
         else:
-            post = dev.peek_slot(addr)
-            residual = sum(map(eq, pre, post))
+            residual = 0
         # Positional: keyword arguments would cost about 0.5 us per deletion.
         outcome = DeletionOutcome(
-            cache_id, now, action, cost, residual, len(pre), fallback, error
+            cache_id, now, action, cost, residual, len(pre), error
         )
         if self.collector is not None:
             self.collector.record_deletion(outcome)

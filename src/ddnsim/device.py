@@ -56,12 +56,6 @@ class DeviceKind(Enum):
     NON_OVERWRITABLE = "non-overwritable"
 
 
-class PageStatus(Enum):
-    FREE = "free"
-    PROGRAMMED = "programmed"
-
-
-_STATUS = (PageStatus.FREE, PageStatus.PROGRAMMED)  # by the stored status byte
 _NAND = DeviceKind.NON_OVERWRITABLE  # looked up once: ~0.2 us through the class on 3.11
 
 
@@ -120,16 +114,6 @@ class LatencyParams(Value):
     def gc_migration_per_page_us(self) -> float:
         """Moving one live page is one read plus one program."""
         return self.t_read_us + self.t_program_us
-
-
-class PageState(Record):
-    """A copy of one page's state, as ``NvmDevice.page`` reads it."""
-
-    __slots__ = ("cells", "status", "partial_program_count")
-
-    def __init__(self, cells: list, status: PageStatus, partial_program_count: int):
-        self.cells, self.status = cells, status
-        self.partial_program_count = partial_program_count
 
 
 class CacheEntry(Record):
@@ -214,10 +198,6 @@ class CacheTable:
                 self._entries[cid].addr = slot
         return mask
 
-    def valid_entries(self):
-        """(cache_id, entry) pairs for valid entries, ascending cache_id."""
-        return [(cid, e) for cid, e in sorted(self._entries.items()) if e.valid]
-
 
 class NvmDevice:
     """Single-owner mutable NVM state machine.
@@ -287,21 +267,9 @@ class NvmDevice:
             raise AddressError(f"slot {slot} outside geometry")
         return slot // self.geometry.slots_per_page
 
-    def page_status(self, addr: int) -> PageStatus:
-        return _STATUS[self._programmed[self._check_slot(addr)]]
-
-    def page(self, block: int, page: int) -> PageState:
-        """A copy of one page's cells, status and partial-program count."""
-        self._check_block(block)
-        if not 0 <= page < self.geometry.pages_per_block:
-            raise AddressError(f"page {page} out of range")
-        index = block * self.geometry.pages_per_block + page
-        n = self.geometry.cells_per_page
-        return PageState(
-            list(self._cells[index * n : (index + 1) * n]),
-            _STATUS[self._programmed[index]],
-            self._program_counts[index],
-        )
+    def is_programmed(self, addr: int) -> bool:
+        """Whether the page holding a slot has been programmed since its last erase."""
+        return self._programmed[self._check_slot(addr)] == 1
 
     # -- data path ----------------------------------------------------------
 

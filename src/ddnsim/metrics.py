@@ -20,7 +20,7 @@ class ReportError(Exception):
 COST_FIELDS = ("rd_us", "wr_us", "gen_us", "erase_us", "gc_us")
 ledger_costs = attrgetter(*COST_FIELDS)
 _COST_GETTERS = tuple(map(attrgetter, COST_FIELDS))
-_cost = attrgetter("cost")
+_cost, _slot_cells, _residual_cells = map(attrgetter, ("cost", "slot_cells", "residual_cells"))
 JSONL_CHUNK = 256  # records per write: about 45 kB; line by line is slower
 
 
@@ -61,24 +61,22 @@ class LatencyLedger(Record):
 
 
 class MetricsCollector:
-    """Accumulates one policy run: ledger, deletion records, remanence counts."""
+    """Accumulates one policy run: its ledger and its deletion records."""
 
     def __init__(self, ledger: LatencyLedger):
         self.ledger = ledger
         self.deletions = []
-        self.invalidated_cells_total = 0
-        self.residual_cells = 0
 
     def record_deletion(self, outcome):
         self.deletions.append(outcome)
-        self.invalidated_cells_total += outcome.slot_cells
-        self.residual_cells += outcome.residual_cells
 
     @property
     def final_remanence_rate(self) -> float:
-        if not self.invalidated_cells_total:
+        """Residual cells over deleted cells, each counted right after its deletion."""
+        invalidated = sum(map(_slot_cells, self.deletions))
+        if not invalidated:
             return 0.0
-        return self.residual_cells / self.invalidated_cells_total
+        return sum(map(_residual_cells, self.deletions)) / invalidated
 
     def mean_costs(self) -> LatencyLedger:
         """Mean per-deletion cost over the recorded deletions."""

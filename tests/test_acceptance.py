@@ -110,7 +110,8 @@ def test_criterion_4_monotonicity_suite():
     rng = random.Random(777)
 
     def levels(device):
-        return [device.page(block, page).cells for block in range(2) for page in range(2)]
+        n = geometry.cells_per_page
+        return [device._cells[page * n : (page + 1) * n].tolist() for page in range(4)]
 
     def slot(block, page, index):  # two pages per block, two slots per page
         return (block * 2 + page) * 2 + index
@@ -166,10 +167,10 @@ def test_criterion_5_partial_overwrite_isolation():
             word = bytes(rng.randrange(8) for _ in range(cells_per_slot))
             controller.flush_write(cid, word, now=0)
         victim = rng.randrange(slots_per_page)
-        before = controller.device.page(0, 0).cells
+        before = controller.device._cells[: geometry.cells_per_page].tolist()
         outcome = controller.handle_invalidation(victim, now=1)
         assert outcome.error is None
-        after = controller.device.page(0, 0).cells
+        after = controller.device._cells[: geometry.cells_per_page].tolist()
         lo = victim * cells_per_slot
         hi = lo + cells_per_slot
         assert after[:lo] == before[:lo]

@@ -15,7 +15,6 @@ from ddnsim import (
     MetricsCollector,
     NvmController,
     NvmDevice,
-    PageStatus,
     PolicyKind,
     ProtocolError,
     TraceEvent,
@@ -130,7 +129,7 @@ def test_erase_based_empty_victim_costs_one_erase():
     assert outcome.cost.erase_us == 4000.0
     assert outcome.cost.gc_us == 0.0
     assert outcome.residual_cells == 0
-    assert controller.device.page_status(addr) is PageStatus.FREE
+    assert not controller.device.is_programmed(addr)
 
 
 def test_erase_based_migrates_valid_neighbor():
@@ -192,7 +191,7 @@ def test_ddn_non_random_constant_level_can_violate_monotonicity():
     addr = controller.flush_write(1, w(2, 2, 2), now=0)
     outcome = invalidate(controller, 1)
     assert outcome.error is not None
-    assert not outcome.fallback
+    assert outcome.action == "ddn-overwrite"  # no erase fallback
     assert outcome.residual_cells == 3  # nothing was destroyed
     assert controller.device.peek_slot(addr) == w(2, 2, 2)
     assert not controller.entry(1).valid  # the mark still happened
@@ -239,11 +238,10 @@ def test_nop_exhaustion_falls_back_to_erase():
     controller = build("DdnRandom", nop_limit=0)
     addr = controller.flush_write(1, w(1, 2, 3), now=0)
     outcome = invalidate(controller, 1)
-    assert outcome.fallback
     assert outcome.action == "erase-fallback"
     assert outcome.cost.erase_us == 4000.0
     assert outcome.residual_cells == 0
-    assert controller.device.page_status(addr) is PageStatus.FREE
+    assert not controller.device.is_programmed(addr)
 
 
 def test_ddn_process_requires_programmed_page():

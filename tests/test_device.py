@@ -13,7 +13,6 @@ from ddnsim import (
     NoFreePages,
     NopExceeded,
     NvmDevice,
-    PageStatus,
 )
 
 from ddnsim.metrics import ledger_costs
@@ -61,7 +60,7 @@ def test_address_errors(make_device):
     device = make_device()
     # -1 would otherwise index the flat arrays from the end.
     for addr in (-1, SMALL.total_slots):
-        for call in (device.peek_slot, device.read_slot, device.page_status):
+        for call in (device.peek_slot, device.read_slot, device.is_programmed):
             with pytest.raises(AddressError):
                 call(addr)
         with pytest.raises(AddressError):
@@ -128,11 +127,15 @@ def test_monotone_violation_names_the_first_dropping_cell(make_device, new, mess
     addr = at(1, 2, 1)
     device.program_slot(addr, w(3, 5, 6, 6))
     device.program_slot(at(1, 2, 0), w(1, 1, 1, 1))  # one partial program
-    before = (bytes(device._cells), device.page(1, 2), ledger_costs(device.ledger))
+    def state():
+        return (bytes(device._cells), bytes(device._programmed), list(device._program_counts),
+                ledger_costs(device.ledger))
+
+    before = state()
     with pytest.raises(MonotoneViolation) as raised:
         device.program_slot(addr, new)
     assert str(raised.value) == message.format(addr=addr)
-    assert (bytes(device._cells), device.page(1, 2), ledger_costs(device.ledger)) == before
+    assert state() == before
 
 
 def test_overwritable_accepts_any_levels(make_device):
@@ -147,10 +150,10 @@ def test_partial_program_budget(make_device):
     device = make_device(nop_limit=2)
     addr = at(0, 0, 0)
     device.program_slot(addr, w(0, 0, 0, 0))  # full program of a free page
-    assert device.page(0, 0).partial_program_count == 0
+    assert device._program_counts[0] == 0
     device.program_slot(addr, w(1, 1, 1, 1))
     device.program_slot(addr, w(2, 2, 2, 2))
-    assert device.page(0, 0).partial_program_count == 2
+    assert device._program_counts[0] == 2
     with pytest.raises(NopExceeded):
         device.program_slot(addr, w(3, 3, 3, 3))
     assert device.peek_slot(addr) == w(2, 2, 2, 2)
@@ -169,9 +172,9 @@ def test_partial_program_leaves_other_slots_identical(make_device):
     a, b = at(0, 0, 0), at(0, 0, 1)
     device.program_slot(a, w(1, 2, 3, 4))
     device.program_slot(b, w(5, 6, 7, 0))
-    snapshot = device.page(0, 0).cells
+    snapshot = device._cells[: SMALL.cells_per_page].tolist()
     device.program_slot(a, w(2, 3, 4, 5))
-    after = device.page(0, 0).cells
+    after = device._cells[: SMALL.cells_per_page].tolist()
     assert after[4:] == snapshot[4:]  # slot b untouched
     assert device.peek_slot(b) == w(5, 6, 7, 0)
 
@@ -192,7 +195,7 @@ def test_program_slot_rejects_level_above_top(make_device):
         with pytest.raises(ValueError, match=r"out of range \[0, 7\]"):
             device.program_slot(addr, word)
     assert device.peek_slot(addr) == w(0, 0, 0, 0)
-    assert device.page_status(addr) is PageStatus.FREE
+    assert not device.is_programmed(addr)
     assert device.ledger.total_us == 0
     device.program_slot(addr, w(7, 7, 7, 7))
     assert device.peek_slot(addr) == w(7, 7, 7, 7)
@@ -208,10 +211,10 @@ def test_erase_block(make_device):
     assert device.ledger.total_us - before == 4000.0
     assert device.erase_counts[1] == 1
     assert sum(device.erase_counts) == 1
-    for page in (device.page(1, p) for p in range(4)):
-        assert page.status is PageStatus.FREE
-        assert page.partial_program_count == 0
-        assert page.cells == [0] * 8
+    first, n, width = SMALL.pages_per_block, SMALL.pages_per_block, SMALL.cells_per_page
+    assert device._programmed[first : first + n] == bytes(n)
+    assert device._program_counts[first : first + n] == [0] * n
+    assert device._cells[first * width : (first + n) * width] == bytes(n * width)
     assert device.peek_slot(addr) == w(0, 0, 0, 0)
 
 
@@ -246,7 +249,7 @@ def test_register_refuses_a_slot_another_valid_id_holds(make_device):
     table.register(7, addr, now=2)  # the holder itself may re-register
     table.invalidate(7)
     table.register(8, addr, now=4)  # a stale holder is no obstacle
-    assert [cid for cid, _ in table.valid_entries()] == [8]
+    assert [cid for cid, e in table._entries.items() if e.valid] == [8]
 
 
 def test_move_repoints_valid_entries_and_refuses_a_held_destination(make_device):
@@ -340,7 +343,8 @@ def test_gc_preserves_valid_payloads_and_drops_invalid(make_device):
     device.cache_table.invalidate(2)
     stale_addr = device.cache_table.get(2).addr
     def valid_words():
-        return {cid: device.peek_slot(e.addr) for cid, e in device.cache_table.valid_entries()}
+        entries = device.cache_table._entries
+        return {cid: device.peek_slot(e.addr) for cid, e in entries.items() if e.valid}
 
     payloads = valid_words()
     device.garbage_collect(0)
@@ -349,7 +353,7 @@ def test_gc_preserves_valid_payloads_and_drops_invalid(make_device):
         assert SMALL.block_of(device.cache_table.get(cid).addr) != 0
     # the invalidated neighbor was not migrated; its old location is erased
     assert device.peek_slot(stale_addr) == w(0, 0, 0, 0)
-    assert device.page_status(stale_addr) is PageStatus.FREE
+    assert not device.is_programmed(stale_addr)
 
 
 @pytest.mark.parametrize(

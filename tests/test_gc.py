@@ -118,7 +118,7 @@ programs = st.lists(
 def _apply(device, op, n, level_bits, now):
     """One step; returns what it returned or the error type it raised."""
     table = device.cache_table
-    valid = [cid for cid, _ in table.valid_entries()]
+    valid = sorted(cid for cid, e in table._entries.items() if e.valid)
     try:
         if op in ("write", "rewrite"):
             if op == "rewrite":
@@ -328,7 +328,7 @@ def test_a_fully_live_block_moves_as_one_run(calls):
     assert calls["move"] == [(0, 128, 128)]
     assert calls["charge"] == 64
     table = device.cache_table
-    assert {cid: device.peek_slot(e.addr) for cid, e in table.valid_entries()} == words
+    assert {cid: device.peek_slot(e.addr) for cid, e in table._entries.items() if e.valid} == words
     assert device.erase_counts[0] == 1
 
 

@@ -245,7 +245,7 @@ def test_dram_is_authoritative(host):
     host.apply_event(ev_u(5, "0xBBB"))
     assert host.slots[5].payload == word_from_hex("0xBBB", 4, 3)
     # the flushed copy went invalid, so DRAM holds the only live payload
-    assert host.controller.device.cache_table.valid_entries() == []
+    assert not any(e.valid for e in host.controller.device.cache_table._entries.values())
 
 
 def test_secure_scrub_through_trace(make_controller):

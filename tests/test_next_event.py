@@ -73,8 +73,8 @@ def _reference_apply(host, event):
         if t_secure is not None:
             due = [
                 (cid, entry)
-                for cid, entry in controller.device.cache_table.valid_entries()
-                if now - entry.written_at >= t_secure
+                for cid, entry in sorted(controller.device.cache_table._entries.items())
+                if entry.valid and now - entry.written_at >= t_secure
             ]
             for cid, entry in due:
                 controller._scrub(cid, entry, now, secure=True)
@@ -94,7 +94,7 @@ def _event(ref, kind, pick, bits, ticks):
     if kind == "T":
         return TraceEvent("T", ticks=ticks)
     table = ref.controller.device.cache_table
-    valid = [cid for cid, _ in table.valid_entries()]
+    valid = sorted(cid for cid, e in table._entries.items() if e.valid)
     if kind == "W":
         cache_id = valid[pick % len(valid)] if pick % 2 and valid else pick % 10
         return TraceEvent("W", cache_id=cache_id, payload=_payload(bits))

@@ -79,9 +79,8 @@ class DeviceModel(RuleBasedStateMachine):
 
     @invariant()
     def cells_match_shadow(self):
-        for block in range(2):
-            for page in range(2):
-                assert self.device.page(block, page).cells == self.shadow[block][page]
+        shadow = [level for block in self.shadow for page in block for level in page]
+        assert self.device._cells.tolist() == shadow
 
 
 DeviceModelTest = DeviceModel.TestCase
@@ -233,9 +232,9 @@ def test_ddn_never_touches_neighbor_slots(
         controller.flush_write(cid, word, now=0)
     lo = victim * cells_per_slot
     hi = lo + cells_per_slot
-    before = device.page(0, 0).cells
+    before = device._cells[: geometry.cells_per_page].tolist()
     controller.handle_invalidation(victim, now=1)
-    after = device.page(0, 0).cells
+    after = device._cells[: geometry.cells_per_page].tolist()
     assert after[:lo] == before[:lo]
     assert after[hi:] == before[hi:]
 

@@ -12,7 +12,6 @@ allocator must hand out the same slots and leave the same state.
 
 import gc
 import random
-import hashlib
 import weakref
 
 import pytest
@@ -20,7 +19,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ddnsim import (
-    CacheTable,
     DeviceError,
     DeviceFull,
     DeviceKind,
@@ -33,7 +31,6 @@ from ddnsim import (
     parse_config_text,
     parse_policy,
     parse_trace,
-    run,
 )
 
 from test_golden import CASES, _reclaim_trace
@@ -152,19 +149,6 @@ def test_indexed_reclaim_matches_full_scan(program):
         assert device._cells == reference._cells
         table = device.cache_table
         assert 0 not in table._held[: table._low], f"step {now}: unheld slot below the mark"
-
-
-def test_reclaim_replay_never_scans_the_table(monkeypatch):
-    def no_scan(self):
-        raise AssertionError("full cache-table scan")
-
-    monkeypatch.setattr(CacheTable, "valid_entries", no_scan)
-    config_text, build_trace, _, csv_sha, jsonl_sha = CASES["overwritable-reclaim"]
-    cfg = parse_config_text(config_text)
-    events = parse_trace(build_trace(cfg), cfg.cells_per_cache_slot, cfg.bits_per_cell)
-    report = run(cfg, events)
-    assert hashlib.sha256(report.csv_text.encode()).hexdigest() == csv_sha
-    assert hashlib.sha256(report.jsonl_text.encode()).hexdigest() == jsonl_sha
 
 
 def test_finished_reclaim_device_is_freed_without_the_cycle_collector():
