@@ -47,7 +47,7 @@ def test_per_policy_replays_render_the_reference_report(name):
             for p in cfg.run_policies()]
     assert render_comparison_csv(runs) == reference.csv_text
     deletions = [d for r in reference.runs for d in r.collector.deletions]
-    assert deletions and not [d.error for d in deletions if d.error]
+    assert deletions and not any(d.error for d in deletions)
     assert {d.action for d in deletions} <= set(ACTIONS)  # traced runs count these by name
     assert [row["policy"] for row in reference.rows] == [r.label for r in runs]
 
