@@ -109,12 +109,12 @@ def parse_policy(text: str) -> DeletionPolicy:
         spec = fill_spec.replace(" ", "").lower()
         if spec in ("", "allmax"):
             fill = ALL_MAX
-        elif spec.startswith("level="):
-            fill = FillKind(ascii_number(spec[len("level="):]))
-        elif spec.lstrip("-").isdigit():
-            fill = FillKind(ascii_number(spec))
         else:
-            raise ValueError(f"unknown fill pattern {fill_spec!r}")
+            level = ascii_number(spec.removeprefix("level="), str)  # ASCII, no '_'
+            try:
+                fill = FillKind(int(level))
+            except ValueError:
+                raise ValueError(f"unknown fill pattern {fill_spec!r}") from None
     return DeletionPolicy(kind, fill)
 
 

@@ -8,17 +8,20 @@ sum of the charges it caused.
 
 Device state is flat. Pages are numbered ``block * pages_per_block + page``
 and slots ``page_number * slots_per_page + slot``, and a slot's address is
-that number, a plain ``int``; a ``memoryview`` of one ``bytearray`` holds every
-cell level (a level fits in a byte, so ``bits_per_cell <= 8``), a bytearray
-holds each page's status, one each slot's occupancy, and a list holds each
-page's partial-program count. An erase is a slice assignment; GC moves runs of
-live pages into runs of free pages, a slice per run. The cache table indexes
-its entries by slot (see ``CacheTable``); at most one valid entry holds a slot.
-Reclaim allocation is one search of the table's holder mask, upward from a
-low-water mark below which every slot is held.
+that number, a plain ``int``. A ``memoryview`` of one private anonymous
+``mmap`` holds every cell level (a level fits in a byte, so
+``bits_per_cell <= 8``), and one cast to ``"Q"`` holds each page's
+partial-program count; both are resident only where a run writes them. A
+bytearray holds each page's status, one each slot's occupancy. An erase is a
+slice assignment; GC moves runs of live pages into runs of free pages, a slice
+per run. The cache table indexes its entries by slot (see ``CacheTable``); at
+most one valid entry holds a slot. Reclaim allocation is one search of the
+table's holder mask, upward from a low-water mark below which every slot is
+held.
 """
 
 import math
+import mmap
 from enum import Enum
 from operator import lt
 
@@ -228,17 +231,21 @@ class NvmDevice:
         g = self.geometry
         pages = g.blocks * g.pages_per_block
         try:
-            # A view, as a bytearray slice assignment would copy a bytes word first.
-            self._cells = memoryview(bytearray(pages * g.cells_per_page))
+            # Private anonymous mappings, so a page of either array is resident only once
+            # written (reading a hole of a shared one maps it in); views slice without
+            # copying.
+            private = mmap.ACCESS_COPY
+            self._cells = memoryview(mmap.mmap(-1, pages * g.cells_per_page, access=private))
             self._programmed = bytearray(pages)  # page status: 0 free, 1 programmed
-            self._program_counts = [0] * pages
+            self._program_counts = memoryview(mmap.mmap(-1, 8 * pages, access=private)).cast("Q")
             self._allocated = bytearray(g.total_slots)
             self.erase_counts = [0] * g.blocks
             self.cache_table = CacheTable(g.total_slots)
             n = g.pages_per_block  # an erase copies in these states of an erased block
-            self._erased = (bytearray(n * g.cells_per_page), bytearray(n), [0] * n,
+            self._erased = (bytearray(n * g.cells_per_page), bytearray(n),
+                            memoryview(bytearray(8 * n)).cast("Q"),
                             bytearray(n * g.slots_per_page))
-        except (MemoryError, OverflowError) as exc:
+        except (MemoryError, OverflowError, OSError) as exc:  # a refused mapping: OSError
             raise DeviceError(
                 f"cannot allocate a device of {pages * g.cells_per_page} cells "
                 f"({type(exc).__name__})"

@@ -451,6 +451,21 @@ def test_policy_fill_levels_are_ascii_without_underscores(capsys, spec):
 
 
 @pytest.mark.parametrize(
+    "policy, spec",
+    [
+        ("DdnNonRandom(Level=abc)", "Level=abc"),
+        ("DdnNonRandom(Level=)", "Level="),
+        ("DdnNonRandom(Level=1e3)", "Level=1e3"),
+        ("DdnNonRandom:Level=abc", "Level=abc"),
+    ],
+)
+def test_policy_fill_level_that_is_not_a_number_is_an_unknown_pattern(capsys, policy, spec):
+    # Not int()'s "invalid literal for int() with base 10" message.
+    assert main(["--policy", policy, "--print-config"]) == 2
+    assert capsys.readouterr() == ("", f"ddnsim: config error: unknown fill pattern {spec!r}\n")
+
+
+@pytest.mark.parametrize(
     "args, message",
     [
         (["--seed", "٣", "--synthetic", "5"], "argument --seed: invalid int value: '٣'"),
@@ -482,7 +497,7 @@ def test_cli_device_full_exit_code(tmp_path, capsys):
 
 @pytest.mark.parametrize("blocks", [10**15, 10**20])
 def test_cli_oversize_geometry_is_a_device_error(tmp_path, capsys, blocks):
-    # Both sizes fail to allocate at once (MemoryError, OverflowError), so the
+    # Both sizes fail to allocate at once (OSError, OverflowError), so the
     # test takes no real memory.
     cfg_file = tmp_path / "huge.cfg"
     cfg_file.write_text(f"blocks = {blocks}\n")
@@ -606,6 +621,32 @@ CLI_CWD = Path(ddnsim.__file__).parents[1]
 def run_entry_point(entry, args, **options):
     return subprocess.run([*ENTRY_POINTS[entry], *args], capture_output=True, cwd=CLI_CWD,
                           **options)
+
+
+# perfbench's helper that starts a process and reads its ru_maxrss with wait4.
+# Linux counts the peak of the process that starts a child in the child's
+# ru_maxrss, so CLI runs start from that small process, not from pytest.
+SPAWNER = Path(__file__).resolve().parents[1] / "perfbench" / "spawner.py"
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is read as Linux's KiB")
+def test_device_memory_follows_what_a_run_writes(tmp_path):
+    """Eight times the blocks costs a 50-write run the holder list (8 B per slot)
+    and the byte masks, not the cell array and reprogram counts, which are
+    resident only where written: about +2.3 MB on CPython 3.11, x86-64 Linux,
+    and +5.1 MB with both allocated whole."""
+    big = tmp_path / "big.cfg"
+    big.write_text("blocks = 2048\n")
+    run = [*ENTRY_POINTS["module"], "--synthetic", "50", "--seed", "1"]
+    requests = "".join(
+        json.dumps({"argv": argv, "stderr": str(tmp_path / "stderr"), "timeout": 60}) + "\n"
+        for argv in (run, [*run, "--config", str(big)])
+    )
+    result = subprocess.run([sys.executable, str(SPAWNER)], input=requests, capture_output=True,
+                            text=True, cwd=CLI_CWD, timeout=180, check=True)
+    default, grown = map(json.loads, result.stdout.splitlines())
+    assert default["status"] == grown["status"] == 0
+    assert grown["maxrss_kb"] - default["maxrss_kb"] <= 3.5 * 1024
 
 
 @pytest.mark.parametrize("entry", ENTRY_POINTS)

@@ -1,4 +1,6 @@
+import errno
 from operator import sub
+from types import SimpleNamespace
 
 import pytest
 
@@ -213,7 +215,7 @@ def test_erase_block(make_device):
     assert sum(device.erase_counts) == 1
     first, n, width = SMALL.pages_per_block, SMALL.pages_per_block, SMALL.cells_per_page
     assert device._programmed[first : first + n] == bytes(n)
-    assert device._program_counts[first : first + n] == [0] * n
+    assert device._program_counts[first : first + n].tolist() == [0] * n
     assert device._cells[first * width : (first + n) * width] == bytes(n * width)
     assert device.peek_slot(addr) == w(0, 0, 0, 0)
 
@@ -454,5 +456,17 @@ def test_cache_table_that_cannot_be_allocated_is_a_device_error(monkeypatch):
             raise MemoryError
 
     monkeypatch.setattr("ddnsim.device.CacheTable", NoMemoryTable)
+    with pytest.raises(DeviceError, match="cannot allocate"):
+        NvmDevice(geometry=SMALL)
+
+
+def test_refused_mapping_is_a_device_error(monkeypatch):
+    # The cell array and reprogram counts are anonymous mappings, and a
+    # mapping the kernel refuses raises OSError, which must also end as a
+    # DeviceError (exit 4).
+    def refuse(*args, **kwargs):
+        raise OSError(errno.ENOMEM, "Cannot allocate memory")
+
+    monkeypatch.setattr("ddnsim.device.mmap", SimpleNamespace(mmap=refuse, ACCESS_COPY=0))
     with pytest.raises(DeviceError, match="cannot allocate"):
         NvmDevice(geometry=SMALL)
