@@ -27,7 +27,6 @@ from .controller import (
 )
 from .device import (
     AddressError,
-    CacheEntry,
     CacheTable,
     DeviceError,
     DeviceFull,

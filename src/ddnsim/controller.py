@@ -89,12 +89,12 @@ def parse_policy(text: str) -> DeletionPolicy:
     """
     import re
 
-    m = re.fullmatch(
-        r"\s*([A-Za-z _\-]+?)\s*(?:[:(]\s*([^()]*?)\s*\)?)?\s*", text
+    m = re.fullmatch(  # "(" needs its ")", and ":" takes none: (?(2)...) tests "("
+        r"\s*([A-Za-z _\-]+?)\s*(?:(?:(\()|:)\s*([^()]*?)\s*(?(2)\)))?\s*", text
     )
     if not m:
         raise ValueError(f"unparseable policy: {text!r}")
-    name, fill_spec = m.groups()
+    name, _, fill_spec = m.groups()
     key = re.sub(r"[\s_\-]", "", name).lower()
     kind = _POLICY_NAMES.get(key)
     if kind is None:
@@ -151,16 +151,14 @@ class NvmController:
         self._fill_word = None
         if kind is PolicyKind.DDN_NON_RANDOM:
             self._fill_word = gen_fill_word(policy.fill, g.cells_per_cache_slot, g.bits_per_cell)
-        # cache_id -> entry for every valid copy while secure mode is on, oldest
-        # flush first: flushes stamp the never-decreasing clock and move the id
-        # to the end, and a scrub removes it.
+        # While secure mode is on, cache_id -> flush tick for every valid copy,
+        # oldest flush first: flushes stamp the never-decreasing clock and move
+        # the id to the end, and a scrub removes it. The one record of a tick.
+        self._secure = policy.t_secure is not None
         self._resident = OrderedDict()
         self._costs = {}  # spent-cost tuple -> the ledger all such deletions share
 
     # -- host-facing --------------------------------------------------------
-
-    def entry(self, cache_id: int):
-        return self.device.cache_table.get(cache_id)
 
     def flush_write(self, cache_id: int, payload: bytes, now: int) -> int:
         """Store a flushed cache line: allocate, program, register as valid.
@@ -170,9 +168,9 @@ class NvmController:
         """
         addr = self.device.allocate_slot()
         self.device.program_slot(addr, payload)
-        entry = self.device.cache_table.register(cache_id, addr, now)
-        if self.policy.t_secure is not None:
-            self._resident[cache_id] = entry
+        self.device.cache_table.register(cache_id, addr)
+        if self._secure:
+            self._resident[cache_id] = now
             self._resident.move_to_end(cache_id)
         return addr
 
@@ -182,35 +180,37 @@ class NvmController:
         De-identification requests carry no data transform here; the host
         sends them exactly like plain invalidations.
         """
-        entry = self.device.cache_table.get(cache_id)
-        if entry is None:
+        table = self.device.cache_table
+        addr = table.slot(cache_id)
+        if addr is None:
             raise ProtocolError(f"no flushed copy for cache id {cache_id}")
-        if not entry.valid:
+        if not table.is_valid(cache_id):
             raise ProtocolError(f"cache_id {cache_id} is already invalid")
-        return self._scrub(cache_id, entry, now, secure=False)
+        return self._scrub(cache_id, addr, now, secure=False)
 
     def secure_tick(self, now: int) -> list:
         """Scrub every valid copy stored by ``flush_write`` that has resided
         at least t_secure ticks.
 
-        Scrubbed entries go invalid, so each is scrubbed exactly once.
+        Scrubbed copies go invalid, so each is scrubbed exactly once.
         Outcomes come back in ascending cache_id order.
         """
         t_secure = self.policy.t_secure
         if t_secure is None:
             raise ProtocolError("secure mode not configured")
         due = []
-        for cid, entry in self._resident.items():
-            if now - entry.written_at < t_secure:
+        for cid, flushed_at in self._resident.items():
+            if now - flushed_at < t_secure:
                 break
-            due.append((cid, entry))
-        due.sort()  # by cache_id: ids are unique, so entries are never compared
-        return [self._scrub(cid, entry, now, secure=True) for cid, entry in due]
+            due.append(cid)
+        due.sort()
+        table = self.device.cache_table
+        return [self._scrub(cid, table.slot(cid), now, secure=True) for cid in due]
 
     def next_scrub_due(self) -> int | None:
         """Earliest tick at which ``secure_tick`` scrubs something, if any."""
         resident, t_secure = self._resident, self.policy.t_secure
-        return next(iter(resident.values())).written_at + t_secure if resident else None
+        return next(iter(resident.values())) + t_secure if resident else None
 
     # -- deletion machinery -------------------------------------------------
 
@@ -237,12 +237,13 @@ class NvmController:
         dev.program_slot(addr, word)
         return word
 
-    def _scrub(self, cache_id: int, entry, now: int, secure: bool) -> DeletionOutcome:
+    def _scrub(self, cache_id: int, addr: int, now: int, secure: bool) -> DeletionOutcome:
+        """Invalidate the valid copy of cache_id at addr, then delete it."""
         dev = self.device
-        addr = entry.addr
         pre = dev.peek_slot(addr)
         dev.cache_table.invalidate(cache_id)
-        self._resident.pop(cache_id, None)
+        if self._secure:
+            self._resident.pop(cache_id, None)
         ledger = dev.ledger
         rd, wr, gen, erase, gc = ledger_costs(ledger)
         error = None
@@ -271,10 +272,7 @@ class NvmController:
         cost = self._costs.get(spent)
         if cost is None:
             cost = self._costs[spent] = LatencyLedger(*spent)
-        if dev.is_programmed(addr):
-            residual = sum(map(eq, pre, dev.peek_slot(addr)))
-        else:
-            residual = 0
+        residual = sum(map(eq, pre, dev.peek_slot(addr))) if dev.is_programmed(addr) else 0
         # Positional: keyword arguments would cost about 0.5 us per deletion.
         outcome = DeletionOutcome(
             cache_id, now, action, cost, residual, len(pre), error

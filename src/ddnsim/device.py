@@ -8,16 +8,16 @@ sum of the charges it caused.
 
 Device state is flat. Pages are numbered ``block * pages_per_block + page``
 and slots ``page_number * slots_per_page + slot``, and a slot's address is
-that number, a plain ``int``. A ``memoryview`` of one private anonymous
-``mmap`` holds every cell level (a level fits in a byte, so
-``bits_per_cell <= 8``), and one cast to ``"Q"`` holds each page's
+that number, a plain ``int``. One private anonymous ``mmap`` holds every cell
+level (a level fits in a byte, so ``bits_per_cell <= 8``; a slice is
+``bytes``), and a ``memoryview`` of another, cast to ``"Q"``, each page's
 partial-program count; both are resident only where a run writes them. A
 bytearray holds each page's status, one each slot's occupancy. An erase is a
 slice assignment; GC moves runs of live pages into runs of free pages, a slice
-per run. The cache table indexes its entries by slot (see ``CacheTable``); at
-most one valid entry holds a slot. Reclaim allocation is one search of the
-table's holder mask, upward from a low-water mark below which every slot is
-held.
+per run. The cache table keeps each id's last slot and, per slot, the one
+valid id it holds (see ``CacheTable``). Reclaim allocation is one search of
+the table's holder mask, upward from a low-water mark below which every slot
+is held.
 """
 
 import math
@@ -27,7 +27,7 @@ from operator import lt
 
 from .cells import max_level as _max_level
 from .metrics import LatencyLedger
-from .values import Record, Value
+from .values import Value
 
 
 class DeviceError(Exception):
@@ -119,74 +119,73 @@ class LatencyParams(Value):
         return self.t_read_us + self.t_program_us
 
 
-class CacheEntry(Record):
-    __slots__ = ("addr", "valid", "written_at")
-
-    def __init__(self, addr: int, valid: bool, written_at: int):
-        self.addr, self.valid, self.written_at = addr, valid, written_at
-
-
 class CacheTable:
-    """cache_id -> physical slot, valid/invalid bit, flush tick.
+    """cache_id -> physical slot of the id's last flushed copy, and which
+    copies are valid.
 
-    Each flushed id keeps its last entry for the whole run, valid or invalid;
-    an invalid entry may name a slot that another id's copy has since reused.
-    Slot indexes spare callers a table scan: ``_valid_at`` lists each slot's
-    one valid cache_id or ``None``, and ``_held`` marks the same slots in a
-    ``bytearray`` searched at C speed. At most one valid entry holds a slot:
+    Each flushed id keeps its last slot for the whole run, valid or invalid;
+    an invalid copy's slot may since have been reused by another id's copy.
+    Validity is one fact per slot: ``_valid_at`` lists each slot's one valid
+    cache_id or ``None``, so a copy is valid exactly when
+    ``_valid_at[slot] == cache_id``, and ``_held`` marks the same slots in a
+    ``bytearray`` searched at C speed. At most one valid copy holds a slot:
     ``register`` and ``move`` refuse a second, and the device erases no block
-    a valid entry points into. ``_low`` is a low-water mark for
-    ``first_unheld``: every slot below it is held.
+    a valid copy lies in. ``_low`` is a low-water mark for ``first_unheld``:
+    every slot below it is held.
     """
 
     def __init__(self, total_slots: int):
-        self._entries = {}
+        self._slot = {}
         self._valid_at = [None] * total_slots
         self._held = bytearray(total_slots)
         self._low = 0
 
-    def get(self, cache_id) -> CacheEntry | None:
-        return self._entries.get(cache_id)
+    def slot(self, cache_id) -> int | None:
+        """The slot of the id's last copy, valid or not; None if never registered."""
+        return self._slot.get(cache_id)
 
-    def _release(self, entry: CacheEntry):
-        """A valid entry stops holding entry.addr."""
-        self._valid_at[entry.addr] = None
-        self._held[entry.addr] = 0
-        if entry.addr < self._low:
-            self._low = entry.addr
+    def is_valid(self, cache_id) -> bool:
+        """Whether the id's last copy is registered and still valid."""
+        slot = self._slot.get(cache_id)
+        return slot is not None and self._valid_at[slot] == cache_id
 
-    def register(self, cache_id: int, addr: int, now: int) -> CacheEntry:
-        """Insert or replace the entry for cache_id as valid at addr; returns it."""
+    def _release(self, slot: int):
+        """The valid copy at slot stops holding it."""
+        self._valid_at[slot] = None
+        self._held[slot] = 0
+        if slot < self._low:
+            self._low = slot
+
+    def register(self, cache_id: int, addr: int):
+        """Make addr the id's last copy, valid; a valid earlier copy is released."""
         holder = self._valid_at[addr]
         if holder is not None and holder != cache_id:
             raise DeviceError(f"slot {addr} already holds valid cache_id {holder}")
-        old = self._entries.get(cache_id)
-        if old is not None and old.valid:
+        old = self._slot.get(cache_id)
+        if old is not None and self._valid_at[old] == cache_id:
             self._release(old)
-        entry = self._entries[cache_id] = CacheEntry(addr, True, now)
+        self._slot[cache_id] = addr
         self._valid_at[addr] = cache_id
         self._held[addr] = 1
-        return entry
 
     def invalidate(self, cache_id: int):
-        """Clear the valid bit of a registered id; a second call does nothing."""
-        entry = self._entries[cache_id]
-        if entry.valid:
-            entry.valid = False
-            self._release(entry)
+        """Mark a registered id's copy invalid; a second call does nothing."""
+        slot = self._slot[cache_id]
+        if self._valid_at[slot] == cache_id:
+            self._release(slot)
 
     def held(self, start: int, stop: int) -> bytearray:
-        """1 for each slot in [start, stop) a valid entry holds, else 0."""
+        """1 for each slot in [start, stop) a valid copy holds, else 0."""
         return self._held[start:stop]
 
     def first_unheld(self) -> int:
-        """The lowest slot no valid entry holds, or -1 if every slot is held."""
+        """The lowest slot no valid copy holds, or -1 if every slot is held."""
         slot = self._held.find(0, self._low)
         self._low = len(self._held) if slot == -1 else slot
         return slot
 
     def move(self, src: int, dst: int, n: int) -> bytearray:
-        """Repoint the valid entries in slots [src, src + n) to the same
+        """Repoint the valid copies in slots [src, src + n) to the same
         places in [dst, dst + n), which must hold none; returns ``held`` of
         the source. No release is reported: the caller erases the source."""
         if self._held.find(1, dst, dst + n) != -1:
@@ -196,9 +195,10 @@ class CacheTable:
         self._held[dst : dst + n], self._held[src : src + n] = mask, bytearray(n)
         if src < self._low:
             self._low = src
+        last = self._slot
         for slot, cid in enumerate(ids, dst):
             if cid is not None:
-                self._entries[cid].addr = slot
+                last[cid] = slot
         return mask
 
 
@@ -232,10 +232,10 @@ class NvmDevice:
         pages = g.blocks * g.pages_per_block
         try:
             # Private anonymous mappings, so a page of either array is resident only once
-            # written (reading a hole of a shared one maps it in); views slice without
-            # copying.
+            # written (reading a hole of a shared one maps it in). A slice of the cell
+            # mapping is bytes, cheaper than a memoryview's; the counts need the cast.
             private = mmap.ACCESS_COPY
-            self._cells = memoryview(mmap.mmap(-1, pages * g.cells_per_page, access=private))
+            self._cells = mmap.mmap(-1, pages * g.cells_per_page, access=private)
             self._programmed = bytearray(pages)  # page status: 0 free, 1 programmed
             self._program_counts = memoryview(mmap.mmap(-1, 8 * pages, access=private)).cast("Q")
             self._allocated = bytearray(g.total_slots)
@@ -250,6 +250,7 @@ class NvmDevice:
                 f"cannot allocate a device of {pages * g.cells_per_page} cells "
                 f"({type(exc).__name__})"
             ) from exc
+        self._zero_word = bytes(g.cells_per_cache_slot)
         self._alloc_hint = 0
         self._dest_page_hint = 0
 
@@ -267,24 +268,22 @@ class NvmDevice:
         if not 0 <= block < self.geometry.blocks:
             raise AddressError(f"block {block} out of range")
 
-    def _check_slot(self, slot: int) -> int:
-        """The page number of a slot in range; a negative slot would index
-        the flat arrays from the end."""
-        if not 0 <= slot < self.geometry.total_slots:
-            raise AddressError(f"slot {slot} outside geometry")
-        return slot // self.geometry.slots_per_page
-
     def is_programmed(self, addr: int) -> bool:
         """Whether the page holding a slot has been programmed since its last erase."""
-        return self._programmed[self._check_slot(addr)] == 1
+        g = self.geometry
+        if not 0 <= addr < g.total_slots:  # inline; a negative slot would index from the end
+            raise AddressError(f"slot {addr} outside geometry")
+        return self._programmed[addr // g.slots_per_page] == 1
 
     # -- data path ----------------------------------------------------------
 
     def peek_slot(self, addr: int) -> bytes:
         """Slot contents without any latency charge (instrumentation only)."""
-        self._check_slot(addr)
-        width = self.geometry.cells_per_cache_slot
-        return self._cells[addr * width : (addr + 1) * width].tobytes()
+        g = self.geometry
+        if not 0 <= addr < g.total_slots:
+            raise AddressError(f"slot {addr} outside geometry")
+        width = g.cells_per_cache_slot
+        return self._cells[addr * width : (addr + 1) * width]
 
     def read_slot(self, addr: int) -> bytes:
         """Read one slot; costs one page read. Free pages read as all zero."""
@@ -301,7 +300,7 @@ class NvmDevice:
         consume one unit of the page's partial-reprogram budget per call.
         """
         g = self.geometry
-        if not 0 <= addr < g.total_slots:  # _check_slot, inline on the hottest path
+        if not 0 <= addr < g.total_slots:
             raise AddressError(f"slot {addr} outside geometry")
         index, width = addr // g.slots_per_page, g.cells_per_cache_slot
         if len(data) != width:
@@ -311,7 +310,9 @@ class NvmDevice:
         start, end = addr * width, (addr + 1) * width
         if self.kind is _NAND:
             old = self._cells[start:end]
-            if any(map(lt, data, old)):
+            # No level is below 0, so an erased slot (every flush) takes any word; the
+            # comparison with zeros runs at C speed and spares it the per-cell walk.
+            if old != self._zero_word and any(map(lt, data, old)):
                 cell = list(map(lt, data, old)).index(True)
                 raise MonotoneViolation(f"cell {cell} of slot {addr} would drop "
                                         f"{old[cell]} -> {data[cell]}")
@@ -418,8 +419,8 @@ class NvmDevice:
 
         Occupied slots stay unavailable until their block is erased; with
         ``reclaim_invalid_slots`` the lowest slot that is unoccupied, or
-        occupied with no valid cache entry pointing at it, is handed out;
-        invalid entries that point at a reused slot stay in the table.
+        occupied with no valid copy in it, is handed out; an id whose invalid
+        copy was there keeps that slot as its last in the table.
         """
         if self.reclaim_invalid_slots:
             return self._allocate_with_reclaim()

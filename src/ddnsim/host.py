@@ -165,13 +165,14 @@ class Host:
         if kind == "W":
             self._write(event.cache_id, event.payload)
         elif kind == "U":
-            # Written before: in DRAM, or flushed (the table keeps every entry).
-            entry = self.controller.entry(event.cache_id)
-            if entry is None and event.cache_id not in self.slots:
-                raise TraceError(f"U for unknown cache id {event.cache_id}", event.line)
-            self._write(event.cache_id, event.payload)
-            if entry is not None and entry.valid:
-                self.controller.handle_invalidation(event.cache_id, self.now)
+            # Written before: in DRAM, or flushed (the table keeps every id's last slot).
+            cache_id, table = event.cache_id, self.controller.device.cache_table
+            valid = table.is_valid(cache_id)
+            if not valid and cache_id not in self.slots and table.slot(cache_id) is None:
+                raise TraceError(f"U for unknown cache id {cache_id}", event.line)
+            self._write(cache_id, event.payload)
+            if valid:
+                self.controller.handle_invalidation(cache_id, self.now)
         elif kind in ("I", "D"):
             self.controller.handle_invalidation(event.cache_id, self.now)
         elif kind == "T":

@@ -111,7 +111,7 @@ def test_criterion_4_monotonicity_suite():
 
     def levels(device):
         n = geometry.cells_per_page
-        return [device._cells[page * n : (page + 1) * n].tolist() for page in range(4)]
+        return [list(device._cells[page * n : (page + 1) * n]) for page in range(4)]
 
     def slot(block, page, index):  # two pages per block, two slots per page
         return (block * 2 + page) * 2 + index
@@ -167,10 +167,10 @@ def test_criterion_5_partial_overwrite_isolation():
             word = bytes(rng.randrange(8) for _ in range(cells_per_slot))
             controller.flush_write(cid, word, now=0)
         victim = rng.randrange(slots_per_page)
-        before = controller.device._cells[: geometry.cells_per_page].tolist()
+        before = list(controller.device._cells[: geometry.cells_per_page])
         outcome = controller.handle_invalidation(victim, now=1)
         assert outcome.error is None
-        after = controller.device._cells[: geometry.cells_per_page].tolist()
+        after = list(controller.device._cells[: geometry.cells_per_page])
         lo = victim * cells_per_slot
         hi = lo + cells_per_slot
         assert after[:lo] == before[:lo]
@@ -188,9 +188,9 @@ def test_criterion_6_secure_mode_boundary():
     controller.flush_write(1, bytes((4, 7, 0, 2)), now=0)
     for tick in range(10):
         assert controller.secure_tick(tick) == []
-        assert controller.entry(1).valid
+        assert controller.device.cache_table.is_valid(1)
     (outcome,) = controller.secure_tick(10)
-    assert not controller.entry(1).valid
+    assert not controller.device.cache_table.is_valid(1)
     assert outcome.residual_cells < outcome.slot_cells  # data was destroyed
     assert controller.secure_tick(11) == []
 

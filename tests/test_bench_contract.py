@@ -5,9 +5,11 @@ drives them.
 rebuilds every policy's run from ``run_policy`` and reads the collectors'
 deletion records, and ``scaling.py`` builds hosts from ``RunConfig``. A
 rename or deletion of any of them breaks the benchmark; these tests fail in
-the fast suite instead.
+the fast suite instead. The workloads' report bytes are pinned by hash too,
+as the golden cases are, since the benchmark checks speed on the same bytes.
 """
 
+import hashlib
 import sys
 from pathlib import Path
 
@@ -56,3 +58,26 @@ def test_scaling_probes_run_and_their_hosts_keep_t_secure():
     assert scaling._host(t_secure=7).controller.policy.t_secure == 7
     for probe, _ in scaling.PROBES.values():
         assert probe(16) >= 0.0
+
+
+# sha256 of the report each workload writes (CSV or JSONL), per seed.
+WORKLOAD_REPORTS = {
+    ("synthetic-update", 12345): "49230afd6073b94813e0e10e1d7ba14856f493eddf412d95b8b733192a3fe20f",
+    ("synthetic-update", 777): "c230f804474589f62f887c50334f40524b930cb0cdac8fa55c516b4bacebd0ef",
+    ("synthetic-update", 1): "b40bdf9bda0b65568145672bf0078c2ecfd3816fbdce4b4a7e5f4857d21b60a3",
+    ("secure-idle", 12345): "3e34a97278f90963dc990887b046ca43b8593c0bb1b8cdc4ed87a4c37368468b",
+    ("secure-idle", 777): "b998248a6291c6c8273ef86c11d5f911b9d550ea8979bd9d479d9df4424711a0",
+    ("secure-idle", 1): "274705c8c6a60cd9f46ed1cddf6b625e7d634e11f32c4cd4ffae814ef41e3f86",
+    ("reclaim-pressure", 12345): "c818003401acf89ea95ac054f6f073d1bd755e555aacafd93affd9dc90ee2a69",
+    ("reclaim-pressure", 777): "161a55d95386446aa19f77d40e75e588fabd91bdd25f6b78286820f622a8c346",
+    ("reclaim-pressure", 1): "f143db27f5decf2686ee5057f762ddb639f1cb37d7d68ed9d52332c54bdfe2b3",
+}
+
+
+@pytest.mark.parametrize("name, seed", sorted(WORKLOAD_REPORTS))
+def test_workload_report_bytes_are_pinned(name, seed):
+    workload = workloads.build(name, seed)
+    chunks = []
+    run(*workload.load()).write(workload.out_format, chunks.append)
+    digest = hashlib.sha256("".join(chunks).encode()).hexdigest()
+    assert digest == WORKLOAD_REPORTS[name, seed]

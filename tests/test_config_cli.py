@@ -450,6 +450,25 @@ def test_policy_fill_levels_are_ascii_without_underscores(capsys, spec):
     assert out == "" and err.startswith("ddnsim: config error: numbers take ASCII")
 
 
+@pytest.mark.parametrize("policy", ["DdnNonRandom(Level=3", "DdnNonRandom:3)", "MarkOnly("])
+def test_policy_with_unbalanced_brackets_is_unparseable(capsys, policy):
+    assert main(["--policy", policy, "--print-config"]) == 2
+    assert capsys.readouterr() == ("", f"ddnsim: config error: unparseable policy: {policy!r}\n")
+
+
+@pytest.mark.parametrize(
+    "policy, label",
+    [
+        ("DdnNonRandom(Level=3)", "DdnNonRandom(Level=3)"),
+        ("DdnNonRandom:Level=3", "DdnNonRandom(Level=3)"),
+        ("DdnNonRandom( AllMax )", "DdnNonRandom(AllMax)"),
+    ],
+)
+def test_policy_with_balanced_brackets_or_a_colon_parses(capsys, policy, label):
+    assert main(["--policy", policy, "--print-config"]) == 0
+    assert f"policies = {label}\n" in capsys.readouterr().out
+
+
 @pytest.mark.parametrize(
     "policy, spec",
     [

@@ -100,10 +100,10 @@ def test_policy_validation():
 
 
 def test_flush_write_registers_and_charges():
-    controller = build("MarkOnly")
+    controller = build("MarkOnly", t_secure=10)  # secure mode records the flush tick
     addr = controller.flush_write(5, w(1, 2, 3), now=4)
-    entry = controller.entry(5)
-    assert entry.valid and entry.addr == addr and entry.written_at == 4
+    table = controller.device.cache_table
+    assert table.is_valid(5) and table.slot(5) == addr and controller._resident[5] == 4
     assert controller.device.ledger.wr_us == 600.0
     assert controller.device.peek_slot(addr) == w(1, 2, 3)
 
@@ -112,7 +112,7 @@ def test_mark_only_leaves_data_in_place():
     controller = build("MarkOnly")
     addr = controller.flush_write(1, w(4, 7, 0), now=0)
     outcome = invalidate(controller, 1, now=2)
-    assert not controller.entry(1).valid
+    assert not controller.device.cache_table.is_valid(1)
     assert outcome.action == "mark-only"
     assert outcome.cost.total_us == 0.0
     assert outcome.residual_cells == 3
@@ -139,9 +139,10 @@ def test_erase_based_migrates_valid_neighbor():
     outcome = invalidate(controller, 1)
     assert outcome.cost.gc_us == 649.0
     assert outcome.cost.erase_us == 4000.0
-    moved = controller.entry(2)
-    assert moved.valid and G3.block_of(moved.addr) != 0
-    assert controller.device.peek_slot(moved.addr) == w(1, 2, 3)
+    table = controller.device.cache_table
+    moved = table.slot(2)
+    assert table.is_valid(2) and G3.block_of(moved) != 0
+    assert controller.device.peek_slot(moved) == w(1, 2, 3)
 
 
 def test_ddn_random_on_nand_example_slot():
@@ -194,7 +195,7 @@ def test_ddn_non_random_constant_level_can_violate_monotonicity():
     assert outcome.action == "ddn-overwrite"  # no erase fallback
     assert outcome.residual_cells == 3  # nothing was destroyed
     assert controller.device.peek_slot(addr) == w(2, 2, 2)
-    assert not controller.entry(1).valid  # the mark still happened
+    assert not controller.device.cache_table.is_valid(1)  # the mark still happened
 
 
 def test_ddn_non_random_constant_level_above_current_works():
@@ -259,7 +260,7 @@ def test_de_identify_is_handled_like_invalidate():
         host.apply_event(TraceEvent("F"))
         host.apply_event(TraceEvent(op, cache_id=1))
         (outcome,) = controller.collector.deletions
-        post = controller.device.peek_slot(controller.entry(1).addr)
+        post = controller.device.peek_slot(controller.device.cache_table.slot(1))
         outcomes.append((outcome.action, outcome.cost.total_us, post))
     assert outcomes[0] == outcomes[1]
 
@@ -275,11 +276,11 @@ def test_secure_tick_threshold_and_ordering():
     controller.flush_write(3, w(1, 2, 3), now=0)
     controller.flush_write(1, w(4, 5, 6), now=0)
     assert controller.secure_tick(9) == []
-    assert controller.entry(1).valid and controller.entry(3).valid
+    assert controller.device.cache_table.is_valid(1) and controller.device.cache_table.is_valid(3)
     outcomes = controller.secure_tick(10)
     assert [o.cache_id for o in outcomes] == [1, 3]
     assert all(o.action == "secure-scrub" for o in outcomes)
-    assert not controller.entry(1).valid and not controller.entry(3).valid
+    assert not controller.device.cache_table.is_valid(1) and not controller.device.cache_table.is_valid(3)
     assert controller.secure_tick(11) == []  # scrubbed exactly once
     assert len(controller.collector.deletions) == 2
 

@@ -174,9 +174,9 @@ def test_partial_program_leaves_other_slots_identical(make_device):
     a, b = at(0, 0, 0), at(0, 0, 1)
     device.program_slot(a, w(1, 2, 3, 4))
     device.program_slot(b, w(5, 6, 7, 0))
-    snapshot = device._cells[: SMALL.cells_per_page].tolist()
+    snapshot = list(device._cells[: SMALL.cells_per_page])
     device.program_slot(a, w(2, 3, 4, 5))
-    after = device._cells[: SMALL.cells_per_page].tolist()
+    after = list(device._cells[: SMALL.cells_per_page])
     assert after[4:] == snapshot[4:]  # slot b untouched
     assert device.peek_slot(b) == w(5, 6, 7, 0)
 
@@ -226,7 +226,7 @@ def test_erase_refuses_a_block_holding_valid_data(make_device):
     device = make_device()
     addr = device.allocate_slot()
     device.program_slot(addr, w(1, 2, 3, 4))
-    device.cache_table.register(7, addr, now=0)
+    device.cache_table.register(7, addr)
     before = ledger_costs(device.ledger)
     with pytest.raises(DeviceError, match="^block 0 still holds valid data$"):
         device.erase_block(0)
@@ -243,44 +243,44 @@ def test_register_refuses_a_slot_another_valid_id_holds(make_device):
     device = make_device()
     addr = device.allocate_slot()
     table = device.cache_table
-    table.register(7, addr, now=0)
+    table.register(7, addr)
     with pytest.raises(DeviceError, match=f"^slot {addr} already holds valid cache_id 7$"):
-        table.register(8, addr, now=1)
-    assert table.get(8) is None
-    assert table.get(7).addr == addr and table.get(7).valid
-    table.register(7, addr, now=2)  # the holder itself may re-register
+        table.register(8, addr)
+    assert table.slot(8) is None
+    assert table.slot(7) == addr and table.is_valid(7)
+    table.register(7, addr)  # the holder itself may re-register
     table.invalidate(7)
-    table.register(8, addr, now=4)  # a stale holder is no obstacle
-    assert [cid for cid, e in table._entries.items() if e.valid] == [8]
+    table.register(8, addr)  # a stale holder is no obstacle
+    assert [cid for cid in table._slot if table.is_valid(cid)] == [8]
 
 
 def test_move_repoints_valid_entries_and_refuses_a_held_destination(make_device):
     device = make_device()
     table = device.cache_table
-    table.register(1, 0, now=0)
-    table.register(2, 2, now=0)
+    table.register(1, 0)
+    table.register(2, 2)
     table.invalidate(2)
-    table.register(3, 7, now=0)
+    table.register(3, 7)
     assert table.move(0, 4, 3) == bytearray([1, 0, 0])
-    assert table.get(1).addr == 4 and table.get(1).valid
-    assert table.get(2).addr == 2  # a stale entry stays where it was
+    assert table.slot(1) == 4 and table.is_valid(1)
+    assert table.slot(2) == 2  # a stale entry stays where it was
     assert table.held(0, 8) == bytearray([0, 0, 0, 0, 1, 0, 0, 1])
     with pytest.raises(DeviceError, match="^slots 6..7 already hold valid data$"):
         table.move(4, 6, 2)
-    assert table.get(1).addr == 4 and table.get(3).addr == 7
+    assert table.slot(1) == 4 and table.slot(3) == 7
 
 
 def test_set_valid_bit(make_device):
     device = make_device()
     addr = device.allocate_slot()
     device.program_slot(addr, w(1, 1, 1, 1))
-    device.cache_table.register(7, addr, now=3)
-    entry = device.cache_table.get(7)
-    assert entry.valid and entry.written_at == 3
-    device.cache_table.invalidate(7)
-    assert not entry.valid
-    device.cache_table.invalidate(7)  # idempotent
-    assert not entry.valid and device.cache_table.get(7) is entry
+    table = device.cache_table
+    table.register(7, addr)  # the flush tick is the controller's (secure mode only)
+    assert table.is_valid(7) and table.slot(7) == addr
+    table.invalidate(7)
+    assert not table.is_valid(7)
+    table.invalidate(7)  # idempotent
+    assert not table.is_valid(7) and table.slot(7) == addr
 
 
 def test_allocate_first_fit_order(make_device):
@@ -313,7 +313,7 @@ def test_allocate_until_full():
 def _stage_valid(device, cache_id, addr, word):
     device._allocated[addr] = True
     device.program_slot(addr, word)
-    device.cache_table.register(cache_id, addr, now=0)
+    device.cache_table.register(cache_id, addr)
 
 
 def test_gc_cost_empty_victim(make_device):
@@ -343,16 +343,17 @@ def test_gc_preserves_valid_payloads_and_drops_invalid(make_device):
     _stage_valid(device, 2, at(0, 0, 1), w(5, 6, 7, 0))
     _stage_valid(device, 3, at(0, 2, 0), w(7, 7, 7, 7))
     device.cache_table.invalidate(2)
-    stale_addr = device.cache_table.get(2).addr
+    stale_addr = device.cache_table.slot(2)
     def valid_words():
-        entries = device.cache_table._entries
-        return {cid: device.peek_slot(e.addr) for cid, e in entries.items() if e.valid}
+        table = device.cache_table
+        return {cid: device.peek_slot(slot) for cid, slot in table._slot.items()
+                if table.is_valid(cid)}
 
     payloads = valid_words()
     device.garbage_collect(0)
     assert valid_words() == payloads
     for cid in (1, 3):
-        assert SMALL.block_of(device.cache_table.get(cid).addr) != 0
+        assert SMALL.block_of(device.cache_table.slot(cid)) != 0
     # the invalidated neighbor was not migrated; its old location is erased
     assert device.peek_slot(stale_addr) == w(0, 0, 0, 0)
     assert not device.is_programmed(stale_addr)
@@ -368,10 +369,10 @@ def test_gc_destination_slots_are_never_handed_out(make_device, options):
     for cid, word in ((1, w(1, 2, 3, 4)), (2, w(4, 3, 2, 1))):
         addr = device.allocate_slot()
         device.program_slot(addr, word)
-        device.cache_table.register(cid, addr, now=0)
+        device.cache_table.register(cid, addr)
     device.cache_table.invalidate(2)
     device.garbage_collect(0)
-    moved = device.cache_table.get(1).addr
+    moved = device.cache_table.slot(1)
     assert SMALL.block_of(moved) != 0
     handed_out = []
     while True:
@@ -379,11 +380,11 @@ def test_gc_destination_slots_are_never_handed_out(make_device, options):
             addr = device.allocate_slot()
         except DeviceFull:
             break
-        device.cache_table.register(100 + len(handed_out), addr, now=2)
+        device.cache_table.register(100 + len(handed_out), addr)
         handed_out.append(addr)
     assert moved not in handed_out
     assert len(set(handed_out)) == len(handed_out) == SMALL.total_slots - 1
-    assert device.cache_table.get(1).addr == moved
+    assert device.cache_table.slot(1) == moved
     assert device.peek_slot(moved) == w(1, 2, 3, 4)
 
 
@@ -421,18 +422,18 @@ def test_reclaim_reuses_invalid_slots(make_device):
     device = make_device(kind=DeviceKind.OVERWRITABLE, reclaim_invalid_slots=True)
     addr = device.allocate_slot()
     device.program_slot(addr, w(1, 2, 3, 4))
-    device.cache_table.register(5, addr, now=0)
+    device.cache_table.register(5, addr)
     device.cache_table.invalidate(5)
     assert device.allocate_slot() == addr
-    entry = device.cache_table.get(5)  # the table keeps the stale entry
-    assert entry.addr == addr and not entry.valid
+    table = device.cache_table  # the table keeps the stale copy's slot
+    assert table.slot(5) == addr and not table.is_valid(5)
 
 
 def test_no_reclaim_by_default(make_device):
     device = make_device(kind=DeviceKind.OVERWRITABLE)
     addr = device.allocate_slot()
     device.program_slot(addr, w(1, 2, 3, 4))
-    device.cache_table.register(5, addr, now=0)
+    device.cache_table.register(5, addr)
     device.cache_table.invalidate(5)
     assert device.allocate_slot() != addr
 

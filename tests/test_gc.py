@@ -42,21 +42,21 @@ class ReferenceGcDevice(NvmDevice):
         g = self.geometry
         table = self.cache_table
         by_page = {}
-        for cid, entry in sorted(table._entries.items()):
-            if entry.valid and g.block_of(entry.addr) == block:
-                by_page.setdefault(entry.addr // g.slots_per_page, []).append((cid, entry))
+        for cid, slot in sorted(table._slot.items()):
+            if table.is_valid(cid) and g.block_of(slot) == block:
+                by_page.setdefault(slot // g.slots_per_page, []).append((cid, slot))
         if by_page:
             dests = self._find_free_pages(len(by_page), exclude_block=block)
             width = g.cells_per_cache_slot
             for (page, movers), dst_page in zip(sorted(by_page.items()), dests):
                 shift = (dst_page - page) * g.slots_per_page
-                for cid, entry in movers:
-                    src, dst = entry.addr, entry.addr + shift
+                for cid, slot in movers:
+                    src, dst = slot, slot + shift
                     self._cells[dst * width : (dst + 1) * width] = self._cells[
                         src * width : (src + 1) * width
                     ]
                     self._allocated[dst] = 1
-                    table.register(cid, dst, entry.written_at)
+                    table.register(cid, dst)
                 self._programmed[dst_page] = 1
                 self.ledger.charge_gc_migration(self.latency.gc_migration_per_page_us)
         self.erase_block(block)
@@ -118,7 +118,7 @@ programs = st.lists(
 def _apply(device, op, n, level_bits, now):
     """One step; returns what it returned or the error type it raised."""
     table = device.cache_table
-    valid = sorted(cid for cid, e in table._entries.items() if e.valid)
+    valid = sorted(cid for cid in table._slot if table.is_valid(cid))
     try:
         if op in ("write", "rewrite"):
             if op == "rewrite":
@@ -127,7 +127,7 @@ def _apply(device, op, n, level_bits, now):
                 n = valid[n % len(valid)]  # a W over a still-valid copy
             addr = device.allocate_slot()
             device.program_slot(addr, bytes((level_bits & 3, level_bits >> 2)))
-            table.register(n, addr, now)
+            table.register(n, addr)
             return addr
         if op == "invalidate":
             if valid:
@@ -146,7 +146,8 @@ def _state(device):
         bytes(device._allocated),
         list(device._program_counts),
         list(device.erase_counts),
-        dict(device.cache_table._entries.items()),
+        dict(device.cache_table._slot),
+        list(device.cache_table._valid_at),
         ledger_costs(device.ledger),
     )
 
@@ -323,12 +324,13 @@ def test_a_fully_live_block_moves_as_one_run(calls):
         addr = device.allocate_slot()
         words[cid] = bytes((cid + k) % 8 for k in range(8))
         device.program_slot(addr, words[cid])
-        device.cache_table.register(cid, addr, 0)
+        device.cache_table.register(cid, addr)
     device.garbage_collect(0)
     assert calls["move"] == [(0, 128, 128)]
     assert calls["charge"] == 64
     table = device.cache_table
-    assert {cid: device.peek_slot(e.addr) for cid, e in table._entries.items() if e.valid} == words
+    assert {cid: device.peek_slot(slot) for cid, slot in table._slot.items()
+            if table.is_valid(cid)} == words
     assert device.erase_counts[0] == 1
 
 
@@ -343,7 +345,7 @@ def test_a_split_free_run_takes_two_moves(calls, split):
         for cid in range(8):
             addr = device.allocate_slot()
             device.program_slot(addr, bytes((cid % 4, cid // 4)))
-            device.cache_table.register(cid, addr, 0)
+            device.cache_table.register(cid, addr)
         if split == "allocated-page":
             device._allocated[10 * 2 + 1] = 1
         else:

@@ -141,14 +141,17 @@ def test_time_advances_without_dirty_slots(host):
     assert host.controller.collector.deletions == []
 
 
-def test_flush_idle_inclusive_boundary(host):
+def test_flush_idle_inclusive_boundary(make_controller):
+    # Secure mode, with no scrub due in the test, records each copy's flush tick.
+    host = Host(make_controller("DdnRandom", t_secure=1000), capacity=64,
+                flush_idle_threshold=10)
+    table = host.controller.device.cache_table
     host.apply_event(ev_w(5))
     host.apply_event(TraceEvent("T", ticks=9))
-    assert host.controller.entry(5) is None  # 9 < threshold 10
+    assert table.slot(5) is None  # 9 < threshold 10
     host.apply_event(TraceEvent("T", ticks=1))
-    entry = host.controller.entry(5)
-    assert entry is not None and entry.valid
-    assert entry.written_at == 10
+    assert table.slot(5) is not None and table.is_valid(5)
+    assert host.controller._resident[5] == 10
     assert 5 not in host._dirty
 
 
@@ -170,7 +173,7 @@ def test_flush_all_is_immediate(host):
     host.apply_event(ev_w(1))
     host.apply_event(ev_w(2, "0x222"))
     host.apply_event(TraceEvent("F"))
-    assert host.controller.entry(1).valid and host.controller.entry(2).valid
+    assert host.controller.device.cache_table.is_valid(1) and host.controller.device.cache_table.is_valid(2)
 
 
 def test_invalidate_and_deidentify_events(host):
@@ -179,14 +182,14 @@ def test_invalidate_and_deidentify_events(host):
     host.apply_event(TraceEvent("F"))
     host.apply_event(TraceEvent("I", cache_id=5))
     assert [d.cache_id for d in deletions] == [5]
-    assert not host.controller.entry(5).valid
+    assert not host.controller.device.cache_table.is_valid(5)
     # DRAM copy is untouched by the NVM-side deletion
     assert host.slots[5].payload == word_from_hex("0xABC", 4, 3)
     host.apply_event(ev_w(6, "0x321"))
     host.apply_event(TraceEvent("F"))
     host.apply_event(TraceEvent("D", cache_id=6))
     assert [d.cache_id for d in deletions] == [5, 6]
-    assert not host.controller.entry(6).valid
+    assert not host.controller.device.cache_table.is_valid(6)
 
 
 def test_invalidate_requires_flushed_copy(host):
@@ -224,10 +227,10 @@ def test_capacity_eviction_flushes_dirty_lru(make_controller):
     host.apply_event(ev_w(3, "0x333"))
     assert len(host.slots) == 2
     assert 1 not in host.slots  # LRU tie broken by smallest id
-    entry = host.controller.entry(1)
-    assert entry is not None and entry.valid
+    table = host.controller.device.cache_table
+    assert table.slot(1) is not None and table.is_valid(1)
     # the evicted payload is still readable through the NVM copy
-    assert host.controller.device.peek_slot(entry.addr) == word_from_hex("0x111", 4, 3)
+    assert host.controller.device.peek_slot(table.slot(1)) == word_from_hex("0x111", 4, 3)
 
 
 def test_update_after_eviction_reinserts_and_invalidates(make_controller):
@@ -245,7 +248,8 @@ def test_dram_is_authoritative(host):
     host.apply_event(ev_u(5, "0xBBB"))
     assert host.slots[5].payload == word_from_hex("0xBBB", 4, 3)
     # the flushed copy went invalid, so DRAM holds the only live payload
-    assert not any(e.valid for e in host.controller.device.cache_table._entries.values())
+    table = host.controller.device.cache_table
+    assert not any(table.is_valid(cid) for cid in table._slot)
 
 
 def test_secure_scrub_through_trace(make_controller):
@@ -253,7 +257,7 @@ def test_secure_scrub_through_trace(make_controller):
     host = Host(controller, capacity=8, flush_idle_threshold=1)
     events = parse_trace("W 1 0x0AB\nF\nT 15\n", 4, 3)
     host.run_trace(events)
-    assert not controller.entry(1).valid
+    assert not controller.device.cache_table.is_valid(1)
     (outcome,) = controller.collector.deletions
     assert outcome.tick == 10
     assert outcome.action == "secure-scrub"

@@ -2,7 +2,8 @@
 
 The reference below is the per-tick loop with full scans: every tick runs
 the idle flush over all dirty lines and the secure scrub over all valid
-entries, and eviction takes the minimum over all of DRAM. A replay through
+copies, by flush ticks it records itself, and eviction takes the minimum
+over all of DRAM. A replay through
 ``Host`` must end in the same state and make the same deletions.
 """
 
@@ -48,6 +49,19 @@ def _host(policy, t_secure, threshold, capacity, seed):
     return Host(controller, capacity=capacity, flush_idle_threshold=threshold)
 
 
+def _record_flush_ticks(host):
+    """Keep the reference's own cache_id -> flush tick, apart from the
+    controller's secure queue."""
+    controller, host.flushed_at = host.controller, {}
+    flush_write = controller.flush_write
+
+    def recording(cache_id, payload, now):
+        host.flushed_at[cache_id] = now
+        return flush_write(cache_id, payload, now)
+
+    controller.flush_write = recording
+
+
 def _evict_by_scan(host):
     victim = min(host.slots.items(), key=lambda kv: (kv[1].last_used, kv[0]))[0]
     if victim in host._dirty:
@@ -71,13 +85,13 @@ def _reference_apply(host, event):
         ):
             host._flush(cid, now)
         if t_secure is not None:
+            table = controller.device.cache_table
             due = [
-                (cid, entry)
-                for cid, entry in sorted(controller.device.cache_table._entries.items())
-                if entry.valid and now - entry.written_at >= t_secure
+                cid for cid, flushed_at in sorted(host.flushed_at.items())
+                if table.is_valid(cid) and now - flushed_at >= t_secure
             ]
-            for cid, entry in due:
-                controller._scrub(cid, entry, now, secure=True)
+            for cid in due:
+                controller._scrub(cid, table.slot(cid), now, secure=True)
     return []
 
 
@@ -94,12 +108,12 @@ def _event(ref, kind, pick, bits, ticks):
     if kind == "T":
         return TraceEvent("T", ticks=ticks)
     table = ref.controller.device.cache_table
-    valid = sorted(cid for cid, e in table._entries.items() if e.valid)
+    valid = sorted(cid for cid in table._slot if table.is_valid(cid))
     if kind == "W":
         cache_id = valid[pick % len(valid)] if pick % 2 and valid else pick % 10
         return TraceEvent("W", cache_id=cache_id, payload=_payload(bits))
     if kind == "U":
-        ids = sorted(set(ref.slots) | {cid for cid, _ in table._entries.items()})
+        ids = sorted(set(ref.slots) | set(table._slot))
     else:
         ids = valid
     if not ids:
@@ -157,6 +171,7 @@ def test_next_event_clock_matches_per_tick_loop(
     host = _host(policy, t_secure, threshold, capacity, seed)
     ref = _host(policy, t_secure, threshold, capacity, seed)
     ref._evict_one = types.MethodType(_evict_by_scan, ref)
+    _record_flush_ticks(ref)
     for step in trace:
         event = _event(ref, *step)
         if event is None:
@@ -181,9 +196,13 @@ def test_next_event_clock_matches_per_tick_loop(
         ]
 
     assert deletions(host) == deletions(ref)
-    assert dict(host.controller.device.cache_table._entries.items()) == dict(
-        ref.controller.device.cache_table._entries.items()
-    )
+    table, ref_table = host.controller.device.cache_table, ref.controller.device.cache_table
+    assert dict(table._slot) == dict(ref_table._slot)
+    assert table._valid_at == ref_table._valid_at
+    if t_secure is not None:
+        assert dict(host.controller._resident) == {
+            cid: tick for cid, tick in ref.flushed_at.items() if ref_table.is_valid(cid)
+        }
 
 
 BIG_T = 1_000_000_000
@@ -201,15 +220,15 @@ def test_idle_time_costs_one_step_per_due_tick(monkeypatch):
 
         monkeypatch.setattr(owner, name, counted)
     host = _host("DdnRandom", t_secure=5, threshold=10, capacity=8, seed=1)
+    _record_flush_ticks(host)
     trace = [
         TraceEvent("W", cache_id=cid, payload=_payload(cid)) for cid in (1, 2, 3)
     ] + [TraceEvent("T", ticks=BIG_T)] * 2
     host.run_trace(trace)
     assert host.now == 2 * BIG_T
-    table = host.controller.device.cache_table
     deletions = host.controller.collector.deletions
     assert [d.action for d in deletions] == ["secure-scrub"] * 3
-    due_ticks = {entry.written_at for _, entry in table._entries.items()} | {d.tick for d in deletions}
+    due_ticks = set(host.flushed_at.values()) | {d.tick for d in deletions}
     assert due_ticks == {10, 15}
     # one step per due tick, plus one step to the end of each T event
     assert calls["flush_idle"] <= len(due_ticks) + 2

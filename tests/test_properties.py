@@ -9,6 +9,8 @@ from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
 from ddnsim import (
+    CacheTable,
+    DeviceError,
     DeviceKind,
     Geometry,
     Host,
@@ -80,11 +82,146 @@ class DeviceModel(RuleBasedStateMachine):
     @invariant()
     def cells_match_shadow(self):
         shadow = [level for block in self.shadow for page in block for level in page]
-        assert self.device._cells.tolist() == shadow
+        assert list(self.device._cells[:]) == shadow
 
 
 DeviceModelTest = DeviceModel.TestCase
 DeviceModelTest.settings = settings(max_examples=60, deadline=None)
+
+
+@st.composite
+def nand_programs(draw, old_erased):
+    """A NAND device with one slot in a known state, and a word to program
+    there: bits per cell 1-8, the slot's page programmed or not, its budget
+    spent or not, and a new word that drops some cells or none."""
+    bits, width = draw(st.integers(1, 8)), draw(st.integers(1, 8))
+    nop_limit, top = draw(st.integers(0, 3)), (1 << bits) - 1
+    word = st.lists(st.integers(0, top), min_size=width, max_size=width).map(bytes)
+    programmed = draw(st.booleans())
+    old = bytes(width) if old_erased or not programmed else draw(word)
+    spent = draw(st.integers(0, nop_limit)) if programmed else 0
+    rise = st.lists(st.integers(0, top), min_size=width, max_size=width).map(
+        lambda up: bytes(min(top, o + u) for o, u in zip(old, up)))
+    new = draw(st.one_of(word, rise))
+    geometry = Geometry(blocks=1, pages_per_block=2, cells_per_page=2 * width,
+                        bits_per_cell=bits, cells_per_cache_slot=width)
+    device = NvmDevice(geometry=geometry, nop_limit=nop_limit)
+    addr = draw(st.integers(0, geometry.total_slots - 1))
+    if programmed:
+        device.program_slot(addr, old)
+        for _ in range(spent):  # partial programs of the page's other slot
+            device.program_slot(addr ^ 1, bytes(width))
+    return device, addr, old, new, programmed and spent == nop_limit
+
+
+# Half the runs program an all-zero (erased) slot, as every flush does.
+@pytest.mark.parametrize("old_erased", [True, False], ids=["erased-slot", "any-slot"])
+@given(data=st.data())
+@settings(max_examples=200, deadline=None)
+def test_nand_program_matches_a_per_cell_reference(old_erased, data):
+    device, addr, old, new, budget_spent = data.draw(nand_programs(old_erased))
+
+    def state():
+        return (bytes(device._cells), bytes(device._programmed),
+                list(device._program_counts), ledger_costs(device.ledger))
+
+    assert device.peek_slot(addr) == old
+    drops = [cell for cell in range(len(old)) if new[cell] < old[cell]]
+    before = state()
+    try:
+        device.program_slot(addr, new)
+    except MonotoneViolation as exc:
+        assert drops, "a program that lowers no cell was refused"
+        cell = drops[0]
+        assert str(exc) == f"cell {cell} of slot {addr} would drop {old[cell]} -> {new[cell]}"
+        assert state() == before
+        return
+    except NopExceeded:
+        assert not drops and budget_spent
+        assert state() == before
+        return
+    assert not drops and not budget_spent
+    assert device.peek_slot(addr) == new
+    assert device.is_programmed(addr)
+    page = addr // device.geometry.slots_per_page
+    assert device._program_counts[page] == before[2][page] + before[1][page]
+    assert device.ledger.wr_us == before[3][1] + device.latency.t_program_us
+
+
+class CacheTableModel(RuleBasedStateMachine):
+    """``CacheTable`` against a plain dict of cache_id -> [slot, valid]: the
+    last copy's slot and validity of every id, the held mask and the lowest
+    unheld slot agree after every step."""
+
+    SLOTS = 12
+    ids = st.integers(0, 7)
+    slots = st.integers(0, SLOTS - 1)
+
+    def __init__(self):
+        super().__init__()
+        self.table = CacheTable(self.SLOTS)
+        self.copies = {}
+
+    def _held(self):
+        return {slot: cid for cid, (slot, valid) in self.copies.items() if valid}
+
+    def _register(self, cid, addr):
+        holder = self._held().get(addr)
+        if holder is not None and holder != cid:
+            with pytest.raises(DeviceError, match=f"^slot {addr} already holds valid "
+                                                  f"cache_id {holder}$"):
+                self.table.register(cid, addr)
+            return
+        self.table.register(cid, addr)  # a valid earlier copy of cid is released
+        self.copies[cid] = [addr, True]
+
+    @rule(cid=ids, addr=slots)
+    def register(self, cid, addr):
+        self._register(cid, addr)
+
+    @rule(pick=st.integers(0, 7), addr=slots)
+    def register_over_a_valid_copy(self, pick, addr):
+        valid = sorted(self._held().values())
+        if valid:
+            self._register(valid[pick % len(valid)], addr)
+
+    @rule(cid=ids)
+    def invalidate(self, cid):
+        if cid in self.copies:
+            self.table.invalidate(cid)
+            self.copies[cid][1] = False
+
+    @rule(src=slots, dst=slots, n=st.integers(1, 4))
+    def move(self, src, dst, n):
+        n = min(n, self.SLOTS - src, self.SLOTS - dst)
+        held = self._held()
+        if abs(src - dst) < n or any(slot in held for slot in range(dst, dst + n)):
+            return  # the device moves only into unheld slots outside the source
+        assert self.table.move(src, dst, n) == bytearray(s in held for s in range(src, src + n))
+        for slot in range(src, src + n):
+            if slot in held:
+                self.copies[held[slot]][0] = slot - src + dst
+
+    @rule(cid=ids)
+    def reclaim(self, cid):
+        slot = self.table.first_unheld()
+        if slot != -1:
+            self._register(cid, slot)
+
+    @invariant()
+    def agrees_with_the_dict(self):
+        table, held = self.table, self._held()
+        for cid in range(8):
+            slot, valid = self.copies.get(cid, (None, False))
+            assert table.slot(cid) == slot
+            assert table.is_valid(cid) == valid
+        assert table.held(0, self.SLOTS) == bytearray(s in held for s in range(self.SLOTS))
+        unheld = [s for s in range(self.SLOTS) if s not in held]
+        assert table.first_unheld() == (unheld[0] if unheld else -1)
+
+
+CacheTableModelTest = CacheTableModel.TestCase
+CacheTableModelTest.settings = settings(max_examples=100, stateful_step_count=40, deadline=None)
 
 
 @given(
@@ -142,7 +279,8 @@ def test_exactly_once_invalidation(actions, seed):
             expected_requests += 1
             nvm_valid.discard(cid)
     assert len(deletions) == expected_requests
-    assert {cid for cid, e in device.cache_table._entries.items() if e.valid} == nvm_valid
+    table = device.cache_table
+    assert {cid for cid in table._slot if table.is_valid(cid)} == nvm_valid
 
 
 # 64 slots: more than a 40-event trace can flush, so no device fills.
@@ -232,9 +370,9 @@ def test_ddn_never_touches_neighbor_slots(
         controller.flush_write(cid, word, now=0)
     lo = victim * cells_per_slot
     hi = lo + cells_per_slot
-    before = device._cells[: geometry.cells_per_page].tolist()
+    before = list(device._cells[: geometry.cells_per_page])
     controller.handle_invalidation(victim, now=1)
-    after = device._cells[: geometry.cells_per_page].tolist()
+    after = list(device._cells[: geometry.cells_per_page])
     assert after[:lo] == before[:lo]
     assert after[hi:] == before[hi:]
 

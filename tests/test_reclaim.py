@@ -59,12 +59,11 @@ def test_erase_based_reclaim_never_clobbers_a_valid_copy():
     for index, event in enumerate(events):
         host.apply_event(event)
         table = controller.device.cache_table
-        entries = [(cid, table.get(cid)) for cid in flushed]
-        valid = [(cid, entry) for cid, entry in entries if entry is not None and entry.valid]
-        addrs = [entry.addr for _, entry in valid]
-        assert len(addrs) == len(set(addrs)), f"event {index}: valid entries share a slot"
-        for cid, entry in valid:
-            assert controller.device.peek_slot(entry.addr) == flushed[cid], (
+        valid = [(cid, table.slot(cid)) for cid in flushed if table.is_valid(cid)]
+        addrs = [slot for _, slot in valid]
+        assert len(addrs) == len(set(addrs)), f"event {index}: valid copies share a slot"
+        for cid, slot in valid:
+            assert controller.device.peek_slot(slot) == flushed[cid], (
                 f"event {index}: cache_id {cid} reads back another id's data"
             )
     assert controller.collector.deletions
@@ -74,7 +73,8 @@ class ScanDevice(NvmDevice):
     """The device with reclaim allocation by a scan of the whole table."""
 
     def _allocate_with_reclaim(self):
-        held = {entry.addr for entry in self.cache_table._entries.values() if entry.valid}
+        table = self.cache_table
+        held = {slot for cid, slot in table._slot.items() if table.is_valid(cid)}
         for slot in range(self.geometry.total_slots):
             if slot in held:
                 continue
@@ -102,7 +102,7 @@ steps = st.lists(
 def _apply(device, op, n, level_bits, now):
     """One step; returns what it returned or the error type it raised."""
     table = device.cache_table
-    valid = sorted(cid for cid, entry in table._entries.items() if entry.valid)
+    valid = sorted(cid for cid in table._slot if table.is_valid(cid))
     try:
         if op in ("write", "rewrite"):
             if op == "rewrite":
@@ -111,7 +111,7 @@ def _apply(device, op, n, level_bits, now):
                 n = valid[n % len(valid)]  # a W over a still-valid copy
             addr = device.allocate_slot()
             device.program_slot(addr, bytes((level_bits & 3, level_bits >> 2)))
-            table.register(n, addr, now)
+            table.register(n, addr)
             return addr
         if op == "allocate":  # allocated, never registered
             return device.allocate_slot()
@@ -145,8 +145,9 @@ def test_indexed_reclaim_matches_full_scan(program):
         want = _apply(reference, op, n, level_bits, now)
         assert got == want, f"step {now}: {op} {n}"
         assert device._allocated == reference._allocated
-        assert dict(device.cache_table._entries.items()) == dict(reference.cache_table._entries.items())
-        assert device._cells == reference._cells
+        assert dict(device.cache_table._slot) == dict(reference.cache_table._slot)
+        assert device.cache_table._valid_at == reference.cache_table._valid_at
+        assert bytes(device._cells) == bytes(reference._cells)
         table = device.cache_table
         assert 0 not in table._held[: table._low], f"step {now}: unheld slot below the mark"
 
@@ -160,9 +161,9 @@ def test_finished_reclaim_device_is_freed_without_the_cycle_collector():
     for cid in range(3):
         addr = device.allocate_slot()
         device.program_slot(addr, bytes((cid, 3)))
-        table.register(cid, addr, now=0)
+        table.register(cid, addr)
     table.invalidate(0)
-    table.register(1, device.allocate_slot(), now=2)
+    table.register(1, device.allocate_slot())
     freed = weakref.ref(device)
     gc.disable()
     try:
@@ -191,7 +192,7 @@ def test_reclaim_search_reads_each_slot_about_twice():
     table._held = CountingMask(table._held)
     n = 4000
     for cid in range(n):
-        table.register(cid, device.allocate_slot(), now=cid)
+        table.register(cid, device.allocate_slot())
     assert CountingMask.read <= 2 * n + 8
 
 
