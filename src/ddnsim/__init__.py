@@ -8,8 +8,6 @@ mark-only and erase-based baselines.
 """
 
 from .cells import (
-    ALL_MAX,
-    FillKind,
     gen_fill_word,
     gen_uniform_word,
     gen_upward_word,

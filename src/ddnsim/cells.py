@@ -15,8 +15,6 @@ are a per-cell ``randint``'s and reports byte-identical across CPython 3.10-3.13
 from random import Random
 from functools import cache
 
-from .values import Value
-
 
 def max_level(bits_per_cell: int) -> int:
     """Highest program level a cell of the given width can hold."""
@@ -128,31 +126,11 @@ def gen_uniform_word(cells: int, bits_per_cell: int, rng: Random) -> bytes:
     return _redraw(bytes(cells), uniform, rng)
 
 
-class FillKind(Value):
-    """Fixed overwrite pattern needing no random source.
-
-    ``level is None`` means every cell goes to the maximum level for the
-    target word's width; otherwise every cell goes to the given level.
-    """
-
-    __slots__ = ("level",)
-
-    def __init__(self, level: int | None = None):
-        self.level = level
-
-    @property
-    def label(self) -> str:
-        return "AllMax" if self.level is None else f"Level={self.level}"
-
-
-ALL_MAX = FillKind()
-
-
-def gen_fill_word(pattern: FillKind, cells: int, bits_per_cell: int) -> bytes:
-    """Build the fixed word for a fill pattern."""
+def gen_fill_word(level: int | None, cells: int, bits_per_cell: int) -> bytes:
+    """The fixed word that puts every cell at ``level``, or at the top level
+    for the width when ``level`` is None (``AllMax``)."""
     if cells < 1:
         raise ValueError(f"cells must be >= 1, got {cells}")
-    top = max_level(bits_per_cell)
-    level = top if pattern.level is None else pattern.level
+    level = max_level(bits_per_cell) if level is None else level
     _check_level(level, bits_per_cell)
     return bytes((level,)) * cells

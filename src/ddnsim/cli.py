@@ -99,7 +99,7 @@ def main(argv=None) -> int:
             try:
                 with open(args.trace, encoding="utf-8") as f:
                     text = f.read()
-            except OSError as exc:
+            except (OSError, UnicodeDecodeError) as exc:
                 raise TraceError(f"cannot read trace {args.trace}: {exc}") from exc
         else:
             ratio = 1.0 if args.update_ratio is None else args.update_ratio

@@ -139,10 +139,9 @@ class RunConfig(Record):
             raise ConfigError(f"out_format must be csv or jsonl, got {self.out_format!r}")
 
 
-def parse_config_text(text: str, base: RunConfig = None) -> RunConfig:
-    """Apply ``key = value`` lines on top of a base config (defaults if none)."""
-    copied = {} if base is None else {name: getattr(base, name) for name in RunConfig.__slots__}
-    cfg = RunConfig(**copied)
+def parse_config_text(text: str) -> RunConfig:
+    """Apply ``key = value`` lines on top of the defaults."""
+    cfg = RunConfig()
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -162,13 +161,13 @@ def parse_config_text(text: str, base: RunConfig = None) -> RunConfig:
     return cfg
 
 
-def load_config(path: str, base: RunConfig = None) -> RunConfig:
+def load_config(path: str) -> RunConfig:
     try:
         with open(path, encoding="utf-8") as f:
             text = f.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    return parse_config_text(text, base)
+    return parse_config_text(text)
 
 
 def _fmt_value(value) -> str:

@@ -9,17 +9,16 @@ data depends on the policy:
 * ``DdnRandom``     - overwrite the slot with generated random data.
 * ``DdnNonRandom``  - overwrite the slot with a fixed fill pattern.
 
-With a secure-mode residence limit configured, even valid data is scrubbed
-once it has sat in NVM for that many ticks.
+In secure mode the host also sends ``secure_tick`` the valid copies that
+have sat in NVM for ``t_secure`` ticks, and each is overwritten under every
+policy. The controller keeps no clock: when anything falls due is the host's
+to know.
 """
 
 from enum import Enum
 from operator import eq
-from collections import OrderedDict
 
 from .cells import (
-    ALL_MAX,
-    FillKind,
     gen_fill_word,
     gen_uniform_word,
     gen_upward_word,
@@ -49,17 +48,28 @@ class PolicyKind(Enum):
     DDN_NON_RANDOM = "DdnNonRandom"
 
 
+# What a deletion under each policy does, when secure mode does not scrub.
+_ACTIONS = {
+    PolicyKind.MARK_ONLY: "mark-only",
+    PolicyKind.ERASE_BASED: "gc-erase",
+    PolicyKind.DDN_RANDOM: "ddn-overwrite",
+    PolicyKind.DDN_NON_RANDOM: "ddn-overwrite",
+}
+
+
 class DeletionPolicy(Value):
-    """Base deletion policy plus optional secure-mode residence limit."""
+    """Base deletion policy plus optional secure-mode residence limit.
+
+    ``fill`` is DdnNonRandom's fill level: an ``int``, or None for AllMax,
+    the top level of the slot's width. Every other kind takes no fill, not
+    even level 0.
+    """
 
     __slots__ = ("kind", "fill", "t_secure")
 
-    def __init__(self, kind: PolicyKind, fill: FillKind | None = None,
+    def __init__(self, kind: PolicyKind, fill: int | None = None,
                  t_secure: int | None = None):
-        if kind is PolicyKind.DDN_NON_RANDOM:
-            if fill is None:
-                fill = ALL_MAX
-        elif fill is not None:
+        if fill is not None and kind is not PolicyKind.DDN_NON_RANDOM:
             raise ValueError(f"{kind.value} takes no fill pattern")
         if t_secure is not None and t_secure < 1:
             raise ValueError(f"t_secure must be >= 1, got {t_secure}")
@@ -68,7 +78,8 @@ class DeletionPolicy(Value):
     @property
     def label(self) -> str:
         if self.kind is PolicyKind.DDN_NON_RANDOM:
-            return f"{self.kind.value}({self.fill.label})"
+            fill = "AllMax" if self.fill is None else f"Level={self.fill}"
+            return f"{self.kind.value}({fill})"
         return self.kind.value
 
 
@@ -104,17 +115,14 @@ def parse_policy(text: str) -> DeletionPolicy:
         if fill_spec:
             raise ValueError(f"policy {name!r} takes no argument")
         return DeletionPolicy(kind)
-    fill = ALL_MAX
-    if fill_spec:
-        spec = fill_spec.replace(" ", "").lower()
-        if spec in ("", "allmax"):
-            fill = ALL_MAX
-        else:
-            level = ascii_number(spec.removeprefix("level="), str)  # ASCII, no '_'
-            try:
-                fill = FillKind(int(level))
-            except ValueError:
-                raise ValueError(f"unknown fill pattern {fill_spec!r}") from None
+    fill = None
+    spec = (fill_spec or "").replace(" ", "").lower()
+    if spec not in ("", "allmax"):
+        level = ascii_number(spec.removeprefix("level="), str)  # ASCII, no '_'
+        try:
+            fill = int(level)
+        except ValueError:
+            raise ValueError(f"unknown fill pattern {fill_spec!r}") from None
     return DeletionPolicy(kind, fill)
 
 
@@ -145,33 +153,20 @@ class NvmController:
         self.rng = rng
         self.collector = collector
         # Fixed for the run: deletion action, DdnNonRandom fill word.
-        kind, g = policy.kind, device.geometry
-        self._overwrites = kind in (PolicyKind.DDN_RANDOM, PolicyKind.DDN_NON_RANDOM)
-        self._erases = kind is PolicyKind.ERASE_BASED
+        g = device.geometry
+        self._action = _ACTIONS[policy.kind]
         self._fill_word = None
-        if kind is PolicyKind.DDN_NON_RANDOM:
+        if policy.kind is PolicyKind.DDN_NON_RANDOM:
             self._fill_word = gen_fill_word(policy.fill, g.cells_per_cache_slot, g.bits_per_cell)
-        # While secure mode is on, cache_id -> flush tick for every valid copy,
-        # oldest flush first: flushes stamp the never-decreasing clock and move
-        # the id to the end, and a scrub removes it. The one record of a tick.
-        self._secure = policy.t_secure is not None
-        self._resident = OrderedDict()
         self._costs = {}  # spent-cost tuple -> the ledger all such deletions share
 
     # -- host-facing --------------------------------------------------------
 
-    def flush_write(self, cache_id: int, payload: bytes, now: int) -> int:
-        """Store a flushed cache line: allocate, program, register as valid.
-
-        ``now`` never decreases from one call to the next, as the host's
-        clock does not, so secure mode keeps copies in due order.
-        """
+    def flush_write(self, cache_id: int, payload: bytes) -> int:
+        """Store a flushed cache line: allocate, program, register as valid."""
         addr = self.device.allocate_slot()
         self.device.program_slot(addr, payload)
         self.device.cache_table.register(cache_id, addr)
-        if self._secure:
-            self._resident[cache_id] = now
-            self._resident.move_to_end(cache_id)
         return addr
 
     def handle_invalidation(self, cache_id: int, now: int) -> DeletionOutcome:
@@ -188,29 +183,11 @@ class NvmController:
             raise ProtocolError(f"cache_id {cache_id} is already invalid")
         return self._scrub(cache_id, addr, now, secure=False)
 
-    def secure_tick(self, now: int) -> list:
-        """Scrub every valid copy stored by ``flush_write`` that has resided
-        at least t_secure ticks.
-
-        Scrubbed copies go invalid, so each is scrubbed exactly once.
-        Outcomes come back in ascending cache_id order.
-        """
-        t_secure = self.policy.t_secure
-        if t_secure is None:
-            raise ProtocolError("secure mode not configured")
-        due = []
-        for cid, flushed_at in self._resident.items():
-            if now - flushed_at < t_secure:
-                break
-            due.append(cid)
-        due.sort()
-        table = self.device.cache_table
-        return [self._scrub(cid, table.slot(cid), now, secure=True) for cid in due]
-
-    def next_scrub_due(self) -> int | None:
-        """Earliest tick at which ``secure_tick`` scrubs something, if any."""
-        resident, t_secure = self._resident, self.policy.t_secure
-        return next(iter(resident.values())) + t_secure if resident else None
+    def secure_tick(self, now: int, cache_ids) -> list:
+        """Secure-scrub the valid copy of each id in ``cache_ids``, in the
+        order given: overwrite it under every policy, and invalidate it."""
+        slot = self.device.cache_table.slot
+        return [self._scrub(cid, slot(cid), now, secure=True) for cid in cache_ids]
 
     # -- deletion machinery -------------------------------------------------
 
@@ -242,13 +219,11 @@ class NvmController:
         dev = self.device
         pre = dev.peek_slot(addr)
         dev.cache_table.invalidate(cache_id)
-        if self._secure:
-            self._resident.pop(cache_id, None)
         ledger = dev.ledger
         rd, wr, gen, erase, gc = ledger_costs(ledger)
         error = None
-        if secure or self._overwrites:
-            action = "secure-scrub" if secure else "ddn-overwrite"
+        action = "secure-scrub" if secure else self._action
+        if action in ("secure-scrub", "ddn-overwrite"):
             try:
                 self.ddn_process(addr)
             except NopExceeded:
@@ -256,10 +231,6 @@ class NvmController:
                 action = "erase-fallback"
             except MonotoneViolation as exc:
                 error = str(exc)
-        elif self._erases:
-            action = "gc-erase"
-        else:
-            action = "mark-only"
         if action in ("gc-erase", "erase-fallback"):
             try:
                 dev.garbage_collect(dev.geometry.block_of(addr))

@@ -3,9 +3,11 @@
 Writes land in DRAM. Dirty lines that sit unused for the idle threshold are
 flushed to NVM; updating a line whose flushed copy is still valid sends the
 controller an invalidation request for that copy. The host owns the tick
-clock: ``T n`` advances it by next-event steps, visiting only the ticks where
-an idle flush or (when configured) a secure-mode scrub falls due, and the
-last tick; each visited tick runs the idle flush, then the secure scrub.
+clock and both queues it keeps: the dirty lines by last use and, in secure
+mode, the valid flushed copies by flush tick. ``T n`` advances the clock by
+next-event steps, visiting only the ticks where an idle flush or a
+secure-mode scrub falls due, and the last tick; each visited tick runs the
+idle flush, then sends the controller the copies due for a secure scrub.
 
 Trace grammar, one event per line (``#`` starts a comment):
 
@@ -110,6 +112,18 @@ def parse_trace(text: str, cells_per_slot: int, bits_per_cell: int) -> list:
     return events
 
 
+def _due(queue, now: int, age: int) -> list:
+    """The ids of an oldest-first ``id -> tick`` queue whose tick is at least
+    ``age`` ticks before ``now``, ascending."""
+    due = []
+    for cid, tick in queue.items():
+        if now - tick < age:
+            break
+        due.append(cid)
+    due.sort()
+    return due
+
+
 class DramSlot(Record):
     __slots__ = ("payload", "last_used")
 
@@ -134,6 +148,11 @@ class Host:
         # id -> last_used for dirty slots, oldest first: writes stamp the
         # never-decreasing clock and move the id to the end.
         self._dirty = OrderedDict()
+        # In secure mode, id -> flush tick for every valid flushed copy, oldest
+        # flush first: a flush stamps the clock and moves the id to the end, and
+        # an invalidation or a scrub drops it.
+        self._t_secure = controller.policy.t_secure
+        self._resident = OrderedDict()
         # (last_used, id) for every slot, plus stale items skipped lazily;
         # built at the first eviction, so a DRAM that never fills keeps none.
         self._lru = None
@@ -173,8 +192,10 @@ class Host:
             self._write(cache_id, event.payload)
             if valid:
                 self.controller.handle_invalidation(cache_id, self.now)
+                self._resident.pop(cache_id, None)
         elif kind in ("I", "D"):
             self.controller.handle_invalidation(event.cache_id, self.now)
+            self._resident.pop(event.cache_id, None)
         elif kind == "T":
             self._advance(self.now + event.ticks)
         elif kind == "F":
@@ -189,20 +210,20 @@ class Host:
         Nothing happens on the ticks skipped, so the result is that of running
         the idle flush and the secure scrub on every tick.
         """
-        controller = self.controller
-        secure = controller.policy.t_secure is not None
+        resident, t_secure = self._resident, self._t_secure
         while self.now < end:
             due = end
             if self._dirty:
                 due = min(due, next(iter(self._dirty.values())) + self.flush_idle_threshold)
-            if secure:
-                scrub_due = controller.next_scrub_due()
-                if scrub_due is not None:
-                    due = min(due, scrub_due)
-            self.now = max(due, self.now + 1)
-            self.flush_idle(self.now)
-            if secure:
-                controller.secure_tick(self.now)
+            if resident:
+                due = min(due, next(iter(resident.values())) + t_secure)
+            self.now = now = max(due, self.now + 1)
+            self.flush_idle(now)
+            if t_secure is not None:
+                scrub = _due(resident, now, t_secure)
+                for cid in scrub:
+                    del resident[cid]
+                self.controller.secure_tick(now, scrub)
 
     # -- DRAM side ----------------------------------------------------------
 
@@ -246,17 +267,15 @@ class Host:
         del slots[victim]
 
     def _flush(self, cache_id: int, now: int):
-        self.controller.flush_write(cache_id, self.slots[cache_id].payload, now)
+        self.controller.flush_write(cache_id, self.slots[cache_id].payload)
         del self._dirty[cache_id]
+        if self._t_secure is not None:
+            self._resident[cache_id] = now
+            self._resident.move_to_end(cache_id)
 
     def flush_idle(self, now: int) -> list:
         """Flush dirty lines idle for at least the threshold, ascending id."""
-        due = []
-        for cid, last_used in self._dirty.items():
-            if now - last_used < self.flush_idle_threshold:
-                break
-            due.append(cid)
-        due.sort()
+        due = _due(self._dirty, now, self.flush_idle_threshold)
         for cid in due:
             self._flush(cid, now)
         return due

@@ -9,6 +9,7 @@ import random
 from ddnsim import (
     DeletionPolicy,
     Geometry,
+    Host,
     LatencyLedger,
     LatencyParams,
     MetricsCollector,
@@ -17,6 +18,7 @@ from ddnsim import (
     NvmController,
     NvmDevice,
     RunConfig,
+    TraceEvent,
     gen_upward_word,
     parse_policy,
     parse_trace,
@@ -165,7 +167,7 @@ def test_criterion_5_partial_overwrite_isolation():
         controller = _controller(policy, geometry, seed=rng.randrange(2**32))
         for cid in range(slots_per_page):
             word = bytes(rng.randrange(8) for _ in range(cells_per_slot))
-            controller.flush_write(cid, word, now=0)
+            controller.flush_write(cid, word)
         victim = rng.randrange(slots_per_page)
         before = list(controller.device._cells[: geometry.cells_per_page])
         outcome = controller.handle_invalidation(victim, now=1)
@@ -184,20 +186,24 @@ def test_criterion_6_secure_mode_boundary():
         blocks=2, pages_per_block=2, cells_per_page=8, bits_per_cell=3,
         cells_per_cache_slot=4,
     )
-    controller = _controller("DdnRandom", geometry, t_secure=10)
-    controller.flush_write(1, bytes((4, 7, 0, 2)), now=0)
-    for tick in range(10):
-        assert controller.secure_tick(tick) == []
-        assert controller.device.cache_table.is_valid(1)
-    (outcome,) = controller.secure_tick(10)
-    assert not controller.device.cache_table.is_valid(1)
+    host = Host(_controller("DdnRandom", geometry, t_secure=10))
+    deletions, table = host.controller.collector.deletions, host.controller.device.cache_table
+    host.run_trace(parse_trace("W 1 0x9C2\nF\n", 4, 3))  # levels 4, 7, 0, 2
+    for _ in range(9):
+        host.apply_event(TraceEvent("T", ticks=1))
+        assert deletions == [] and table.is_valid(1)
+    host.apply_event(TraceEvent("T", ticks=1))
+    (outcome,) = deletions
+    assert (outcome.tick, outcome.action) == (10, "secure-scrub")
+    assert not table.is_valid(1)
     assert outcome.residual_cells < outcome.slot_cells  # data was destroyed
-    assert controller.secure_tick(11) == []
+    host.apply_event(TraceEvent("T", ticks=100))
+    assert deletions == [outcome]
 
     # an all-top-level payload has nowhere to move and is fully retained
-    controller = _controller("DdnRandom", geometry, t_secure=10)
-    controller.flush_write(2, bytes((7, 7, 7, 7)), now=0)
-    (outcome,) = controller.secure_tick(10)
+    host = Host(_controller("DdnRandom", geometry, t_secure=10))
+    host.run_trace(parse_trace("W 2 0xFFF\nF\nT 10\n", 4, 3))
+    (outcome,) = host.controller.collector.deletions
     assert outcome.residual_cells == outcome.slot_cells
     print("PASS criterion 6: valid through tick 9, scrubbed exactly at tick 10")
 

@@ -7,9 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ddnsim import (
-    ALL_MAX,
     ConfigError,
-    FillKind,
     RunConfig,
     gen_fill_word,
     gen_uniform_word,
@@ -209,26 +207,21 @@ def test_generators_reject_bad_input_before_drawing(b):
 
 
 def test_fill_word_all_max():
-    word = gen_fill_word(ALL_MAX, 4, 3)
+    word = gen_fill_word(None, 4, 3)
     assert word == bytes((7, 7, 7, 7))
     assert _reference_to_hex(word, 3) == "0xFFF"
 
 
 def test_fill_word_constant_level():
-    assert gen_fill_word(FillKind(0), 2, 3) == bytes((0, 0))
-    assert gen_fill_word(FillKind(5), 3, 3) == bytes((5, 5, 5))
+    assert gen_fill_word(0, 2, 3) == bytes((0, 0))
+    assert gen_fill_word(5, 3, 3) == bytes((5, 5, 5))
 
 
 def test_fill_word_errors():
     with pytest.raises(ValueError):
-        gen_fill_word(FillKind(9), 2, 3)
+        gen_fill_word(9, 2, 3)
     with pytest.raises(ValueError):
-        gen_fill_word(ALL_MAX, 0, 3)
-
-
-def test_fill_kind_labels():
-    assert ALL_MAX.label == "AllMax"
-    assert FillKind(3).label == "Level=3"
+        gen_fill_word(None, 0, 3)
 
 
 @given(
@@ -244,7 +237,7 @@ def test_generated_words_are_slot_long_bytes_in_range(bits_per_cell, cells, seed
     words = [
         gen_uniform_word(cells, bits_per_cell, rng),
         gen_upward_word(original, bits_per_cell, rng),
-        gen_fill_word(ALL_MAX if fill is None else FillKind(fill % (top + 1)), cells, bits_per_cell),
+        gen_fill_word(None if fill is None else fill % (top + 1), cells, bits_per_cell),
     ]
     for word in words:
         assert type(word) is bytes

@@ -128,15 +128,6 @@ def test_non_default_config_round_trips():
     assert parse_config_text(format_config(cfg)) != RunConfig(seed=5)
 
 
-def test_parse_config_text_leaves_its_base_unchanged():
-    base = RunConfig(seed=2, t_secure=4)
-    cfg = parse_config_text("blocks = 8\nseed = 9\npolicies = MarkOnly\n", base)
-    assert (cfg.blocks, cfg.seed, cfg.t_secure) == (8, 9, 4)
-    assert [p.label for p in cfg.policies] == ["MarkOnly"]
-    assert base == RunConfig(seed=2, t_secure=4)
-    assert format_config(base) == format_config(RunConfig(seed=2, t_secure=4))
-
-
 def test_run_policies_injects_t_secure():
     cfg = RunConfig(seed=1, t_secure=30)
     assert all(p.t_secure == 30 for p in cfg.run_policies())
@@ -345,6 +336,24 @@ def test_cli_trace_errors(tmp_path, capsys):
     assert main(["--seed", "1", "--trace", str(bad)]) == 3
     err = capsys.readouterr().err
     assert "trace error" in err
+
+
+def test_non_utf8_files_are_read_errors_not_tracebacks(tmp_path, capsys):
+    trace = tmp_path / "bad.trace"
+    trace.write_bytes(b"W 1 0x\xff\xfe\n")
+    assert main(["--trace", str(trace), "--seed", "1"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"ddnsim: trace error: cannot read trace {trace}: ")
+    assert "can't decode byte 0xff" in captured.err
+    config = tmp_path / "bad.cfg"
+    config.write_bytes(b"seed = 1\n\xff\n")
+    for argv in (["--synthetic", "3"], ["--print-config"]):
+        assert main(["--config", str(config), *argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"ddnsim: config error: cannot read config {config}: ")
+        assert "can't decode byte 0xff" in captured.err
 
 
 @pytest.mark.parametrize(

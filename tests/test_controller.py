@@ -3,12 +3,12 @@ import random
 import tracemalloc
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from ddnsim import (
-    ALL_MAX,
     DeletionPolicy,
     DeviceKind,
-    FillKind,
     Geometry,
     Host,
     LatencyLedger,
@@ -17,7 +17,9 @@ from ddnsim import (
     NvmDevice,
     PolicyKind,
     ProtocolError,
+    RunConfig,
     TraceEvent,
+    format_config,
     parse_config_text,
     parse_policy,
     parse_trace,
@@ -53,11 +55,9 @@ def invalidate(controller, cache_id, now=0):
 
 def test_value_types_are_equal_and_hash_equal_by_value():
     pairs = [
-        (DeletionPolicy(PolicyKind.DDN_NON_RANDOM, FillKind(2), 3),
+        (DeletionPolicy(PolicyKind.DDN_NON_RANDOM, 2, 3),
          DeletionPolicy(PolicyKind.DDN_NON_RANDOM, parse_policy("DdnNonRandom(2)").fill, 3)),
         (DeletionPolicy(PolicyKind.DDN_NON_RANDOM), parse_policy("DdnNonRandom")),
-        (FillKind(2), FillKind(level=2)),
-        (FillKind(), ALL_MAX),
         (Geometry(blocks=8), Geometry(blocks=8, bits_per_cell=3)),
     ]
     for a, b in pairs:
@@ -67,18 +67,17 @@ def test_value_types_are_equal_and_hash_equal_by_value():
     assert len({a for pair in pairs for a in pair}) == len(pairs)
     random_policy = DeletionPolicy(PolicyKind.DDN_RANDOM)
     assert random_policy != DeletionPolicy(PolicyKind.DDN_RANDOM, t_secure=2)
-    assert FillKind(2) != FillKind(3) != ALL_MAX
     assert Geometry(blocks=8) != Geometry(blocks=16)
-    assert FillKind(2) != (2,)
+    assert DeletionPolicy(PolicyKind.DDN_NON_RANDOM, 2) != (PolicyKind.DDN_NON_RANDOM, 2, None)
 
 
 def test_parse_policy_names_and_labels():
     assert parse_policy("MarkOnly").kind is PolicyKind.MARK_ONLY
     assert parse_policy("erase-based").kind is PolicyKind.ERASE_BASED
     assert parse_policy("ddn_random").label == "DdnRandom"
-    assert parse_policy("DdnNonRandom").fill == ALL_MAX
+    assert parse_policy("DdnNonRandom").fill is None
     assert parse_policy("DdnNonRandom(AllMax)").label == "DdnNonRandom(AllMax)"
-    assert parse_policy("DdnNonRandom(Level=3)").fill == FillKind(3)
+    assert parse_policy("DdnNonRandom(Level=3)").fill == 3
     assert parse_policy("ddnnonrandom:5").label == "DdnNonRandom(Level=5)"
 
 
@@ -93,24 +92,57 @@ def test_parse_policy_errors():
 
 def test_policy_validation():
     with pytest.raises(ValueError):
-        DeletionPolicy(PolicyKind.MARK_ONLY, fill=ALL_MAX)
+        DeletionPolicy(PolicyKind.MARK_ONLY, fill=7)
     with pytest.raises(ValueError):
         DeletionPolicy(PolicyKind.DDN_RANDOM, t_secure=0)
-    assert DeletionPolicy(PolicyKind.DDN_NON_RANDOM).fill == ALL_MAX
+    assert DeletionPolicy(PolicyKind.DDN_NON_RANDOM).fill is None
+
+
+policies = st.one_of(
+    st.sampled_from([k for k in PolicyKind if k is not PolicyKind.DDN_NON_RANDOM]).map(
+        DeletionPolicy),
+    st.builds(DeletionPolicy, st.just(PolicyKind.DDN_NON_RANDOM),
+              st.one_of(st.none(), st.integers(0, 255))),
+)
+
+
+@example(policy=DeletionPolicy(PolicyKind.DDN_NON_RANDOM, 0), others=[],
+         kind=PolicyKind.MARK_ONLY, level=0)
+@given(policy=policies, others=st.lists(policies, max_size=3),
+       kind=st.sampled_from(PolicyKind), level=st.integers(0, 255))
+def test_policy_value_round_trips_through_its_label(policy, others, kind, level):
+    """A policy is its kind and a fill level: its label parses back to an
+    equal, equally hashed value, a ``policies`` tuple survives the config
+    codec, and only DdnNonRandom takes a fill, level 0 included."""
+    parsed = parse_policy(policy.label)
+    assert parsed == policy and hash(parsed) == hash(policy)
+    tup = (policy, *others)
+    assert parse_config_text(format_config(RunConfig(policies=tup))).policies == tup
+    if kind is PolicyKind.DDN_NON_RANDOM:
+        assert DeletionPolicy(kind, level).label == f"DdnNonRandom(Level={level})"
+    else:
+        with pytest.raises(ValueError, match="takes no fill"):
+            DeletionPolicy(kind, level)
 
 
 def test_flush_write_registers_and_charges():
-    controller = build("MarkOnly", t_secure=10)  # secure mode records the flush tick
-    addr = controller.flush_write(5, w(1, 2, 3), now=4)
+    controller = build("MarkOnly")
+    addr = controller.flush_write(5, w(1, 2, 3))
     table = controller.device.cache_table
-    assert table.is_valid(5) and table.slot(5) == addr and controller._resident[5] == 4
+    assert table.is_valid(5) and table.slot(5) == addr
     assert controller.device.ledger.wr_us == 600.0
     assert controller.device.peek_slot(addr) == w(1, 2, 3)
+    # In secure mode the host stamps each flushed copy with its flush tick.
+    host = Host(build("MarkOnly", t_secure=10))
+    host.apply_event(TraceEvent("T", ticks=4))
+    host.apply_event(TraceEvent("W", cache_id=5, payload=w(1, 2, 3)))
+    host.apply_event(TraceEvent("F"))
+    assert host._resident == {5: 4}
 
 
 def test_mark_only_leaves_data_in_place():
     controller = build("MarkOnly")
-    addr = controller.flush_write(1, w(4, 7, 0), now=0)
+    addr = controller.flush_write(1, w(4, 7, 0))
     outcome = invalidate(controller, 1, now=2)
     assert not controller.device.cache_table.is_valid(1)
     assert outcome.action == "mark-only"
@@ -122,7 +154,7 @@ def test_mark_only_leaves_data_in_place():
 
 def test_erase_based_empty_victim_costs_one_erase():
     controller = build("EraseBased")
-    addr = controller.flush_write(1, w(4, 7, 0), now=0)
+    addr = controller.flush_write(1, w(4, 7, 0))
     outcome = invalidate(controller, 1)
     assert outcome.action == "gc-erase"
     assert (outcome.cost.rd_us, outcome.cost.wr_us, outcome.cost.gen_us) == (0.0, 0.0, 0.0)
@@ -134,8 +166,8 @@ def test_erase_based_empty_victim_costs_one_erase():
 
 def test_erase_based_migrates_valid_neighbor():
     controller = build("EraseBased")
-    controller.flush_write(1, w(4, 7, 0), now=0)
-    controller.flush_write(2, w(1, 2, 3), now=0)  # same page, slot 1
+    controller.flush_write(1, w(4, 7, 0))
+    controller.flush_write(2, w(1, 2, 3))  # same page, slot 1
     outcome = invalidate(controller, 1)
     assert outcome.cost.gc_us == 649.0
     assert outcome.cost.erase_us == 4000.0
@@ -147,7 +179,7 @@ def test_erase_based_migrates_valid_neighbor():
 
 def test_ddn_random_on_nand_example_slot():
     controller = build("DdnRandom")
-    addr = controller.flush_write(1, w(4, 7, 0), now=0)
+    addr = controller.flush_write(1, w(4, 7, 0))
     outcome = invalidate(controller, 1)
     post = controller.device.peek_slot(addr)
     assert post[0] in {5, 6, 7}
@@ -163,7 +195,7 @@ def test_ddn_random_is_seed_deterministic():
     posts = []
     for _ in range(2):
         controller = build("DdnRandom", seed=123)
-        addr = controller.flush_write(1, w(2, 5, 1), now=0)
+        addr = controller.flush_write(1, w(2, 5, 1))
         invalidate(controller, 1)
         posts.append(controller.device.peek_slot(addr))
     assert posts[0] == posts[1]
@@ -171,7 +203,7 @@ def test_ddn_random_is_seed_deterministic():
 
 def test_ddn_process_fig_style_words():
     controller = build("DdnRandom")
-    addr = controller.flush_write(1, w(4, 4, 4), now=0)
+    addr = controller.flush_write(1, w(4, 4, 4))
     word = controller.ddn_process(addr)
     assert all(lvl in {5, 6, 7} for lvl in word)
     assert controller.device.peek_slot(addr) == word
@@ -179,7 +211,7 @@ def test_ddn_process_fig_style_words():
 
 def test_ddn_non_random_all_max():
     controller = build("DdnNonRandom")
-    addr = controller.flush_write(1, w(4, 7, 0), now=0)
+    addr = controller.flush_write(1, w(4, 7, 0))
     outcome = invalidate(controller, 1)
     assert controller.device.peek_slot(addr) == w(7, 7, 7)
     assert (outcome.cost.rd_us, outcome.cost.wr_us, outcome.cost.gen_us) == (0.0, 600.0, 0.0)
@@ -189,7 +221,7 @@ def test_ddn_non_random_all_max():
 
 def test_ddn_non_random_constant_level_can_violate_monotonicity():
     controller = build("DdnNonRandom(Level=1)")
-    addr = controller.flush_write(1, w(2, 2, 2), now=0)
+    addr = controller.flush_write(1, w(2, 2, 2))
     outcome = invalidate(controller, 1)
     assert outcome.error is not None
     assert outcome.action == "ddn-overwrite"  # no erase fallback
@@ -200,7 +232,7 @@ def test_ddn_non_random_constant_level_can_violate_monotonicity():
 
 def test_ddn_non_random_constant_level_above_current_works():
     controller = build("DdnNonRandom(Level=5)")
-    addr = controller.flush_write(1, w(2, 2, 2), now=0)
+    addr = controller.flush_write(1, w(2, 2, 2))
     outcome = invalidate(controller, 1)
     assert outcome.error is None
     assert controller.device.peek_slot(addr) == w(5, 5, 5)
@@ -208,7 +240,7 @@ def test_ddn_non_random_constant_level_above_current_works():
 
 def test_overwritable_ddn_random_full_range():
     controller = build("DdnRandom", kind=DeviceKind.OVERWRITABLE, seed=3)
-    controller.flush_write(1, w(7, 7, 7), now=0)
+    controller.flush_write(1, w(7, 7, 7))
     outcome = invalidate(controller, 1)
     assert (outcome.cost.rd_us, outcome.cost.wr_us, outcome.cost.gen_us) == (0.0, 600.0, 100.0)
     assert outcome.cost.total_us == 700.0
@@ -216,7 +248,7 @@ def test_overwritable_ddn_random_full_range():
 
 def test_overwritable_ddn_non_random():
     controller = build("DdnNonRandom", kind=DeviceKind.OVERWRITABLE)
-    addr = controller.flush_write(1, w(3, 3, 3), now=0)
+    addr = controller.flush_write(1, w(3, 3, 3))
     outcome = invalidate(controller, 1)
     assert controller.device.peek_slot(addr) == w(7, 7, 7)
     assert outcome.cost.total_us == 600.0
@@ -226,7 +258,7 @@ def test_unknown_and_double_invalidation_rejected():
     controller = build("DdnRandom")
     with pytest.raises(ProtocolError):
         invalidate(controller, 42)
-    controller.flush_write(1, w(1, 2, 3), now=0)
+    controller.flush_write(1, w(1, 2, 3))
     invalidate(controller, 1)
     before = controller.device.ledger.total_us
     with pytest.raises(ProtocolError):
@@ -237,7 +269,7 @@ def test_unknown_and_double_invalidation_rejected():
 
 def test_nop_exhaustion_falls_back_to_erase():
     controller = build("DdnRandom", nop_limit=0)
-    addr = controller.flush_write(1, w(1, 2, 3), now=0)
+    addr = controller.flush_write(1, w(1, 2, 3))
     outcome = invalidate(controller, 1)
     assert outcome.action == "erase-fallback"
     assert outcome.cost.erase_us == 4000.0
@@ -265,40 +297,44 @@ def test_de_identify_is_handled_like_invalidate():
     assert outcomes[0] == outcomes[1]
 
 
-def test_secure_tick_requires_configuration():
-    controller = build("DdnRandom")
-    with pytest.raises(ProtocolError):
-        controller.secure_tick(5)
+def _secure_host(make_controller, policy, t_secure):
+    """A host in secure mode, on 4-cell slots (3 hex digits), with an idle
+    threshold no test below reaches."""
+    return Host(make_controller(policy, t_secure=t_secure), flush_idle_threshold=1000)
 
 
-def test_secure_tick_threshold_and_ordering():
-    controller = build("DdnRandom", t_secure=10)
-    controller.flush_write(3, w(1, 2, 3), now=0)
-    controller.flush_write(1, w(4, 5, 6), now=0)
-    assert controller.secure_tick(9) == []
-    assert controller.device.cache_table.is_valid(1) and controller.device.cache_table.is_valid(3)
-    outcomes = controller.secure_tick(10)
-    assert [o.cache_id for o in outcomes] == [1, 3]
+def _run(host, trace):
+    host.run_trace(parse_trace(trace, 4, 3))
+    return host.controller.collector.deletions
+
+
+def test_secure_tick_threshold_and_ordering(make_controller):
+    host = _secure_host(make_controller, "DdnRandom", t_secure=10)
+    table = host.controller.device.cache_table
+    # 3 is flushed before 1 in the same tick; the scrub still goes by id
+    assert _run(host, "W 3 0x053\nF\nW 1 0x2EE\nF\nT 9") == []
+    assert table.is_valid(1) and table.is_valid(3)
+    outcomes = _run(host, "T 1")
+    assert [(o.cache_id, o.tick) for o in outcomes] == [(1, 10), (3, 10)]  # ascending ids
     assert all(o.action == "secure-scrub" for o in outcomes)
-    assert not controller.device.cache_table.is_valid(1) and not controller.device.cache_table.is_valid(3)
-    assert controller.secure_tick(11) == []  # scrubbed exactly once
-    assert len(controller.collector.deletions) == 2
+    assert not table.is_valid(1) and not table.is_valid(3)
+    assert _run(host, "T 100") == outcomes  # scrubbed exactly once
+    assert host._resident == {}
 
 
-def test_secure_tick_ages_from_write_time():
-    controller = build("DdnRandom", t_secure=10)
-    controller.flush_write(1, w(1, 2, 3), now=0)
-    controller.flush_write(2, w(1, 2, 3), now=5)
-    assert [o.cache_id for o in controller.secure_tick(10)] == [1]
-    assert [o.cache_id for o in controller.secure_tick(15)] == [2]
+def test_secure_tick_ages_from_write_time(make_controller):
+    # The age counts from each copy's flush tick, not from the first flush.
+    host = _secure_host(make_controller, "DdnRandom", t_secure=10)
+    outcomes = _run(host, "W 1 0x053\nF\nT 5\nW 2 0x053\nF\nT 20")
+    assert [(o.cache_id, o.tick) for o in outcomes] == [(1, 10), (2, 15)]
 
 
-def test_secure_scrub_overwrites_even_under_mark_only():
-    controller = build("MarkOnly", t_secure=1)
-    addr = controller.flush_write(1, w(0, 0, 0), now=0)
-    (outcome,) = controller.secure_tick(1)
+def test_secure_scrub_overwrites_even_under_mark_only(make_controller):
+    host = _secure_host(make_controller, "MarkOnly", t_secure=1)
+    (outcome,) = _run(host, "W 1 0x000\nF\nT 1")
     assert outcome.action == "secure-scrub"
-    post = controller.device.peek_slot(addr)
+    device = host.controller.device
+    post = device.peek_slot(device.cache_table.slot(1))
     assert all(level >= 1 for level in post)
     assert outcome.residual_cells == 0
 

@@ -151,7 +151,7 @@ def test_flush_idle_inclusive_boundary(make_controller):
     assert table.slot(5) is None  # 9 < threshold 10
     host.apply_event(TraceEvent("T", ticks=1))
     assert table.slot(5) is not None and table.is_valid(5)
-    assert host.controller._resident[5] == 10
+    assert host._resident[5] == 10
     assert 5 not in host._dirty
 
 
@@ -261,6 +261,16 @@ def test_secure_scrub_through_trace(make_controller):
     (outcome,) = controller.collector.deletions
     assert outcome.tick == 10
     assert outcome.action == "secure-scrub"
+
+
+def test_copies_deleted_by_u_i_or_d_leave_the_secure_queue(make_controller):
+    host = Host(make_controller("DdnRandom", t_secure=10), flush_idle_threshold=1000)
+    trace = "W 1 0x001\nW 2 0x002\nW 3 0x003\nW 4 0x004\nF\nU 1 0x005\nI 2\nD 3\nT 20\n"
+    host.run_trace(parse_trace(trace, 4, 3))
+    deletions = [(d.cache_id, d.tick, d.action) for d in host.controller.collector.deletions]
+    assert deletions == [(1, 0, "ddn-overwrite"), (2, 0, "ddn-overwrite"),
+                         (3, 0, "ddn-overwrite"), (4, 10, "secure-scrub")]
+    assert host._resident == {}
 
 
 def test_deletions_replay_identically(make_controller):

@@ -50,14 +50,14 @@ def _host(policy, t_secure, threshold, capacity, seed):
 
 
 def _record_flush_ticks(host):
-    """Keep the reference's own cache_id -> flush tick, apart from the
-    controller's secure queue."""
+    """Keep the reference's own cache_id -> flush tick, apart from the host's
+    secure queue: every flush happens at the host's current tick."""
     controller, host.flushed_at = host.controller, {}
     flush_write = controller.flush_write
 
-    def recording(cache_id, payload, now):
-        host.flushed_at[cache_id] = now
-        return flush_write(cache_id, payload, now)
+    def recording(cache_id, payload):
+        host.flushed_at[cache_id] = host.now
+        return flush_write(cache_id, payload)
 
     controller.flush_write = recording
 
@@ -90,8 +90,7 @@ def _reference_apply(host, event):
                 cid for cid, flushed_at in sorted(host.flushed_at.items())
                 if table.is_valid(cid) and now - flushed_at >= t_secure
             ]
-            for cid in due:
-                controller._scrub(cid, table.slot(cid), now, secure=True)
+            controller.secure_tick(now, due)
     return []
 
 
@@ -200,7 +199,7 @@ def test_next_event_clock_matches_per_tick_loop(
     assert dict(table._slot) == dict(ref_table._slot)
     assert table._valid_at == ref_table._valid_at
     if t_secure is not None:
-        assert dict(host.controller._resident) == {
+        assert dict(host._resident) == {
             cid: tick for cid, tick in ref.flushed_at.items() if ref_table.is_valid(cid)
         }
 
@@ -214,9 +213,9 @@ def test_idle_time_costs_one_step_per_due_tick(monkeypatch):
     for owner, name in ((Host, "flush_idle"), (NvmController, "secure_tick")):
         original = getattr(owner, name)
 
-        def counted(self, now, original=original, name=name):
+        def counted(self, now, *args, original=original, name=name):
             calls[name] += 1
-            return original(self, now)
+            return original(self, now, *args)
 
         monkeypatch.setattr(owner, name, counted)
     host = _host("DdnRandom", t_secure=5, threshold=10, capacity=8, seed=1)

@@ -367,7 +367,7 @@ def test_ddn_never_touches_neighbor_slots(
     )
     for cid in range(slots_per_page):
         word = bytes(rng.randint(0, 7) for _ in range(cells_per_slot))
-        controller.flush_write(cid, word, now=0)
+        controller.flush_write(cid, word)
     lo = victim * cells_per_slot
     hi = lo + cells_per_slot
     before = list(device._cells[: geometry.cells_per_page])

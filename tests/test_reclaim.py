@@ -51,9 +51,9 @@ def test_erase_based_reclaim_never_clobbers_a_valid_copy():
     flushed = {}
     flush_write = controller.flush_write
 
-    def recording_flush(cache_id, payload, now):
+    def recording_flush(cache_id, payload):
         flushed[cache_id] = payload
-        return flush_write(cache_id, payload, now)
+        return flush_write(cache_id, payload)
 
     controller.flush_write = recording_flush
     for index, event in enumerate(events):
