@@ -10,7 +10,7 @@ import os
 import sys
 import argparse
 
-from .config import ConfigError, RunConfig, format_config, load_config, parse_policies
+from .config import BOM, ConfigError, RunConfig, format_config, load_config, parse_policies
 from .device import DeviceError
 from .host import TraceError, parse_trace
 from .runner import run, synthetic_trace
@@ -98,7 +98,7 @@ def main(argv=None) -> int:
         if args.trace is not None:
             try:
                 with open(args.trace, encoding="utf-8") as f:
-                    text = f.read()
+                    text = f.read().removeprefix(BOM)
             except (OSError, UnicodeDecodeError) as exc:
                 raise TraceError(f"cannot read trace {args.trace}: {exc}") from exc
         else:

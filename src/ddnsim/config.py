@@ -11,6 +11,11 @@ from .host import Host
 from .metrics import _fmt
 from .values import Record, ascii_number
 
+# A UTF-8 byte-order mark, which config and trace files may start with and
+# which is not part of line 1. Stripped after a plain utf-8 decode, because
+# the "utf-8-sig" codec is one more module to import at start-up.
+BOM = "\ufeff"
+
 
 class ConfigError(Exception):
     pass
@@ -164,7 +169,7 @@ def parse_config_text(text: str) -> RunConfig:
 def load_config(path: str) -> RunConfig:
     try:
         with open(path, encoding="utf-8") as f:
-            text = f.read()
+            text = f.read().removeprefix(BOM)
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     return parse_config_text(text)

@@ -14,10 +14,10 @@ level (a level fits in a byte, so ``bits_per_cell <= 8``; a slice is
 partial-program count; both are resident only where a run writes them. A
 bytearray holds each page's status, one each slot's occupancy. An erase is a
 slice assignment; GC moves runs of live pages into runs of free pages, a slice
-per run. The cache table keeps each id's last slot and, per slot, the one
-valid id it holds (see ``CacheTable``). Reclaim allocation is one search of
-the table's holder mask, upward from a low-water mark below which every slot
-is held.
+per run. The cache table maps each id with a valid copy to that copy's slot
+and, per slot, the one valid id it holds (see ``CacheTable``). Reclaim
+allocation is one search of the table's holder mask, upward from a low-water
+mark below which every slot is held.
 """
 
 import math
@@ -120,18 +120,15 @@ class LatencyParams(Value):
 
 
 class CacheTable:
-    """cache_id -> physical slot of the id's last flushed copy, and which
-    copies are valid.
+    """cache_id -> physical slot of the id's valid flushed copy.
 
-    Each flushed id keeps its last slot for the whole run, valid or invalid;
-    an invalid copy's slot may since have been reused by another id's copy.
-    Validity is one fact per slot: ``_valid_at`` lists each slot's one valid
-    cache_id or ``None``, so a copy is valid exactly when
-    ``_valid_at[slot] == cache_id``, and ``_held`` marks the same slots in a
-    ``bytearray`` searched at C speed. At most one valid copy holds a slot:
-    ``register`` and ``move`` refuse a second, and the device erases no block
-    a valid copy lies in. ``_low`` is a low-water mark for ``first_unheld``:
-    every slot below it is held.
+    ``_slot`` maps exactly the ids that have a valid copy; invalidating a
+    copy drops its id. ``_valid_at`` lists each slot's one valid cache_id or
+    ``None``, and ``_held`` marks the same slots in a ``bytearray`` searched
+    at C speed. At most one valid copy holds a slot: ``register`` and
+    ``move`` refuse a second, and the device erases no block a valid copy
+    lies in. ``_low`` is a low-water mark for ``first_unheld``: every slot
+    below it is held.
     """
 
     def __init__(self, total_slots: int):
@@ -141,13 +138,12 @@ class CacheTable:
         self._low = 0
 
     def slot(self, cache_id) -> int | None:
-        """The slot of the id's last copy, valid or not; None if never registered."""
+        """The slot of the id's valid copy; None if it has none."""
         return self._slot.get(cache_id)
 
     def is_valid(self, cache_id) -> bool:
-        """Whether the id's last copy is registered and still valid."""
-        slot = self._slot.get(cache_id)
-        return slot is not None and self._valid_at[slot] == cache_id
+        """Whether the id has a valid copy."""
+        return cache_id in self._slot
 
     def _release(self, slot: int):
         """The valid copy at slot stops holding it."""
@@ -157,21 +153,21 @@ class CacheTable:
             self._low = slot
 
     def register(self, cache_id: int, addr: int):
-        """Make addr the id's last copy, valid; a valid earlier copy is released."""
+        """Make addr the id's valid copy; an earlier copy is released."""
         holder = self._valid_at[addr]
         if holder is not None and holder != cache_id:
             raise DeviceError(f"slot {addr} already holds valid cache_id {holder}")
         old = self._slot.get(cache_id)
-        if old is not None and self._valid_at[old] == cache_id:
+        if old is not None:
             self._release(old)
         self._slot[cache_id] = addr
         self._valid_at[addr] = cache_id
         self._held[addr] = 1
 
     def invalidate(self, cache_id: int):
-        """Mark a registered id's copy invalid; a second call does nothing."""
-        slot = self._slot[cache_id]
-        if self._valid_at[slot] == cache_id:
+        """Drop the id's valid copy; an id with none is left alone."""
+        slot = self._slot.pop(cache_id, None)
+        if slot is not None:
             self._release(slot)
 
     def held(self, start: int, stop: int) -> bytearray:
@@ -195,10 +191,10 @@ class CacheTable:
         self._held[dst : dst + n], self._held[src : src + n] = mask, bytearray(n)
         if src < self._low:
             self._low = src
-        last = self._slot
+        where = self._slot
         for slot, cid in enumerate(ids, dst):
             if cid is not None:
-                last[cid] = slot
+                where[cid] = slot
         return mask
 
 
@@ -218,7 +214,6 @@ class NvmDevice:
         kind: DeviceKind = DeviceKind.NON_OVERWRITABLE,
         latency: LatencyParams = None,
         nop_limit: int = 4,
-        ledger: LatencyLedger = None,
         reclaim_invalid_slots: bool = False,
     ):
         self.geometry = geometry if geometry is not None else Geometry()
@@ -226,7 +221,7 @@ class NvmDevice:
         self.latency = latency if latency is not None else LatencyParams()
         self.check_settings(kind, nop_limit, reclaim_invalid_slots)
         self.nop_limit = nop_limit
-        self.ledger = ledger if ledger is not None else LatencyLedger()
+        self.ledger = LatencyLedger()
         self.reclaim_invalid_slots = reclaim_invalid_slots
         g = self.geometry
         pages = g.blocks * g.pages_per_block
@@ -419,8 +414,7 @@ class NvmDevice:
 
         Occupied slots stay unavailable until their block is erased; with
         ``reclaim_invalid_slots`` the lowest slot that is unoccupied, or
-        occupied with no valid copy in it, is handed out; an id whose invalid
-        copy was there keeps that slot as its last in the table.
+        occupied with no valid copy in it, is handed out.
         """
         if self.reclaim_invalid_slots:
             return self._allocate_with_reclaim()

@@ -184,13 +184,11 @@ class Host:
         if kind == "W":
             self._write(event.cache_id, event.payload)
         elif kind == "U":
-            # Written before: in DRAM, or flushed (the table keeps every id's last slot).
-            cache_id, table = event.cache_id, self.controller.device.cache_table
-            valid = table.is_valid(cache_id)
-            if not valid and cache_id not in self.slots and table.slot(cache_id) is None:
-                raise TraceError(f"U for unknown cache id {cache_id}", event.line)
+            # parse_trace refuses a U before any W of its id; here U is a W that
+            # also deletes a valid flushed copy, which the write leaves as it is.
+            cache_id = event.cache_id
             self._write(cache_id, event.payload)
-            if valid:
+            if self.controller.device.cache_table.is_valid(cache_id):
                 self.controller.handle_invalidation(cache_id, self.now)
                 self._resident.pop(cache_id, None)
         elif kind in ("I", "D"):

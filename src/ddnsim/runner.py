@@ -14,7 +14,6 @@ from .controller import NvmController
 from .device import NvmDevice
 from .host import Host
 from .metrics import (
-    LatencyLedger,
     MetricsCollector,
     PolicyRun,
     comparison_rows,
@@ -74,24 +73,21 @@ def trace_fingerprint(events) -> str:
 
 def run_policy(config: RunConfig, policy, events) -> MetricsCollector:
     """Replay the events under one policy on fresh state; return its metrics."""
-    ledger = LatencyLedger()
-    collector = MetricsCollector(ledger)
     device = NvmDevice(
         geometry=config.geometry(),
         kind=config.device_kind,
         latency=config.latency(),
         nop_limit=config.nop_limit,
-        ledger=ledger,
         reclaim_invalid_slots=config.reclaim_invalid_slots,
     )
-    controller = NvmController(device, policy, random.Random(config.seed), collector)
+    controller = NvmController(device, policy, random.Random(config.seed))
     host = Host(
         controller,
         capacity=config.dram_capacity,
         flush_idle_threshold=config.flush_idle_threshold,
     )
     host.run_trace(events)
-    return collector
+    return controller.collector
 
 
 def run(config: RunConfig, events) -> RunReport:

@@ -6,8 +6,6 @@ from ddnsim import (
     DeletionPolicy,
     DeviceKind,
     Geometry,
-    LatencyLedger,
-    MetricsCollector,
     NvmController,
     NvmDevice,
     parse_policy,
@@ -46,14 +44,10 @@ def make_controller():
         t_secure=None,
         nop_limit=4,
     ):
-        ledger = LatencyLedger()
-        collector = MetricsCollector(ledger)
-        device = NvmDevice(
-            geometry=geometry, kind=kind, nop_limit=nop_limit, ledger=ledger
-        )
+        device = NvmDevice(geometry=geometry, kind=kind, nop_limit=nop_limit)
         pol = parse_policy(policy)
         if t_secure is not None:
             pol = DeletionPolicy(pol.kind, pol.fill, t_secure)
-        return NvmController(device, pol, random.Random(seed), collector)
+        return NvmController(device, pol, random.Random(seed))
 
     return build

@@ -10,9 +10,7 @@ from ddnsim import (
     DeletionPolicy,
     Geometry,
     Host,
-    LatencyLedger,
     LatencyParams,
-    MetricsCollector,
     MonotoneViolation,
     NopExceeded,
     NvmController,
@@ -28,12 +26,11 @@ from ddnsim import (
 
 
 def _controller(policy, geometry, seed=7, nop_limit=8, t_secure=None):
-    ledger = LatencyLedger()
-    device = NvmDevice(geometry=geometry, nop_limit=nop_limit, ledger=ledger)
+    device = NvmDevice(geometry=geometry, nop_limit=nop_limit)
     pol = parse_policy(policy)
     if t_secure is not None:
         pol = DeletionPolicy(pol.kind, pol.fill, t_secure)
-    return NvmController(device, pol, random.Random(seed), MetricsCollector(ledger))
+    return NvmController(device, pol, random.Random(seed))
 
 
 def test_criterion_1_upward_overwrite_words_are_exact():

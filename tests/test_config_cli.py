@@ -357,6 +357,32 @@ def test_non_utf8_files_are_read_errors_not_tracebacks(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
+    "argv",
+    [
+        ["--trace", "{trace}", "--seed", "1"],
+        ["--config", "{config}", "--synthetic", "5"],
+        ["--print-config", "--config", "{config}"],
+    ],
+    ids=["trace", "config", "print-config"],
+)
+def test_a_byte_order_mark_reads_as_the_same_file_without_it(tmp_path, capsys, argv):
+    """A UTF-8 file may start with the mark some editors write; line 1 is
+    then the same as in the file without it, and so is the report."""
+    reports = []
+    for mark in (b"", b"\xef\xbb\xbf"):
+        trace = tmp_path / f"{len(mark)}.trace"
+        trace.write_bytes(mark + b"W 1 0x000001\nF\nU 1 0x000002\n")
+        config = tmp_path / f"{len(mark)}.cfg"
+        config.write_bytes(mark + b"seed = 3\npolicies = MarkOnly,DdnRandom\n")
+        out = tmp_path / f"{len(mark)}.out"
+        args = [a.format(trace=trace, config=config) for a in argv]
+        assert main([*args, "--out", str(out)]) == 0, capsys.readouterr().err
+        reports.append(out.read_bytes())
+    assert reports[0] == reports[1] and reports[0]
+    assert capsys.readouterr() == ("", "")
+
+
+@pytest.mark.parametrize(
     "text, message",
     [
         ("W ² 0x000000\n", "line 1: cache id must be a decimal integer, got '²'"),

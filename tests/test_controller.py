@@ -11,8 +11,6 @@ from ddnsim import (
     DeviceKind,
     Geometry,
     Host,
-    LatencyLedger,
-    MetricsCollector,
     NvmController,
     NvmDevice,
     PolicyKind,
@@ -40,13 +38,11 @@ def w(*levels):
 
 
 def build(policy, seed=7, kind=DeviceKind.NON_OVERWRITABLE, nop_limit=4, t_secure=None):
-    ledger = LatencyLedger()
-    collector = MetricsCollector(ledger)
-    device = NvmDevice(geometry=G3, kind=kind, nop_limit=nop_limit, ledger=ledger)
+    device = NvmDevice(geometry=G3, kind=kind, nop_limit=nop_limit)
     pol = parse_policy(policy)
     if t_secure is not None:
         pol = DeletionPolicy(pol.kind, pol.fill, t_secure)
-    return NvmController(device, pol, random.Random(seed), collector)
+    return NvmController(device, pol, random.Random(seed))
 
 
 def invalidate(controller, cache_id, now=0):
@@ -256,12 +252,12 @@ def test_overwritable_ddn_non_random():
 
 def test_unknown_and_double_invalidation_rejected():
     controller = build("DdnRandom")
-    with pytest.raises(ProtocolError):
+    with pytest.raises(ProtocolError, match="^no valid flushed copy for cache id 42$"):
         invalidate(controller, 42)
     controller.flush_write(1, w(1, 2, 3))
     invalidate(controller, 1)
     before = controller.device.ledger.total_us
-    with pytest.raises(ProtocolError):
+    with pytest.raises(ProtocolError, match="^no valid flushed copy for cache id 1$"):
         invalidate(controller, 1)
     assert controller.device.ledger.total_us == before  # never double-charged
     assert len(controller.collector.deletions) == 1
@@ -290,9 +286,10 @@ def test_de_identify_is_handled_like_invalidate():
         host = Host(controller)
         host.apply_event(TraceEvent("W", cache_id=1, payload=w(2, 5, 1)))
         host.apply_event(TraceEvent("F"))
+        addr = controller.device.cache_table.slot(1)  # the table drops it on deletion
         host.apply_event(TraceEvent(op, cache_id=1))
         (outcome,) = controller.collector.deletions
-        post = controller.device.peek_slot(controller.device.cache_table.slot(1))
+        post = controller.device.peek_slot(addr)
         outcomes.append((outcome.action, outcome.cost.total_us, post))
     assert outcomes[0] == outcomes[1]
 
@@ -331,10 +328,12 @@ def test_secure_tick_ages_from_write_time(make_controller):
 
 def test_secure_scrub_overwrites_even_under_mark_only(make_controller):
     host = _secure_host(make_controller, "MarkOnly", t_secure=1)
-    (outcome,) = _run(host, "W 1 0x000\nF\nT 1")
-    assert outcome.action == "secure-scrub"
+    _run(host, "W 1 0x000\nF")
     device = host.controller.device
-    post = device.peek_slot(device.cache_table.slot(1))
+    addr = device.cache_table.slot(1)  # the table drops it on deletion
+    (outcome,) = _run(host, "T 1")
+    assert outcome.action == "secure-scrub" and device.cache_table.slot(1) is None
+    post = device.peek_slot(addr)
     assert all(level >= 1 for level in post)
     assert outcome.residual_cells == 0
 

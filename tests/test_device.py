@@ -251,7 +251,7 @@ def test_register_refuses_a_slot_another_valid_id_holds(make_device):
     table.register(7, addr)  # the holder itself may re-register
     table.invalidate(7)
     table.register(8, addr)  # a stale holder is no obstacle
-    assert [cid for cid in table._slot if table.is_valid(cid)] == [8]
+    assert table._slot == {8: addr}
 
 
 def test_move_repoints_valid_entries_and_refuses_a_held_destination(make_device):
@@ -263,7 +263,7 @@ def test_move_repoints_valid_entries_and_refuses_a_held_destination(make_device)
     table.register(3, 7)
     assert table.move(0, 4, 3) == bytearray([1, 0, 0])
     assert table.slot(1) == 4 and table.is_valid(1)
-    assert table.slot(2) == 2  # a stale entry stays where it was
+    assert table.slot(2) is None  # an invalid copy has no entry to move
     assert table.held(0, 8) == bytearray([0, 0, 0, 0, 1, 0, 0, 1])
     with pytest.raises(DeviceError, match="^slots 6..7 already hold valid data$"):
         table.move(4, 6, 2)
@@ -278,9 +278,11 @@ def test_set_valid_bit(make_device):
     table.register(7, addr)  # the flush tick is the controller's (secure mode only)
     assert table.is_valid(7) and table.slot(7) == addr
     table.invalidate(7)
-    assert not table.is_valid(7)
-    table.invalidate(7)  # idempotent
-    assert not table.is_valid(7) and table.slot(7) == addr
+    assert not table.is_valid(7) and table.slot(7) is None
+    assert table.held(addr, addr + 1) == bytearray([0])
+    table.invalidate(7)  # an id with no valid copy is left alone
+    table.invalidate(8)  # as is one never registered
+    assert table._slot == {} and table.held(0, SMALL.total_slots) == bytearray(SMALL.total_slots)
 
 
 def test_allocate_first_fit_order(make_device):
@@ -342,12 +344,11 @@ def test_gc_preserves_valid_payloads_and_drops_invalid(make_device):
     _stage_valid(device, 1, at(0, 0, 0), w(1, 2, 3, 4))
     _stage_valid(device, 2, at(0, 0, 1), w(5, 6, 7, 0))
     _stage_valid(device, 3, at(0, 2, 0), w(7, 7, 7, 7))
+    stale_addr = at(0, 0, 1)
     device.cache_table.invalidate(2)
-    stale_addr = device.cache_table.slot(2)
+
     def valid_words():
-        table = device.cache_table
-        return {cid: device.peek_slot(slot) for cid, slot in table._slot.items()
-                if table.is_valid(cid)}
+        return {cid: device.peek_slot(slot) for cid, slot in device.cache_table._slot.items()}
 
     payloads = valid_words()
     device.garbage_collect(0)
@@ -425,8 +426,7 @@ def test_reclaim_reuses_invalid_slots(make_device):
     device.cache_table.register(5, addr)
     device.cache_table.invalidate(5)
     assert device.allocate_slot() == addr
-    table = device.cache_table  # the table keeps the stale copy's slot
-    assert table.slot(5) == addr and not table.is_valid(5)
+    assert device.cache_table.slot(5) is None and not device.cache_table.is_valid(5)
 
 
 def test_no_reclaim_by_default(make_device):

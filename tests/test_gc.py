@@ -43,7 +43,7 @@ class ReferenceGcDevice(NvmDevice):
         table = self.cache_table
         by_page = {}
         for cid, slot in sorted(table._slot.items()):
-            if table.is_valid(cid) and g.block_of(slot) == block:
+            if g.block_of(slot) == block:
                 by_page.setdefault(slot // g.slots_per_page, []).append((cid, slot))
         if by_page:
             dests = self._find_free_pages(len(by_page), exclude_block=block)
@@ -118,7 +118,7 @@ programs = st.lists(
 def _apply(device, op, n, level_bits, now):
     """One step; returns what it returned or the error type it raised."""
     table = device.cache_table
-    valid = sorted(cid for cid in table._slot if table.is_valid(cid))
+    valid = sorted(table._slot)
     try:
         if op in ("write", "rewrite"):
             if op == "rewrite":
@@ -329,8 +329,7 @@ def test_a_fully_live_block_moves_as_one_run(calls):
     assert calls["move"] == [(0, 128, 128)]
     assert calls["charge"] == 64
     table = device.cache_table
-    assert {cid: device.peek_slot(slot) for cid, slot in table._slot.items()
-            if table.is_valid(cid)} == words
+    assert {cid: device.peek_slot(slot) for cid, slot in table._slot.items()} == words
     assert device.erase_counts[0] == 1
 
 

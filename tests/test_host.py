@@ -130,9 +130,13 @@ def test_update_without_flush_emits_nothing(host):
     assert host.controller.collector.deletions == []
 
 
-def test_update_unknown_id_is_a_trace_error(host):
-    with pytest.raises(TraceError):
-        host.apply_event(ev_u(9, line=4))
+def test_hand_built_update_of_an_unwritten_id_is_a_write(host):
+    """parse_trace refuses such a U; the host takes it as a W of the id."""
+    host.apply_event(ev_u(9, line=4))
+    assert host.slots[9].payload == word_from_hex("0x123", 4, 3) and 9 in host._dirty
+    host.apply_event(TraceEvent("F"))
+    assert host.controller.device.cache_table.is_valid(9)
+    assert host.controller.collector.deletions == []
 
 
 def test_time_advances_without_dirty_slots(host):
@@ -194,9 +198,9 @@ def test_invalidate_and_deidentify_events(host):
 
 def test_invalidate_requires_flushed_copy(host):
     host.apply_event(ev_w(5))
-    with pytest.raises(TraceError, match="^line 2: no flushed copy for cache id 5$"):
+    with pytest.raises(TraceError, match="^line 2: no valid flushed copy for cache id 5$"):
         host.apply_event(TraceEvent("I", cache_id=5, line=2))
-    with pytest.raises(TraceError, match="^line 3: no flushed copy for cache id 99$"):
+    with pytest.raises(TraceError, match="^line 3: no valid flushed copy for cache id 99$"):
         host.apply_event(TraceEvent("D", cache_id=99, line=3))
 
 
@@ -216,7 +220,7 @@ def test_double_invalidate_is_rejected(host):
     host.apply_event(ev_w(5))
     host.apply_event(TraceEvent("F"))
     host.apply_event(TraceEvent("I", cache_id=5))
-    with pytest.raises(TraceError):
+    with pytest.raises(TraceError, match="^line 9: no valid flushed copy for cache id 5$"):
         host.apply_event(TraceEvent("I", cache_id=5, line=9))
 
 
@@ -248,8 +252,7 @@ def test_dram_is_authoritative(host):
     host.apply_event(ev_u(5, "0xBBB"))
     assert host.slots[5].payload == word_from_hex("0xBBB", 4, 3)
     # the flushed copy went invalid, so DRAM holds the only live payload
-    table = host.controller.device.cache_table
-    assert not any(table.is_valid(cid) for cid in table._slot)
+    assert host.controller.device.cache_table._slot == {}
 
 
 def test_secure_scrub_through_trace(make_controller):

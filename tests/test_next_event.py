@@ -23,8 +23,6 @@ from ddnsim import (
     DeviceError,
     Geometry,
     Host,
-    LatencyLedger,
-    MetricsCollector,
     NvmController,
     NvmDevice,
     TraceEvent,
@@ -43,9 +41,7 @@ def _host(policy, t_secure, threshold, capacity, seed):
     pol = parse_policy(policy)
     if t_secure is not None:
         pol = DeletionPolicy(pol.kind, pol.fill, t_secure)
-    ledger = LatencyLedger()
-    device = NvmDevice(geometry=GEOMETRY, ledger=ledger)
-    controller = NvmController(device, pol, random.Random(seed), MetricsCollector(ledger))
+    controller = NvmController(NvmDevice(geometry=GEOMETRY), pol, random.Random(seed))
     return Host(controller, capacity=capacity, flush_idle_threshold=threshold)
 
 
@@ -106,13 +102,12 @@ def _event(ref, kind, pick, bits, ticks):
         return TraceEvent("F")
     if kind == "T":
         return TraceEvent("T", ticks=ticks)
-    table = ref.controller.device.cache_table
-    valid = sorted(cid for cid in table._slot if table.is_valid(cid))
+    valid = sorted(ref.controller.device.cache_table._slot)
     if kind == "W":
         cache_id = valid[pick % len(valid)] if pick % 2 and valid else pick % 10
         return TraceEvent("W", cache_id=cache_id, payload=_payload(bits))
-    if kind == "U":
-        ids = sorted(set(ref.slots) | set(table._slot))
+    if kind == "U":  # written before: in DRAM, or flushed at its eviction
+        ids = sorted(set(ref.slots) | set(ref.flushed_at))
     else:
         ids = valid
     if not ids:

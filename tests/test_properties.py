@@ -14,8 +14,6 @@ from ddnsim import (
     DeviceKind,
     Geometry,
     Host,
-    LatencyLedger,
-    MetricsCollector,
     MonotoneViolation,
     NopExceeded,
     NvmController,
@@ -149,9 +147,9 @@ def test_nand_program_matches_a_per_cell_reference(old_erased, data):
 
 
 class CacheTableModel(RuleBasedStateMachine):
-    """``CacheTable`` against a plain dict of cache_id -> [slot, valid]: the
-    last copy's slot and validity of every id, the held mask and the lowest
-    unheld slot agree after every step."""
+    """``CacheTable`` against a plain dict of valid cache_id -> slot: the
+    valid copies, the held mask and the lowest unheld slot agree after every
+    step."""
 
     SLOTS = 12
     ids = st.integers(0, 7)
@@ -160,20 +158,17 @@ class CacheTableModel(RuleBasedStateMachine):
     def __init__(self):
         super().__init__()
         self.table = CacheTable(self.SLOTS)
-        self.copies = {}
-
-    def _held(self):
-        return {slot: cid for cid, (slot, valid) in self.copies.items() if valid}
+        self.valid = {}
 
     def _register(self, cid, addr):
-        holder = self._held().get(addr)
+        holder = {slot: c for c, slot in self.valid.items()}.get(addr)
         if holder is not None and holder != cid:
             with pytest.raises(DeviceError, match=f"^slot {addr} already holds valid "
                                                   f"cache_id {holder}$"):
                 self.table.register(cid, addr)
             return
-        self.table.register(cid, addr)  # a valid earlier copy of cid is released
-        self.copies[cid] = [addr, True]
+        self.table.register(cid, addr)  # an earlier copy of cid is released
+        self.valid[cid] = addr
 
     @rule(cid=ids, addr=slots)
     def register(self, cid, addr):
@@ -181,26 +176,25 @@ class CacheTableModel(RuleBasedStateMachine):
 
     @rule(pick=st.integers(0, 7), addr=slots)
     def register_over_a_valid_copy(self, pick, addr):
-        valid = sorted(self._held().values())
+        valid = sorted(self.valid)
         if valid:
             self._register(valid[pick % len(valid)], addr)
 
     @rule(cid=ids)
     def invalidate(self, cid):
-        if cid in self.copies:
-            self.table.invalidate(cid)
-            self.copies[cid][1] = False
+        self.table.invalidate(cid)  # an id with no valid copy is left alone
+        self.valid.pop(cid, None)
 
     @rule(src=slots, dst=slots, n=st.integers(1, 4))
     def move(self, src, dst, n):
         n = min(n, self.SLOTS - src, self.SLOTS - dst)
-        held = self._held()
-        if abs(src - dst) < n or any(slot in held for slot in range(dst, dst + n)):
+        held = set(self.valid.values())
+        if abs(src - dst) < n or held & set(range(dst, dst + n)):
             return  # the device moves only into unheld slots outside the source
         assert self.table.move(src, dst, n) == bytearray(s in held for s in range(src, src + n))
-        for slot in range(src, src + n):
-            if slot in held:
-                self.copies[held[slot]][0] = slot - src + dst
+        for cid, slot in self.valid.items():
+            if src <= slot < src + n:
+                self.valid[cid] = slot - src + dst
 
     @rule(cid=ids)
     def reclaim(self, cid):
@@ -210,11 +204,11 @@ class CacheTableModel(RuleBasedStateMachine):
 
     @invariant()
     def agrees_with_the_dict(self):
-        table, held = self.table, self._held()
+        table, held = self.table, set(self.valid.values())
+        assert table._slot == self.valid
         for cid in range(8):
-            slot, valid = self.copies.get(cid, (None, False))
-            assert table.slot(cid) == slot
-            assert table.is_valid(cid) == valid
+            assert table.slot(cid) == self.valid.get(cid)
+            assert table.is_valid(cid) == (cid in self.valid)
         assert table.held(0, self.SLOTS) == bytearray(s in held for s in range(self.SLOTS))
         unheld = [s for s in range(self.SLOTS) if s not in held]
         assert table.first_unheld() == (unheld[0] if unheld else -1)
@@ -235,11 +229,8 @@ CacheTableModelTest.settings = settings(max_examples=100, stateful_step_count=40
 @settings(max_examples=80, deadline=None)
 def test_exactly_once_invalidation(actions, seed):
     """Each flushed copy yields exactly one invalidation, on the first update."""
-    ledger = LatencyLedger()
-    device = NvmDevice(ledger=ledger)  # default geometry: plenty of room
-    controller = NvmController(
-        device, parse_policy("DdnRandom"), random.Random(seed), MetricsCollector(ledger)
-    )
+    device = NvmDevice()  # default geometry: plenty of room
+    controller = NvmController(device, parse_policy("DdnRandom"), random.Random(seed))
     # huge idle threshold so only F flushes, keeping the shadow model simple
     host = Host(controller, capacity=64, flush_idle_threshold=10**9)
     rng = random.Random(seed)
@@ -279,8 +270,7 @@ def test_exactly_once_invalidation(actions, seed):
             expected_requests += 1
             nvm_valid.discard(cid)
     assert len(deletions) == expected_requests
-    table = device.cache_table
-    assert {cid for cid in table._slot if table.is_valid(cid)} == nvm_valid
+    assert set(device.cache_table._slot) == nvm_valid
 
 
 # 64 slots: more than a 40-event trace can flush, so no device fills.
@@ -299,45 +289,43 @@ U_RULE_DEVICES = {
     policy=st.sampled_from(["MarkOnly", "EraseBased", "DdnRandom"]),
     capacity=st.integers(1, 3),
     threshold=st.integers(0, 3),
-    events=st.lists(
-        st.tuples(st.sampled_from("WUIFT"), st.integers(0, 4), tiny_words),
+    steps=st.lists(
+        st.tuples(st.sampled_from("WUIFT"), st.integers(0, 4), st.integers(0, 15)),
         min_size=1,
         max_size=40,
     ),
 )
 @settings(max_examples=150, deadline=None)
 def test_update_is_refused_exactly_for_ids_never_written(
-    device, policy, capacity, threshold, events
+    device, policy, capacity, threshold, steps
 ):
-    """A hand-built ``U`` names a line some ``W`` or ``U`` wrote before, or it
-    is a trace error, whatever the DRAM has evicted and reclaim has reused."""
-    ledger = LatencyLedger()
-    nvm = NvmDevice(geometry=U_RULE_GEOMETRY, ledger=ledger, **U_RULE_DEVICES[device])
-    controller = NvmController(
-        nvm, parse_policy(policy), random.Random(0), MetricsCollector(ledger)
-    )
-    host = Host(controller, capacity=capacity, flush_idle_threshold=threshold)
-    written = set()
-    for line, (op, cid, word) in enumerate(events, start=1):
-        if op in "WU":
-            event = TraceEvent(op, cache_id=cid, payload=word, line=line)
-        elif op == "I":
-            event = TraceEvent("I", cache_id=cid, line=line)
-        elif op == "T":
-            event = TraceEvent("T", ticks=cid, line=line)
-        else:
-            event = TraceEvent("F", line=line)
+    """``parse_trace`` refuses a ``U`` exactly when no earlier line wrote its
+    id, and a trace it accepts replays with no ``U``-related error, whatever
+    the DRAM has evicted and reclaim has reused."""
+    lines, written, refused = [], set(), []
+    for op, cid, bits in steps:
         if op == "U" and cid not in written:
-            with pytest.raises(TraceError, match=f"^line {line}: U for unknown cache id {cid}$"):
-                host.apply_event(event)
+            refused.append((len(lines) + 1, f"U {cid} 0x{bits:X}"))
             continue
+        lines.append(f"{op} {cid} 0x{bits:X}" if op in "WU" else "F" if op == "F"
+                     else f"{op} {cid}")
+        if op == "W":
+            written.add(cid)
+    if refused:  # put the first refused line back where it was drawn
+        (line, text), *_ = refused
+        with pytest.raises(TraceError, match=f"^line {line}: U for cache id "
+                                             f"{text.split()[1]} before any W$"):
+            parse_trace("\n".join(lines[:line - 1] + [text] + lines[line - 1:]), 2, 2)
+    nvm = NvmDevice(geometry=U_RULE_GEOMETRY, **U_RULE_DEVICES[device])
+    host = Host(NvmController(nvm, parse_policy(policy), random.Random(0)),
+                capacity=capacity, flush_idle_threshold=threshold)
+    for event in parse_trace("\n".join(lines), 2, 2):
         try:
             host.apply_event(event)
         except TraceError as exc:
-            assert op == "I", exc  # no flushed copy, or already invalid
-            assert "U for unknown cache id" not in str(exc)
-        if op in "WU":
-            written.add(cid)
+            assert event.kind == "I", exc
+            assert str(exc) == (f"line {event.line}: no valid flushed copy "
+                                f"for cache id {event.cache_id}")
 
 
 @given(
@@ -360,11 +348,8 @@ def test_ddn_never_touches_neighbor_slots(
         cells_per_cache_slot=cells_per_slot,
     )
     rng = random.Random(seed)
-    ledger = LatencyLedger()
-    device = NvmDevice(geometry=geometry, nop_limit=slots_per_page + 1, ledger=ledger)
-    controller = NvmController(
-        device, parse_policy(policy_name), random.Random(seed), MetricsCollector(ledger)
-    )
+    device = NvmDevice(geometry=geometry, nop_limit=slots_per_page + 1)
+    controller = NvmController(device, parse_policy(policy_name), random.Random(seed))
     for cid in range(slots_per_page):
         word = bytes(rng.randint(0, 7) for _ in range(cells_per_slot))
         controller.flush_write(cid, word)

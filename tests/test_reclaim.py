@@ -24,8 +24,6 @@ from ddnsim import (
     DeviceKind,
     Geometry,
     Host,
-    LatencyLedger,
-    MetricsCollector,
     NvmController,
     NvmDevice,
     parse_config_text,
@@ -36,17 +34,12 @@ from ddnsim import (
 from test_golden import CASES, _reclaim_trace
 
 def test_erase_based_reclaim_never_clobbers_a_valid_copy():
-    # After a GC erase, invalid entries still point into the erased block; a
-    # slot they name may meanwhile hold another id's valid copy.
+    # After a GC erase, reclaim hands out slots of the erased block again; no
+    # valid copy may read back another id's data.
     cfg = parse_config_text(CASES["overwritable-reclaim"][0])
     events = parse_trace(_reclaim_trace(cfg), cfg.cells_per_cache_slot, cfg.bits_per_cell)
-    ledger = LatencyLedger()
-    device = NvmDevice(
-        geometry=cfg.geometry(), kind=cfg.device_kind, ledger=ledger, reclaim_invalid_slots=True
-    )
-    controller = NvmController(
-        device, parse_policy("EraseBased"), random.Random(cfg.seed), MetricsCollector(ledger)
-    )
+    device = NvmDevice(geometry=cfg.geometry(), kind=cfg.device_kind, reclaim_invalid_slots=True)
+    controller = NvmController(device, parse_policy("EraseBased"), random.Random(cfg.seed))
     host = Host(controller, cfg.dram_capacity, cfg.flush_idle_threshold)
     flushed = {}
     flush_write = controller.flush_write
@@ -74,7 +67,7 @@ class ScanDevice(NvmDevice):
 
     def _allocate_with_reclaim(self):
         table = self.cache_table
-        held = {slot for cid, slot in table._slot.items() if table.is_valid(cid)}
+        held = set(table._slot.values())
         for slot in range(self.geometry.total_slots):
             if slot in held:
                 continue
@@ -102,7 +95,7 @@ steps = st.lists(
 def _apply(device, op, n, level_bits, now):
     """One step; returns what it returned or the error type it raised."""
     table = device.cache_table
-    valid = sorted(cid for cid in table._slot if table.is_valid(cid))
+    valid = sorted(table._slot)
     try:
         if op in ("write", "rewrite"):
             if op == "rewrite":
@@ -197,7 +190,7 @@ def test_reclaim_search_reads_each_slot_about_twice():
 
 
 def test_update_of_an_id_whose_slot_reclaim_reused(tmp_path, capsys):
-    """Reusing slot 0 leaves id 0's invalid entry in the table; ``U 0``
+    """Reusing slot 0 for id 1 leaves id 0 with no valid copy; ``U 0``
     updates a line written before, so the run matches the device without
     reclaim."""
     from ddnsim.cli import main
@@ -219,8 +212,8 @@ def test_update_of_an_id_whose_slot_reclaim_reused(tmp_path, capsys):
 
 @pytest.mark.parametrize("reclaim", ["true", "false"])
 def test_second_invalidate_of_an_id_whose_slot_reclaim_reused(tmp_path, capsys, reclaim):
-    """Slot 0 goes to id 1 under reclaim, but id 0 keeps its invalid entry, so
-    a second ``I 0`` is refused as it is on a device without reclaim."""
+    """Slot 0 goes to id 1 under reclaim, and id 0 has no valid copy either
+    way, so a second ``I 0`` is refused as it is on a device without reclaim."""
     from ddnsim.cli import main
 
     trace = tmp_path / "twice.trace"
@@ -232,4 +225,4 @@ def test_second_invalidate_of_an_id_whose_slot_reclaim_reused(tmp_path, capsys, 
     assert main(["--config", str(conf), "--trace", str(trace), "--seed", "1"]) == 3
     out, err = capsys.readouterr()
     assert out == ""
-    assert err == "ddnsim: trace error: line 6: cache_id 0 is already invalid\n"
+    assert err == "ddnsim: trace error: line 6: no valid flushed copy for cache id 0\n"
