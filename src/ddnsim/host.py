@@ -197,7 +197,7 @@ class Host:
         elif kind == "T":
             self._advance(self.now + event.ticks)
         elif kind == "F":
-            self.flush_all(self.now)
+            self.flush_all()
         else:
             raise TraceError(f"unhandled event kind {kind!r}", event.line)
 
@@ -216,7 +216,7 @@ class Host:
             if resident:
                 due = min(due, next(iter(resident.values())) + t_secure)
             self.now = now = max(due, self.now + 1)
-            self.flush_idle(now)
+            self.flush_idle()
             if t_secure is not None:
                 scrub = _due(resident, now, t_secure)
                 for cid in scrub:
@@ -261,26 +261,26 @@ class Host:
             if slot is not None and slot.last_used == last_used:
                 break
         if victim in self._dirty:
-            self._flush(victim, self.now)
+            self._flush(victim)
         del slots[victim]
 
-    def _flush(self, cache_id: int, now: int):
+    def _flush(self, cache_id: int):
         self.controller.flush_write(cache_id, self.slots[cache_id].payload)
         del self._dirty[cache_id]
         if self._t_secure is not None:
-            self._resident[cache_id] = now
+            self._resident[cache_id] = self.now
             self._resident.move_to_end(cache_id)
 
-    def flush_idle(self, now: int) -> list:
+    def flush_idle(self) -> list:
         """Flush dirty lines idle for at least the threshold, ascending id."""
-        due = _due(self._dirty, now, self.flush_idle_threshold)
+        due = _due(self._dirty, self.now, self.flush_idle_threshold)
         for cid in due:
-            self._flush(cid, now)
+            self._flush(cid)
         return due
 
-    def flush_all(self, now: int) -> list:
+    def flush_all(self) -> list:
         """Flush every dirty line immediately, ascending id."""
         due = sorted(self._dirty)
         for cid in due:
-            self._flush(cid, now)
+            self._flush(cid)
         return due

@@ -34,20 +34,17 @@ def make_device():
     return build
 
 
+def build_controller(policy="DdnRandom", seed=7, geometry=SMALL,
+                     kind=DeviceKind.NON_OVERWRITABLE, nop_limit=4, t_secure=None):
+    """A controller of the named policy (with ``t_secure``, in secure mode)
+    on a fresh device. A plain function, so ``@given`` tests call it too."""
+    device = NvmDevice(geometry=geometry, kind=kind, nop_limit=nop_limit)
+    pol = parse_policy(policy)
+    if t_secure is not None:
+        pol = DeletionPolicy(pol.kind, pol.fill, t_secure)
+    return NvmController(device, pol, random.Random(seed))
+
+
 @pytest.fixture
 def make_controller():
-    def build(
-        policy="DdnRandom",
-        seed=7,
-        geometry=SMALL,
-        kind=DeviceKind.NON_OVERWRITABLE,
-        t_secure=None,
-        nop_limit=4,
-    ):
-        device = NvmDevice(geometry=geometry, kind=kind, nop_limit=nop_limit)
-        pol = parse_policy(policy)
-        if t_secure is not None:
-            pol = DeletionPolicy(pol.kind, pol.fill, t_secure)
-        return NvmController(device, pol, random.Random(seed))
-
-    return build
+    return build_controller

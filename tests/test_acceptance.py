@@ -7,13 +7,11 @@ Every test prints one PASS line with the measured values, so
 import random
 
 from ddnsim import (
-    DeletionPolicy,
     Geometry,
     Host,
     LatencyParams,
     MonotoneViolation,
     NopExceeded,
-    NvmController,
     NvmDevice,
     RunConfig,
     TraceEvent,
@@ -24,13 +22,7 @@ from ddnsim import (
     synthetic_trace,
 )
 
-
-def _controller(policy, geometry, seed=7, nop_limit=8, t_secure=None):
-    device = NvmDevice(geometry=geometry, nop_limit=nop_limit)
-    pol = parse_policy(policy)
-    if t_secure is not None:
-        pol = DeletionPolicy(pol.kind, pol.fill, t_secure)
-    return NvmController(device, pol, random.Random(seed))
+from conftest import build_controller
 
 
 def test_criterion_1_upward_overwrite_words_are_exact():
@@ -161,7 +153,7 @@ def test_criterion_5_partial_overwrite_isolation():
             cells_per_cache_slot=cells_per_slot,
         )
         policy = rng.choice(["DdnRandom", "DdnNonRandom"])
-        controller = _controller(policy, geometry, seed=rng.randrange(2**32))
+        controller = build_controller(policy, rng.randrange(2**32), geometry, nop_limit=8)
         for cid in range(slots_per_page):
             word = bytes(rng.randrange(8) for _ in range(cells_per_slot))
             controller.flush_write(cid, word)
@@ -183,7 +175,7 @@ def test_criterion_6_secure_mode_boundary():
         blocks=2, pages_per_block=2, cells_per_page=8, bits_per_cell=3,
         cells_per_cache_slot=4,
     )
-    host = Host(_controller("DdnRandom", geometry, t_secure=10))
+    host = Host(build_controller("DdnRandom", geometry=geometry, nop_limit=8, t_secure=10))
     deletions, table = host.controller.collector.deletions, host.controller.device.cache_table
     host.run_trace(parse_trace("W 1 0x9C2\nF\n", 4, 3))  # levels 4, 7, 0, 2
     for _ in range(9):
@@ -198,7 +190,7 @@ def test_criterion_6_secure_mode_boundary():
     assert deletions == [outcome]
 
     # an all-top-level payload has nowhere to move and is fully retained
-    host = Host(_controller("DdnRandom", geometry, t_secure=10))
+    host = Host(build_controller("DdnRandom", geometry=geometry, nop_limit=8, t_secure=10))
     host.run_trace(parse_trace("W 2 0xFFF\nF\nT 10\n", 4, 3))
     (outcome,) = host.controller.collector.deletions
     assert outcome.residual_cells == outcome.slot_cells

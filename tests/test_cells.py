@@ -37,23 +37,30 @@ def _aligned_cells(bits_per_cell):
     return 4 // math.gcd(4, bits_per_cell)
 
 
+def _shift_mask_reference(value, cells, bits_per_cell):
+    """Cell i is the i-th most significant bits_per_cell bits of the value."""
+    mask = (1 << bits_per_cell) - 1
+    return bytes(value >> (cells - 1 - i) * bits_per_cell & mask for i in range(cells))
+
+
 @given(st.integers(1, 8).flatmap(lambda b: st.tuples(st.just(b), st.integers(0, 2**b - 1))))
 def test_encode_decode_bijection(pair):
     """A level survives the hex codec in every cell of an aligned word."""
     b, level = pair
     cells = _aligned_cells(b)
     for position in range(cells):
-        word = bytes(level if i == position else 0 for i in range(cells))
-        assert word_from_hex(_reference_to_hex(word, b), cells, b) == word
+        value = level << (cells - 1 - position) * b
+        assert word_from_hex(f"0x{value:0{cells * b // 4}X}", cells, b) == bytes(
+            level if i == position else 0 for i in range(cells))
 
 
 def test_bijection_exhaustive_small_widths():
     for b in range(1, 5):
         cells = _aligned_cells(b)
-        words = [bytes((level,)) * cells for level in range(2**b)]
-        hexes = [_reference_to_hex(word, b) for word in words]
-        assert len(set(hexes)) == 2**b
-        assert [word_from_hex(h, cells, b) for h in hexes] == words
+        values = range(2 ** (cells * b))
+        words = [word_from_hex(f"0x{value:0{cells * b // 4}X}", cells, b) for value in values]
+        assert words == [_shift_mask_reference(value, cells, b) for value in values]
+        assert len(set(words)) == len(words)
 
 
 def test_available_levels_examples():
@@ -208,8 +215,7 @@ def test_generators_reject_bad_input_before_drawing(b):
 
 def test_fill_word_all_max():
     word = gen_fill_word(None, 4, 3)
-    assert word == bytes((7, 7, 7, 7))
-    assert _reference_to_hex(word, 3) == "0xFFF"
+    assert word == bytes((7, 7, 7, 7)) == word_from_hex("0xFFF", 4, 3)
 
 
 def test_fill_word_constant_level():
@@ -245,54 +251,9 @@ def test_generated_words_are_slot_long_bytes_in_range(bits_per_cell, cells, seed
         assert max(word) <= top
 
 
-def _reference_from_hex(digits, cells, bits_per_cell):
-    """Hex -> binary string -> one int(..., 2) per cell."""
-    bits = format(int(digits, 16), f"0{cells * bits_per_cell}b")
-    return bytes(
-        int(bits[i : i + bits_per_cell], 2) for i in range(0, len(bits), bits_per_cell)
-    )
-
-
-def _reference_to_hex(word, bits_per_cell):
-    """One binary string per cell -> hex."""
-    bits = "".join(format(l, f"0{bits_per_cell}b") for l in word)
-    return "0x" + format(int(bits, 2), f"0{len(bits) // 4}X")
-
-
-@st.composite
-def hex_payloads(draw):
-    """(digits, cells, bits_per_cell) for a hex-addressable width."""
-    bits_per_cell = draw(st.integers(1, 8))
-    cells = draw(st.integers(1, 16).filter(lambda c: c * bits_per_cell % 4 == 0))
-    n = cells * bits_per_cell // 4
-    digits = draw(st.text("0123456789abcdefABCDEF", min_size=n, max_size=n))
-    return digits, cells, bits_per_cell
-
-
-@given(hex_payloads(), st.sampled_from("_+- "), st.integers(0, 15))
-def test_word_bits_width(payload, junk, position):
-    """The hex codec over every hex-addressable width (1-16 cells x 1-8 bits)
-    round-trips, matches the binary-string reference both ways, and rejects
-    non-hex characters even where int(..., 16) would take them."""
-    digits, cells, bits_per_cell = payload
-    word = word_from_hex("0x" + digits, cells, bits_per_cell)
-    assert len(word) == cells
-    assert _reference_to_hex(word, bits_per_cell) == "0x" + digits.upper()
-    assert word == _reference_from_hex(digits, cells, bits_per_cell)
-    # One digit swapped for "_", a sign or a space.
-    position %= len(digits)
-    bad = digits[:position] + junk + digits[position + 1 :]
-    with pytest.raises(ValueError, match="not a hex payload"):
-        word_from_hex("0x" + bad, cells, bits_per_cell)
-    for text in ("0xDEAD_E", "0x+DEADB", "0x DEADB"):
-        with pytest.raises(ValueError, match="not a hex payload"):
-            word_from_hex(text, 8, 3)
-
-
 def test_word_from_hex_frozen_example():
     word = word_from_hex("0xDEADBE", 8, 3)
-    assert word == bytes((6, 7, 5, 2, 6, 6, 7, 6))
-    assert _reference_to_hex(word, 3) == "0xDEADBE"
+    assert word == bytes((6, 7, 5, 2, 6, 6, 7, 6)) == _shift_mask_reference(0xDEADBE, 8, 3)
 
 
 def test_word_from_hex_errors():
@@ -304,6 +265,9 @@ def test_word_from_hex_errors():
         word_from_hex("0xZZZZZZ", 8, 3)
     with pytest.raises(ValueError):
         word_from_hex("0xF", 3, 3)  # 9-bit slot is not hex-addressable
+    for text in ("0xDEAD_E", "0x+DEADB", "0x DEADB"):  # int(..., 16) would take these
+        with pytest.raises(ValueError, match="not a hex payload"):
+            word_from_hex(text, 8, 3)
 
 
 def test_word_from_hex_rejects_cells_wider_than_a_byte():
@@ -326,12 +290,6 @@ def test_one_hex_width_check_for_config_codec_and_generator():
     assert hex_digits(8, 3) == 6
 
 
-def _shift_mask_reference(value, cells, bits_per_cell):
-    """Cell i is the i-th most significant bits_per_cell bits of the value."""
-    mask = (1 << bits_per_cell) - 1
-    return bytes(value >> (cells - 1 - i) * bits_per_cell & mask for i in range(cells))
-
-
 @st.composite
 def aligned_words(draw):
     """(value, cells, bits_per_cell) for a nibble-aligned width."""
@@ -341,13 +299,32 @@ def aligned_words(draw):
     return draw(st.integers(0, 2 ** (cells * bits_per_cell) - 1)), cells, bits_per_cell
 
 
-@settings(max_examples=400)
-@given(aligned_words(), st.booleans(), st.booleans())
-def test_word_from_hex_matches_shift_and_mask(word, upper_prefix, upper_digits):
+@given(aligned_words(), st.sampled_from("_+- "), st.integers(0, 39))
+def test_word_bits_width(word, junk, position):
+    """Every nibble-aligned width up to 40 cells at 1-8 bits decodes to one
+    byte per cell, each a level of the cell's width; one digit swapped for
+    "_", a sign or a space, which int(..., 16) would take, is refused."""
     value, cells, bits_per_cell = word
     digits = f"{value:0{cells * bits_per_cell // 4}x}"
-    text = ("0X" if upper_prefix else "0x") + (digits.upper() if upper_digits else digits)
-    assert word_from_hex(text, cells, bits_per_cell) == _shift_mask_reference(
+    decoded = word_from_hex("0x" + digits, cells, bits_per_cell)
+    assert len(decoded) == cells
+    assert max(decoded) < 2**bits_per_cell
+    position %= len(digits)
+    bad = "0x" + digits[:position] + junk + digits[position + 1 :]
+    with pytest.raises(ValueError, match="not a hex payload"):
+        word_from_hex(bad, cells, bits_per_cell)
+
+
+@settings(max_examples=400)
+@given(aligned_words(), st.booleans(), st.integers(0, 2**40 - 1))
+def test_word_from_hex_matches_shift_and_mask(word, upper_prefix, upper_digits):
+    """Every nibble-aligned width, with either prefix and any mix of digit
+    cases, decodes as the shift-and-mask reference does."""
+    value, cells, bits_per_cell = word
+    digits = "".join(digit.upper() if upper_digits >> i & 1 else digit
+                     for i, digit in enumerate(f"{value:0{cells * bits_per_cell // 4}x}"))
+    prefix = "0X" if upper_prefix else "0x"
+    assert word_from_hex(prefix + digits, cells, bits_per_cell) == _shift_mask_reference(
         value, cells, bits_per_cell
     )
 

@@ -1,5 +1,4 @@
 import gc
-import random
 import tracemalloc
 
 import pytest
@@ -11,8 +10,6 @@ from ddnsim import (
     DeviceKind,
     Geometry,
     Host,
-    NvmController,
-    NvmDevice,
     PolicyKind,
     ProtocolError,
     RunConfig,
@@ -26,6 +23,8 @@ from ddnsim import (
 )
 from ddnsim.metrics import ledger_costs
 
+from conftest import build_controller
+
 # 3-cell slots, 2 slots per page
 G3 = Geometry(
     blocks=4, pages_per_block=2, cells_per_page=6, bits_per_cell=3,
@@ -35,14 +34,6 @@ G3 = Geometry(
 
 def w(*levels):
     return bytes(levels)
-
-
-def build(policy, seed=7, kind=DeviceKind.NON_OVERWRITABLE, nop_limit=4, t_secure=None):
-    device = NvmDevice(geometry=G3, kind=kind, nop_limit=nop_limit)
-    pol = parse_policy(policy)
-    if t_secure is not None:
-        pol = DeletionPolicy(pol.kind, pol.fill, t_secure)
-    return NvmController(device, pol, random.Random(seed))
 
 
 def invalidate(controller, cache_id, now=0):
@@ -122,14 +113,14 @@ def test_policy_value_round_trips_through_its_label(policy, others, kind, level)
 
 
 def test_flush_write_registers_and_charges():
-    controller = build("MarkOnly")
+    controller = build_controller("MarkOnly", geometry=G3)
     addr = controller.flush_write(5, w(1, 2, 3))
     table = controller.device.cache_table
     assert table.is_valid(5) and table.slot(5) == addr
     assert controller.device.ledger.wr_us == 600.0
     assert controller.device.peek_slot(addr) == w(1, 2, 3)
     # In secure mode the host stamps each flushed copy with its flush tick.
-    host = Host(build("MarkOnly", t_secure=10))
+    host = Host(build_controller("MarkOnly", geometry=G3, t_secure=10))
     host.apply_event(TraceEvent("T", ticks=4))
     host.apply_event(TraceEvent("W", cache_id=5, payload=w(1, 2, 3)))
     host.apply_event(TraceEvent("F"))
@@ -137,7 +128,7 @@ def test_flush_write_registers_and_charges():
 
 
 def test_mark_only_leaves_data_in_place():
-    controller = build("MarkOnly")
+    controller = build_controller("MarkOnly", geometry=G3)
     addr = controller.flush_write(1, w(4, 7, 0))
     outcome = invalidate(controller, 1, now=2)
     assert not controller.device.cache_table.is_valid(1)
@@ -149,7 +140,7 @@ def test_mark_only_leaves_data_in_place():
 
 
 def test_erase_based_empty_victim_costs_one_erase():
-    controller = build("EraseBased")
+    controller = build_controller("EraseBased", geometry=G3)
     addr = controller.flush_write(1, w(4, 7, 0))
     outcome = invalidate(controller, 1)
     assert outcome.action == "gc-erase"
@@ -161,7 +152,7 @@ def test_erase_based_empty_victim_costs_one_erase():
 
 
 def test_erase_based_migrates_valid_neighbor():
-    controller = build("EraseBased")
+    controller = build_controller("EraseBased", geometry=G3)
     controller.flush_write(1, w(4, 7, 0))
     controller.flush_write(2, w(1, 2, 3))  # same page, slot 1
     outcome = invalidate(controller, 1)
@@ -174,7 +165,7 @@ def test_erase_based_migrates_valid_neighbor():
 
 
 def test_ddn_random_on_nand_example_slot():
-    controller = build("DdnRandom")
+    controller = build_controller("DdnRandom", geometry=G3)
     addr = controller.flush_write(1, w(4, 7, 0))
     outcome = invalidate(controller, 1)
     post = controller.device.peek_slot(addr)
@@ -190,7 +181,7 @@ def test_ddn_random_on_nand_example_slot():
 def test_ddn_random_is_seed_deterministic():
     posts = []
     for _ in range(2):
-        controller = build("DdnRandom", seed=123)
+        controller = build_controller("DdnRandom", geometry=G3, seed=123)
         addr = controller.flush_write(1, w(2, 5, 1))
         invalidate(controller, 1)
         posts.append(controller.device.peek_slot(addr))
@@ -198,7 +189,7 @@ def test_ddn_random_is_seed_deterministic():
 
 
 def test_ddn_process_fig_style_words():
-    controller = build("DdnRandom")
+    controller = build_controller("DdnRandom", geometry=G3)
     addr = controller.flush_write(1, w(4, 4, 4))
     word = controller.ddn_process(addr)
     assert all(lvl in {5, 6, 7} for lvl in word)
@@ -206,7 +197,7 @@ def test_ddn_process_fig_style_words():
 
 
 def test_ddn_non_random_all_max():
-    controller = build("DdnNonRandom")
+    controller = build_controller("DdnNonRandom", geometry=G3)
     addr = controller.flush_write(1, w(4, 7, 0))
     outcome = invalidate(controller, 1)
     assert controller.device.peek_slot(addr) == w(7, 7, 7)
@@ -216,7 +207,7 @@ def test_ddn_non_random_all_max():
 
 
 def test_ddn_non_random_constant_level_can_violate_monotonicity():
-    controller = build("DdnNonRandom(Level=1)")
+    controller = build_controller("DdnNonRandom(Level=1)", geometry=G3)
     addr = controller.flush_write(1, w(2, 2, 2))
     outcome = invalidate(controller, 1)
     assert outcome.error is not None
@@ -227,7 +218,7 @@ def test_ddn_non_random_constant_level_can_violate_monotonicity():
 
 
 def test_ddn_non_random_constant_level_above_current_works():
-    controller = build("DdnNonRandom(Level=5)")
+    controller = build_controller("DdnNonRandom(Level=5)", geometry=G3)
     addr = controller.flush_write(1, w(2, 2, 2))
     outcome = invalidate(controller, 1)
     assert outcome.error is None
@@ -235,7 +226,7 @@ def test_ddn_non_random_constant_level_above_current_works():
 
 
 def test_overwritable_ddn_random_full_range():
-    controller = build("DdnRandom", kind=DeviceKind.OVERWRITABLE, seed=3)
+    controller = build_controller("DdnRandom", geometry=G3, kind=DeviceKind.OVERWRITABLE, seed=3)
     controller.flush_write(1, w(7, 7, 7))
     outcome = invalidate(controller, 1)
     assert (outcome.cost.rd_us, outcome.cost.wr_us, outcome.cost.gen_us) == (0.0, 600.0, 100.0)
@@ -243,7 +234,7 @@ def test_overwritable_ddn_random_full_range():
 
 
 def test_overwritable_ddn_non_random():
-    controller = build("DdnNonRandom", kind=DeviceKind.OVERWRITABLE)
+    controller = build_controller("DdnNonRandom", geometry=G3, kind=DeviceKind.OVERWRITABLE)
     addr = controller.flush_write(1, w(3, 3, 3))
     outcome = invalidate(controller, 1)
     assert controller.device.peek_slot(addr) == w(7, 7, 7)
@@ -251,7 +242,7 @@ def test_overwritable_ddn_non_random():
 
 
 def test_unknown_and_double_invalidation_rejected():
-    controller = build("DdnRandom")
+    controller = build_controller("DdnRandom", geometry=G3)
     with pytest.raises(ProtocolError, match="^no valid flushed copy for cache id 42$"):
         invalidate(controller, 42)
     controller.flush_write(1, w(1, 2, 3))
@@ -264,7 +255,7 @@ def test_unknown_and_double_invalidation_rejected():
 
 
 def test_nop_exhaustion_falls_back_to_erase():
-    controller = build("DdnRandom", nop_limit=0)
+    controller = build_controller("DdnRandom", geometry=G3, nop_limit=0)
     addr = controller.flush_write(1, w(1, 2, 3))
     outcome = invalidate(controller, 1)
     assert outcome.action == "erase-fallback"
@@ -274,7 +265,7 @@ def test_nop_exhaustion_falls_back_to_erase():
 
 
 def test_ddn_process_requires_programmed_page():
-    controller = build("DdnRandom")
+    controller = build_controller("DdnRandom", geometry=G3)
     with pytest.raises(ProtocolError):
         controller.ddn_process(controller.device.allocate_slot())
 
@@ -282,7 +273,7 @@ def test_ddn_process_requires_programmed_page():
 def test_de_identify_is_handled_like_invalidate():
     outcomes = []
     for op in ("I", "D"):
-        controller = build("DdnRandom", seed=11)
+        controller = build_controller("DdnRandom", geometry=G3, seed=11)
         host = Host(controller)
         host.apply_event(TraceEvent("W", cache_id=1, payload=w(2, 5, 1)))
         host.apply_event(TraceEvent("F"))
@@ -294,19 +285,15 @@ def test_de_identify_is_handled_like_invalidate():
     assert outcomes[0] == outcomes[1]
 
 
-def _secure_host(make_controller, policy, t_secure):
-    """A host in secure mode, on 4-cell slots (3 hex digits), with an idle
-    threshold no test below reaches."""
-    return Host(make_controller(policy, t_secure=t_secure), flush_idle_threshold=1000)
-
-
 def _run(host, trace):
+    """Replay a trace of 4-cell (3 hex digit) payloads; the secure-mode hosts
+    below flush only on F, their idle threshold of 1000 being out of reach."""
     host.run_trace(parse_trace(trace, 4, 3))
     return host.controller.collector.deletions
 
 
-def test_secure_tick_threshold_and_ordering(make_controller):
-    host = _secure_host(make_controller, "DdnRandom", t_secure=10)
+def test_secure_tick_threshold_and_ordering():
+    host = Host(build_controller("DdnRandom", t_secure=10), flush_idle_threshold=1000)
     table = host.controller.device.cache_table
     # 3 is flushed before 1 in the same tick; the scrub still goes by id
     assert _run(host, "W 3 0x053\nF\nW 1 0x2EE\nF\nT 9") == []
@@ -319,15 +306,15 @@ def test_secure_tick_threshold_and_ordering(make_controller):
     assert host._resident == {}
 
 
-def test_secure_tick_ages_from_write_time(make_controller):
+def test_secure_tick_ages_from_write_time():
     # The age counts from each copy's flush tick, not from the first flush.
-    host = _secure_host(make_controller, "DdnRandom", t_secure=10)
+    host = Host(build_controller("DdnRandom", t_secure=10), flush_idle_threshold=1000)
     outcomes = _run(host, "W 1 0x053\nF\nT 5\nW 2 0x053\nF\nT 20")
     assert [(o.cache_id, o.tick) for o in outcomes] == [(1, 10), (2, 15)]
 
 
-def test_secure_scrub_overwrites_even_under_mark_only(make_controller):
-    host = _secure_host(make_controller, "MarkOnly", t_secure=1)
+def test_secure_scrub_overwrites_even_under_mark_only():
+    host = Host(build_controller("MarkOnly", t_secure=1), flush_idle_threshold=1000)
     _run(host, "W 1 0x000\nF")
     device = host.controller.device
     addr = device.cache_table.slot(1)  # the table drops it on deletion

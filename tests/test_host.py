@@ -170,7 +170,9 @@ def test_clean_slots_never_reflushed(host):
 def test_idle_flush_order_is_ascending(host):
     host.apply_event(ev_w(9))
     host.apply_event(ev_w(2, "0x222"))
-    assert host.flush_idle(host.now + 10) == [2, 9]
+    host.apply_event(TraceEvent("T", ticks=10))
+    table = host.controller.device.cache_table
+    assert [table.slot(2), table.slot(9)] == [0, 1]  # first-fit: 2 was flushed first
 
 
 def test_flush_all_is_immediate(host):

@@ -9,7 +9,6 @@ over all of DRAM. A replay through
 
 import json
 import os
-import random
 import subprocess
 import sys
 import types
@@ -18,31 +17,15 @@ from pathlib import Path
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ddnsim import (
-    DeletionPolicy,
-    DeviceError,
-    Geometry,
-    Host,
-    NvmController,
-    NvmDevice,
-    TraceEvent,
-    parse_policy,
-    word_from_hex,
-)
+from ddnsim import DeviceError, Geometry, Host, NvmController, TraceEvent, word_from_hex
+
+from conftest import build_controller
 
 # 128 slots of 4 three-bit cells (3 hex digits)
 GEOMETRY = Geometry(
     blocks=16, pages_per_block=4, cells_per_page=8, bits_per_cell=3,
     cells_per_cache_slot=4,
 )
-
-
-def _host(policy, t_secure, threshold, capacity, seed):
-    pol = parse_policy(policy)
-    if t_secure is not None:
-        pol = DeletionPolicy(pol.kind, pol.fill, t_secure)
-    controller = NvmController(NvmDevice(geometry=GEOMETRY), pol, random.Random(seed))
-    return Host(controller, capacity=capacity, flush_idle_threshold=threshold)
 
 
 def _record_flush_ticks(host):
@@ -61,7 +44,7 @@ def _record_flush_ticks(host):
 def _evict_by_scan(host):
     victim = min(host.slots.items(), key=lambda kv: (kv[1].last_used, kv[0]))[0]
     if victim in host._dirty:
-        host._flush(victim, host.now)
+        host._flush(victim)
     del host.slots[victim]
 
 
@@ -79,7 +62,7 @@ def _reference_apply(host, event):
             cid for cid, slot in host.slots.items()
             if cid in host._dirty and now - slot.last_used >= host.flush_idle_threshold
         ):
-            host._flush(cid, now)
+            host._flush(cid)
         if t_secure is not None:
             table = controller.device.cache_table
             due = [
@@ -162,8 +145,11 @@ steps = st.lists(
 def test_next_event_clock_matches_per_tick_loop(
     trace, policy, threshold, t_secure, capacity, seed
 ):
-    host = _host(policy, t_secure, threshold, capacity, seed)
-    ref = _host(policy, t_secure, threshold, capacity, seed)
+    host, ref = (
+        Host(build_controller(policy, seed, GEOMETRY, t_secure=t_secure), capacity=capacity,
+             flush_idle_threshold=threshold)
+        for _ in range(2)
+    )
     ref._evict_one = types.MethodType(_evict_by_scan, ref)
     _record_flush_ticks(ref)
     for step in trace:
@@ -208,12 +194,13 @@ def test_idle_time_costs_one_step_per_due_tick(monkeypatch):
     for owner, name in ((Host, "flush_idle"), (NvmController, "secure_tick")):
         original = getattr(owner, name)
 
-        def counted(self, now, *args, original=original, name=name):
+        def counted(self, *args, original=original, name=name):
             calls[name] += 1
-            return original(self, now, *args)
+            return original(self, *args)
 
         monkeypatch.setattr(owner, name, counted)
-    host = _host("DdnRandom", t_secure=5, threshold=10, capacity=8, seed=1)
+    host = Host(build_controller("DdnRandom", 1, GEOMETRY, t_secure=5), capacity=8,
+                flush_idle_threshold=10)
     _record_flush_ticks(host)
     trace = [
         TraceEvent("W", cache_id=cid, payload=_payload(cid)) for cid in (1, 2, 3)

@@ -29,62 +29,9 @@ from ddnsim import (
 )
 from ddnsim.metrics import ledger_costs
 
+from conftest import build_controller
 from test_golden import CASES
-
-# 2-bit cells keep the state space small enough for good shrinking
-TINY = Geometry(
-    blocks=2, pages_per_block=2, cells_per_page=4, bits_per_cell=2,
-    cells_per_cache_slot=2,
-)
-
-addrs = st.integers(0, TINY.total_slots - 1)
-tiny_words = st.tuples(st.integers(0, 3), st.integers(0, 3)).map(bytes)
-
-
-class DeviceModel(RuleBasedStateMachine):
-    """Model-based check: the device must track a plain array shadow exactly.
-
-    Failed programs must not mutate anything; erase is the only way down.
-    """
-
-    def _cells(self, addr):
-        """The shadow page holding addr, and the slot's cell range in it."""
-        page_number, slot = divmod(addr, 2)
-        block, page = divmod(page_number, 2)
-        return self.shadow[block][page], slice(slot * 2, slot * 2 + 2)
-
-    def __init__(self):
-        super().__init__()
-        self.device = NvmDevice(geometry=TINY, nop_limit=2)
-        self.shadow = [[[0] * 4 for _ in range(2)] for _ in range(2)]
-
-    @rule(addr=addrs, word=tiny_words)
-    def program(self, addr, word):
-        try:
-            self.device.program_slot(addr, word)
-        except (MonotoneViolation, NopExceeded):
-            return
-        page, cells = self._cells(addr)
-        page[cells] = list(word)
-
-    @rule(block=st.integers(0, 1))
-    def erase(self, block):
-        self.device.erase_block(block)
-        self.shadow[block] = [[0] * 4 for _ in range(2)]
-
-    @rule(addr=addrs)
-    def read(self, addr):
-        page, cells = self._cells(addr)
-        assert list(self.device.read_slot(addr)) == page[cells]
-
-    @invariant()
-    def cells_match_shadow(self):
-        shadow = [level for block in self.shadow for page in block for level in page]
-        assert list(self.device._cells[:]) == shadow
-
-
-DeviceModelTest = DeviceModel.TestCase
-DeviceModelTest.settings = settings(max_examples=60, deadline=None)
+from test_reference import check_step, pair, steps
 
 
 @st.composite
@@ -144,6 +91,25 @@ def test_nand_program_matches_a_per_cell_reference(old_erased, data):
     page = addr // device.geometry.slots_per_page
     assert device._program_counts[page] == before[2][page] + before[1][page]
     assert device.ledger.wr_us == before[3][1] + device.latency.t_program_us
+
+
+class DeviceModel(RuleBasedStateMachine):
+    """The overwritable device against ``reference.py``'s model, one drawn
+    step per rule: results and the whole state agree after every step."""
+
+    def __init__(self):
+        super().__init__()
+        self.device, self.reference = pair("overwritable")
+        self.steps = 0
+
+    @rule(drawn=steps)
+    def step(self, drawn):
+        check_step(self.device, self.reference, drawn, self.steps)
+        self.steps += 1
+
+
+DeviceModelTest = DeviceModel.TestCase
+DeviceModelTest.settings = settings(max_examples=60, stateful_step_count=40, deadline=None)
 
 
 class CacheTableModel(RuleBasedStateMachine):
@@ -348,8 +314,8 @@ def test_ddn_never_touches_neighbor_slots(
         cells_per_cache_slot=cells_per_slot,
     )
     rng = random.Random(seed)
-    device = NvmDevice(geometry=geometry, nop_limit=slots_per_page + 1)
-    controller = NvmController(device, parse_policy(policy_name), random.Random(seed))
+    controller = build_controller(policy_name, seed, geometry, nop_limit=slots_per_page + 1)
+    device = controller.device
     for cid in range(slots_per_page):
         word = bytes(rng.randint(0, 7) for _ in range(cells_per_slot))
         controller.flush_write(cid, word)

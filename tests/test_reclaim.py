@@ -3,11 +3,8 @@
 A reclaimed slot is one whose cache entries have all gone invalid. Reuse
 must never hand out a slot that a valid entry still points at, or two ids
 would share one copy and one of them would read back the other's data.
-
-The reference below is the full scan: collect the slots that valid entries
-name from the whole cache table and take the lowest slot that is unallocated, or
-allocated with no valid entry pointing at it. The device's indexed
-allocator must hand out the same slots and leave the same state.
+``test_indexed_reclaim_matches_full_scan`` checks each reclaim allocation
+against ``reference.py``'s scan for the lowest slot no valid copy holds.
 """
 
 import gc
@@ -16,13 +13,9 @@ import weakref
 
 import pytest
 from hypothesis import example, given, settings
-from hypothesis import strategies as st
 
 from ddnsim import (
-    DeviceError,
-    DeviceFull,
     DeviceKind,
-    Geometry,
     Host,
     NvmController,
     NvmDevice,
@@ -32,6 +25,21 @@ from ddnsim import (
 )
 
 from test_golden import CASES, _reclaim_trace
+from test_reference import TINY, check, programs
+
+
+@given(programs)
+# GC moves two copies to page 3, above every slot handed out so far; reclaim
+# must skip that page when it gets there.
+@example([("write", 0, 1), ("write", 1, 2), ("gc", 0, 0)] + [("write", n, 3) for n in range(2, 9)])
+# Fill all 18 slots, fail to allocate, then reclaim an invalidated slot.
+@example([("write", n, n % 16) for n in range(18)]
+         + [("write", 18, 0), ("gc", 0, 0), ("invalidate", 3, 0), ("write", 18, 5),
+            ("write", 19, 1), ("allocate", 0, 0)])
+@settings(max_examples=75, deadline=None)
+def test_indexed_reclaim_matches_full_scan(program):
+    check("overwritable-reclaim", program)
+
 
 def test_erase_based_reclaim_never_clobbers_a_valid_copy():
     # After a GC erase, reclaim hands out slots of the erased block again; no
@@ -60,89 +68,6 @@ def test_erase_based_reclaim_never_clobbers_a_valid_copy():
                 f"event {index}: cache_id {cid} reads back another id's data"
             )
     assert controller.collector.deletions
-
-
-class ScanDevice(NvmDevice):
-    """The device with reclaim allocation by a scan of the whole table."""
-
-    def _allocate_with_reclaim(self):
-        table = self.cache_table
-        held = set(table._slot.values())
-        for slot in range(self.geometry.total_slots):
-            if slot in held:
-                continue
-            self._allocated[slot] = True
-            return slot
-        raise DeviceFull("no writable slot available")
-
-
-# 12 slots of two 2-bit cells, 2 slots per page
-TINY = Geometry(
-    blocks=3, pages_per_block=2, cells_per_page=4, bits_per_cell=2,
-    cells_per_cache_slot=2,
-)
-
-steps = st.lists(
-    st.tuples(
-        st.sampled_from(["write", "rewrite", "allocate", "invalidate", "gc", "erase"]),
-        st.integers(0, 15),  # more ids than TINY has slots, so the device can fill
-        st.integers(0, 15),
-    ),
-    max_size=60,
-)
-
-
-def _apply(device, op, n, level_bits, now):
-    """One step; returns what it returned or the error type it raised."""
-    table = device.cache_table
-    valid = sorted(table._slot)
-    try:
-        if op in ("write", "rewrite"):
-            if op == "rewrite":
-                if not valid:
-                    return None
-                n = valid[n % len(valid)]  # a W over a still-valid copy
-            addr = device.allocate_slot()
-            device.program_slot(addr, bytes((level_bits & 3, level_bits >> 2)))
-            table.register(n, addr)
-            return addr
-        if op == "allocate":  # allocated, never registered
-            return device.allocate_slot()
-        if op == "invalidate":
-            if not valid:
-                return None
-            table.invalidate(valid[n % len(valid)])
-        elif op == "gc":
-            device.garbage_collect(n % TINY.blocks)
-        else:
-            device.erase_block(n % TINY.blocks)
-    except DeviceError as exc:
-        return type(exc)
-    return None
-
-
-@given(steps)
-# GC moves two copies to a page above every slot handed out so far; the
-# allocator must skip that page when it gets there.
-@example([("write", 0, 1), ("write", 1, 2), ("gc", 0, 0)] + [("write", n, 3) for n in range(2, 7)])
-# Fill all 12 slots, fail to allocate, then reuse an invalidated slot.
-@example([("write", n, n) for n in range(12)]
-         + [("write", 12, 0), ("gc", 0, 0), ("invalidate", 3, 0), ("write", 12, 5),
-            ("write", 13, 1), ("allocate", 0, 0)])
-@settings(max_examples=300, deadline=None)
-def test_indexed_reclaim_matches_full_scan(program):
-    device = NvmDevice(geometry=TINY, kind=DeviceKind.OVERWRITABLE, reclaim_invalid_slots=True)
-    reference = ScanDevice(geometry=TINY, kind=DeviceKind.OVERWRITABLE, reclaim_invalid_slots=True)
-    for now, (op, n, level_bits) in enumerate(program):
-        got = _apply(device, op, n, level_bits, now)
-        want = _apply(reference, op, n, level_bits, now)
-        assert got == want, f"step {now}: {op} {n}"
-        assert device._allocated == reference._allocated
-        assert dict(device.cache_table._slot) == dict(reference.cache_table._slot)
-        assert device.cache_table._valid_at == reference.cache_table._valid_at
-        assert bytes(device._cells) == bytes(reference._cells)
-        table = device.cache_table
-        assert 0 not in table._held[: table._low], f"step {now}: unheld slot below the mark"
 
 
 def test_finished_reclaim_device_is_freed_without_the_cycle_collector():
