@@ -48,15 +48,6 @@ class PolicyKind(Enum):
     DDN_NON_RANDOM = "DdnNonRandom"
 
 
-# What a deletion under each policy does, when secure mode does not scrub.
-_ACTIONS = {
-    PolicyKind.MARK_ONLY: "mark-only",
-    PolicyKind.ERASE_BASED: "gc-erase",
-    PolicyKind.DDN_RANDOM: "ddn-overwrite",
-    PolicyKind.DDN_NON_RANDOM: "ddn-overwrite",
-}
-
-
 class DeletionPolicy(Value):
     """Base deletion policy plus optional secure-mode residence limit.
 
@@ -126,6 +117,38 @@ def parse_policy(text: str) -> DeletionPolicy:
     return DeletionPolicy(kind, fill)
 
 
+def _overwrite(controller, addr: int, action: str) -> tuple:
+    """Overwrite the slot in place; a page out of reprogram budget is erased
+    instead. Returns (the action taken, its error or None)."""
+    try:
+        controller.ddn_process(addr)
+    except NopExceeded:
+        return _collect(controller, addr, "erase-fallback")
+    except MonotoneViolation as exc:
+        return action, str(exc)
+    return action, None
+
+
+def _collect(controller, addr: int, action: str) -> tuple:
+    """Garbage-collect and erase the slot's block. Returns (action, error or None)."""
+    device = controller.device
+    try:
+        device.garbage_collect(device.geometry.block_of(addr))
+    except NoFreePages as exc:
+        return action, str(exc)
+    return action, None
+
+
+# What a deletion under each policy does, when secure mode does not scrub: its
+# action, and how it deletes (None: it leaves every cell and charges nothing).
+_DELETIONS = {
+    PolicyKind.MARK_ONLY: ("mark-only", None),
+    PolicyKind.ERASE_BASED: ("gc-erase", _collect),
+    PolicyKind.DDN_RANDOM: ("ddn-overwrite", _overwrite),
+    PolicyKind.DDN_NON_RANDOM: ("ddn-overwrite", _overwrite),
+}
+
+
 class DeletionOutcome:
     """What one deletion did: action taken, cost by category, residual data.
 
@@ -153,13 +176,15 @@ class NvmController:
         self.policy = policy
         self.rng = rng
         self.collector = MetricsCollector(device.ledger)
-        # Fixed for the run: deletion action, DdnNonRandom fill word.
+        # Fixed for the run: deletion, slot width, DdnNonRandom fill word.
         g = device.geometry
-        self._action = _ACTIONS[policy.kind]
+        self._deletion, self._width = _DELETIONS[policy.kind], g.cells_per_cache_slot
         self._fill_word = None
         if policy.kind is PolicyKind.DDN_NON_RANDOM:
             self._fill_word = gen_fill_word(policy.fill, g.cells_per_cache_slot, g.bits_per_cell)
-        self._costs = {}  # spent-cost tuple -> the ledger all such deletions share
+        self._free = LatencyLedger()
+        # spent-cost tuple -> the ledger all such deletions share
+        self._costs = {ledger_costs(self._free): self._free}
 
     # -- host-facing --------------------------------------------------------
 
@@ -176,16 +201,16 @@ class NvmController:
         De-identification requests carry no data transform here; the host
         sends them exactly like plain invalidations.
         """
-        addr = self.device.cache_table.slot(cache_id)
+        addr = self.device.cache_table.invalidate(cache_id)
         if addr is None:
             raise ProtocolError(f"no valid flushed copy for cache id {cache_id}")
-        return self._scrub(cache_id, addr, now, secure=False)
+        return self._scrub(cache_id, addr, now, False)
 
     def secure_tick(self, now: int, cache_ids) -> list:
         """Secure-scrub the valid copy of each id in ``cache_ids``, in the
         order given: overwrite it under every policy, and invalidate it."""
-        slot = self.device.cache_table.slot
-        return [self._scrub(cid, slot(cid), now, secure=True) for cid in cache_ids]
+        invalidate = self.device.cache_table.invalidate
+        return [self._scrub(cid, invalidate(cid), now, True) for cid in cache_ids]
 
     # -- deletion machinery -------------------------------------------------
 
@@ -213,38 +238,26 @@ class NvmController:
         return word
 
     def _scrub(self, cache_id: int, addr: int, now: int, secure: bool) -> DeletionOutcome:
-        """Invalidate the valid copy of cache_id at addr, then delete it."""
-        dev = self.device
-        pre = dev.peek_slot(addr)
-        dev.cache_table.invalidate(cache_id)
-        ledger = dev.ledger
-        rd, wr, gen, erase, gc = ledger_costs(ledger)
-        error = None
-        action = "secure-scrub" if secure else self._action
-        if action in ("secure-scrub", "ddn-overwrite"):
-            try:
-                self.ddn_process(addr)
-            except NopExceeded:
-                # Out of in-place reprogram budget: physically delete instead.
-                action = "erase-fallback"
-            except MonotoneViolation as exc:
-                error = str(exc)
-        if action in ("gc-erase", "erase-fallback"):
-            try:
-                dev.garbage_collect(dev.geometry.block_of(addr))
-            except NoFreePages as exc:
-                error = str(exc)
-        # Float == would merge 0.0 with -0.0, but the ledger never decreases,
-        # so x - x is +0.0, and latencies are finite: sharing moves no byte.
-        spent = (ledger.rd_us - rd, ledger.wr_us - wr, ledger.gen_us - gen,
-                 ledger.erase_us - erase, ledger.gc_us - gc)
-        cost = self._costs.get(spent)
-        if cost is None:
-            cost = self._costs[spent] = LatencyLedger(*spent)
-        residual = sum(map(eq, pre, dev.peek_slot(addr))) if dev.is_programmed(addr) else 0
-        # Positional: keyword arguments would cost about 0.5 us per deletion.
-        outcome = DeletionOutcome(
-            cache_id, now, action, cost, residual, len(pre), error
-        )
+        """Delete the copy of cache_id at addr, which the cache table has just invalidated."""
+        action, delete = ("secure-scrub", _overwrite) if secure else self._deletion
+        if delete is None:
+            # No cell moves and nothing is charged; a valid copy's page is programmed.
+            outcome = DeletionOutcome(cache_id, now, action, self._free, self._width, self._width)
+        else:
+            dev = self.device
+            ledger = dev.ledger
+            pre = dev.peek_slot(addr)
+            rd, wr, gen, erase, gc = ledger_costs(ledger)
+            action, error = delete(self, addr, action)
+            # Float == would merge 0.0 with -0.0, but the ledger never decreases,
+            # so x - x is +0.0, and latencies are finite: sharing moves no byte.
+            spent = (ledger.rd_us - rd, ledger.wr_us - wr, ledger.gen_us - gen,
+                     ledger.erase_us - erase, ledger.gc_us - gc)
+            cost = self._costs.get(spent)
+            if cost is None:
+                cost = self._costs[spent] = LatencyLedger(*spent)
+            residual = sum(map(eq, pre, dev.peek_slot(addr))) if dev.is_programmed(addr) else 0
+            # Positional: keyword arguments would cost about 0.5 us per deletion.
+            outcome = DeletionOutcome(cache_id, now, action, cost, residual, len(pre), error)
         self.collector.record_deletion(outcome)
         return outcome

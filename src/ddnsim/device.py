@@ -59,9 +59,6 @@ class DeviceKind(Enum):
     NON_OVERWRITABLE = "non-overwritable"
 
 
-_NAND = DeviceKind.NON_OVERWRITABLE  # looked up once: ~0.2 us through the class on 3.11
-
-
 class Geometry(Value):
     """Device shape; ``__init__`` checks it and sets the derived sizes."""
 
@@ -164,11 +161,13 @@ class CacheTable:
         self._valid_at[addr] = cache_id
         self._held[addr] = 1
 
-    def invalidate(self, cache_id: int):
-        """Drop the id's valid copy; an id with none is left alone."""
+    def invalidate(self, cache_id: int) -> int | None:
+        """Drop the id's valid copy and return its slot; an id with none is
+        left alone (None)."""
         slot = self._slot.pop(cache_id, None)
         if slot is not None:
             self._release(slot)
+        return slot
 
     def held(self, start: int, stop: int) -> bytearray:
         """1 for each slot in [start, stop) a valid copy holds, else 0."""
@@ -245,6 +244,11 @@ class NvmDevice:
                 f"cannot allocate a device of {pages * g.cells_per_page} cells "
                 f"({type(exc).__name__})"
             ) from exc
+        # Fixed for the run, read in place by the per-slot operations.
+        self._width, self._per_page, self._total = (
+            g.cells_per_cache_slot, g.slots_per_page, g.total_slots)
+        self._top, self._nand = g.max_level, kind is DeviceKind.NON_OVERWRITABLE
+        self._t_program, self._t_read = self.latency.t_program_us, self.latency.t_read_us
         self._zero_word = bytes(g.cells_per_cache_slot)
         self._alloc_hint = 0
         self._dest_page_hint = 0
@@ -265,25 +269,23 @@ class NvmDevice:
 
     def is_programmed(self, addr: int) -> bool:
         """Whether the page holding a slot has been programmed since its last erase."""
-        g = self.geometry
-        if not 0 <= addr < g.total_slots:  # inline; a negative slot would index from the end
+        if not 0 <= addr < self._total:  # inline; a negative slot would index from the end
             raise AddressError(f"slot {addr} outside geometry")
-        return self._programmed[addr // g.slots_per_page] == 1
+        return self._programmed[addr // self._per_page] == 1
 
     # -- data path ----------------------------------------------------------
 
     def peek_slot(self, addr: int) -> bytes:
         """Slot contents without any latency charge (instrumentation only)."""
-        g = self.geometry
-        if not 0 <= addr < g.total_slots:
+        if not 0 <= addr < self._total:
             raise AddressError(f"slot {addr} outside geometry")
-        width = g.cells_per_cache_slot
+        width = self._width
         return self._cells[addr * width : (addr + 1) * width]
 
     def read_slot(self, addr: int) -> bytes:
         """Read one slot; costs one page read. Free pages read as all zero."""
         word = self.peek_slot(addr)
-        self.ledger.charge_read(self.latency.t_read_us)
+        self.ledger.rd_us += self._t_read
         return word
 
     def program_slot(self, addr: int, data: bytes):
@@ -294,16 +296,15 @@ class NvmDevice:
         every cell to move upward (or stay) and, once the page is programmed,
         consume one unit of the page's partial-reprogram budget per call.
         """
-        g = self.geometry
-        if not 0 <= addr < g.total_slots:
+        if not 0 <= addr < self._total:
             raise AddressError(f"slot {addr} outside geometry")
-        index, width = addr // g.slots_per_page, g.cells_per_cache_slot
+        index, width = addr // self._per_page, self._width
         if len(data) != width:
             raise ValueError(f"data is {len(data)} cells, slot is {width}")
-        if max(data) > g.max_level:
-            raise ValueError(f"level {max(data)} out of range [0, {g.max_level}]")
+        if max(data) > self._top:
+            raise ValueError(f"level {max(data)} out of range [0, {self._top}]")
         start, end = addr * width, (addr + 1) * width
-        if self.kind is _NAND:
+        if self._nand:
             old = self._cells[start:end]
             # No level is below 0, so an erased slot (every flush) takes any word; the
             # comparison with zeros runs at C speed and spares it the per-cell walk.
@@ -319,7 +320,7 @@ class NvmDevice:
                 self._program_counts[index] += 1
         self._cells[start:end] = data
         self._programmed[index] = 1
-        self.ledger.charge_program(self.latency.t_program_us)
+        self.ledger.wr_us += self._t_program
 
     def erase_block(self, block: int):
         """Reset the block to level 0 (the only downward path) unless valid data holds it."""
@@ -420,13 +421,14 @@ class NvmDevice:
             return self._allocate_with_reclaim()
         slot = self._allocated.find(0, self._alloc_hint)
         while slot != -1:  # a programmed NAND page is writable within its budget
-            index = slot // self.geometry.slots_per_page
-            if (not self._programmed[index] or self.kind is not _NAND
+            index = slot // self._per_page
+            if (not self._programmed[index] or not self._nand
                     or self._program_counts[index] < self.nop_limit):
                 self._allocated[slot] = 1
                 self._alloc_hint = slot + 1
                 return slot
-            slot = self._allocated.find(0, slot + 1)
+            # The budget is the page's: skip the rest of its slots at once.
+            slot = self._allocated.find(0, (index + 1) * self._per_page)
         raise DeviceFull("no writable slot available")
 
     def _allocate_with_reclaim(self) -> int:

@@ -169,37 +169,37 @@ class Host:
     # -- trace replay -------------------------------------------------------
 
     def run_trace(self, events):
-        for event in events:
-            self.apply_event(event)
-
-    def apply_event(self, event: TraceEvent):
-        """Apply one event."""
+        """Apply the events in order."""
+        controller, resident = self.controller, self._resident
+        is_valid = controller.device.cache_table.is_valid
         try:
-            self._apply(event)
+            for event in events:
+                kind = event.kind
+                if kind == "W":
+                    self._write(event.cache_id, event.payload)
+                elif kind == "U":
+                    # parse_trace refuses a U before any W of its id; here U is a W that
+                    # also deletes a valid flushed copy, which the write leaves as it is.
+                    cache_id = event.cache_id
+                    self._write(cache_id, event.payload)
+                    if is_valid(cache_id):
+                        controller.handle_invalidation(cache_id, self.now)
+                        resident.pop(cache_id, None)
+                elif kind == "I" or kind == "D":
+                    controller.handle_invalidation(event.cache_id, self.now)
+                    resident.pop(event.cache_id, None)
+                elif kind == "T":
+                    self._advance(self.now + event.ticks)
+                elif kind == "F":
+                    self.flush_all()
+                else:
+                    raise TraceError(f"unhandled event kind {kind!r}", event.line)
         except ProtocolError as exc:
             raise TraceError(str(exc), event.line) from exc
 
-    def _apply(self, event: TraceEvent):
-        kind = event.kind
-        if kind == "W":
-            self._write(event.cache_id, event.payload)
-        elif kind == "U":
-            # parse_trace refuses a U before any W of its id; here U is a W that
-            # also deletes a valid flushed copy, which the write leaves as it is.
-            cache_id = event.cache_id
-            self._write(cache_id, event.payload)
-            if self.controller.device.cache_table.is_valid(cache_id):
-                self.controller.handle_invalidation(cache_id, self.now)
-                self._resident.pop(cache_id, None)
-        elif kind in ("I", "D"):
-            self.controller.handle_invalidation(event.cache_id, self.now)
-            self._resident.pop(event.cache_id, None)
-        elif kind == "T":
-            self._advance(self.now + event.ticks)
-        elif kind == "F":
-            self.flush_all()
-        else:
-            raise TraceError(f"unhandled event kind {kind!r}", event.line)
+    def apply_event(self, event: TraceEvent):
+        """Apply one event."""
+        self.run_trace((event,))
 
     def _advance(self, end: int):
         """Move the clock to ``end``, stopping only at ticks where a dirty line

@@ -77,7 +77,7 @@ class ReferenceDevice:
         self.valid[cache_id] = slot
 
     def invalidate(self, cache_id):
-        self.valid.pop(cache_id, None)
+        return self.valid.pop(cache_id, None)
 
     # -- the device -------------------------------------------------------
 

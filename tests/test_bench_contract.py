@@ -34,8 +34,20 @@ def test_traced_cli_run_reaches_every_wrapped_layer(tmp_path):
     assert code == 0
     assert recorder.nesting_errors() == []
     _, calls = recorder.totals()
-    assert sum(n for name, n in calls.items() if name.startswith("runner.replay.")) == 4
-    assert calls["metrics.record_deletion"] == 4 * 20
+    # Every span's call count, so that a hot path which bypasses a wrapped entry
+    # point fails here instead of zeroing its per-layer metric. The run writes 20
+    # ids, flushes each and updates it; each of the four policies deletes 20 copies.
+    assert calls == {
+        "runner.synthetic_trace": 1, "host.parse_trace": 1, "cells.word_from_hex": 40,
+        "runner.replay.markonly": 1, "runner.replay.erasebased": 1,
+        "runner.replay.ddnrandom": 1, "runner.replay.ddnnonrandom-allmax": 1,
+        "device.construct": 4, "host.run_trace": 4, "controller.flush_write": 156,
+        "device.allocate_slot": 156, "device.program_slot": 196,
+        "controller.handle_invalidation": 80, "metrics.record_deletion": 4 * 20,
+        "controller.ddn_process": 40, "device.read_slot": 20, "cells.gen_word": 21,
+        "device.garbage_collect": 20, "device.erase_block": 20,
+        "metrics.charge_gc_migration": 19, "metrics.render_jsonl": 1,
+    }
     assert [len(h.controller.collector.deletions) for h in recorder.hosts] == [20] * 4
     assert len(out.read_text().splitlines()) == 4 * 20
 

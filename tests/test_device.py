@@ -277,11 +277,11 @@ def test_set_valid_bit(make_device):
     table = device.cache_table
     table.register(7, addr)  # the flush tick is the controller's (secure mode only)
     assert table.is_valid(7) and table.slot(7) == addr
-    table.invalidate(7)
+    assert table.invalidate(7) == addr  # the slot of the copy dropped
     assert not table.is_valid(7) and table.slot(7) is None
     assert table.held(addr, addr + 1) == bytearray([0])
-    table.invalidate(7)  # an id with no valid copy is left alone
-    table.invalidate(8)  # as is one never registered
+    assert table.invalidate(7) is None  # an id with no valid copy is left alone
+    assert table.invalidate(8) is None  # as is one never registered
     assert table._slot == {} and table.held(0, SMALL.total_slots) == bytearray(SMALL.total_slots)
 
 

@@ -29,7 +29,7 @@ from reference import ReferenceDevice
 from test_reference import ERRORS, check, device_state, pair, programs, step
 
 
-@given(st.sampled_from(["nand", "nand-long-blocks"]), programs)
+@given(st.sampled_from(["nand", "nand-long-blocks", "nand-dense"]), programs)
 # Fill the device, then collect a block whose pages have nowhere to go.
 @example("nand", [("write", n, 5) for n in range(18)] + [("gc", 1, 0)])
 # Collect a page holding one valid and one stale copy, then fill up.

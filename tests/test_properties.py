@@ -267,7 +267,9 @@ def test_update_is_refused_exactly_for_ids_never_written(
 ):
     """``parse_trace`` refuses a ``U`` exactly when no earlier line wrote its
     id, and a trace it accepts replays with no ``U``-related error, whatever
-    the DRAM has evicted and reclaim has reused."""
+    the DRAM has evicted and reclaim has reused. A ``mark-only`` deletion
+    charges nothing and leaves the whole slot, and no deletion leaves more
+    cells than the slot has."""
     lines, written, refused = [], set(), []
     for op, cid, bits in steps:
         if op == "U" and cid not in written:
@@ -292,6 +294,13 @@ def test_update_is_refused_exactly_for_ids_never_written(
             assert event.kind == "I", exc
             assert str(exc) == (f"line {event.line}: no valid flushed copy "
                                 f"for cache id {event.cache_id}")
+    width = U_RULE_GEOMETRY.cells_per_cache_slot
+    for deletion in host.controller.collector.deletions:
+        assert deletion.slot_cells == width
+        assert 0 <= deletion.residual_cells <= width
+        if deletion.action == "mark-only":
+            assert ledger_costs(deletion.cost) == (0.0,) * 5
+            assert deletion.residual_cells == width
 
 
 @given(

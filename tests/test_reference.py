@@ -1,8 +1,8 @@
 """``NvmDevice`` against the independent model in ``reference.py``.
 
 One driver applies the same step to the device and to the reference.
-Three Hypothesis tests run random programs of steps on four small devices:
-``test_gc.py`` on the two NAND devices, ``test_reclaim.py`` on the
+Three Hypothesis tests run random programs of steps on five small devices:
+``test_gc.py`` on the three NAND devices, ``test_reclaim.py`` on the
 overwritable device with reclaim, and ``test_properties.py``'s
 ``DeviceModel`` machine on the plain overwritable device.
 After every step the step's result, or its error as (class name, message),
@@ -22,15 +22,19 @@ from ddnsim.metrics import ledger_costs
 from reference import DeviceError as ReferenceDeviceError, ReferenceDevice
 
 # Slots of two 2-bit cells, 2 slots per page, in blocks of 3 or 8 pages, so
-# GC moves runs of pages from short and long blocks alike.
+# GC moves runs of pages from short and long blocks alike. DENSE pages hold 4
+# slots, so allocation skips the spent page's last two slots at once.
 TINY = Geometry(blocks=3, pages_per_block=3, cells_per_page=4, bits_per_cell=2,
                 cells_per_cache_slot=2)
 LONG = Geometry(blocks=3, pages_per_block=8, cells_per_page=4, bits_per_cell=2,
                 cells_per_cache_slot=2)
+DENSE = Geometry(blocks=3, pages_per_block=3, cells_per_page=8, bits_per_cell=2,
+                 cells_per_cache_slot=2)
 OVERWRITABLE = DeviceKind.OVERWRITABLE
 DEVICES = {
     "nand": (TINY, {"nop_limit": 1}),
     "nand-long-blocks": (LONG, {"nop_limit": 1}),
+    "nand-dense": (DENSE, {"nop_limit": 1}),
     "overwritable": (TINY, {"kind": OVERWRITABLE}),
     "overwritable-reclaim": (TINY, {"kind": OVERWRITABLE, "reclaim_invalid_slots": True}),
 }
