@@ -8,7 +8,7 @@ line on stderr.
 
 import os
 import sys
-import argparse
+from types import SimpleNamespace
 
 from .config import BOM, ConfigError, RunConfig, format_config, load_config, parse_policies
 from .device import DeviceError
@@ -22,56 +22,104 @@ EXIT_TRACE = 3
 EXIT_DEVICE = 4
 
 
-def _number(kind):
-    """An argparse type reading ``kind`` as config files do: ASCII, no ``_``."""
-    def parse(text: str):
-        try:
-            return ascii_number(text, kind)
-        except ValueError:
-            raise argparse.ArgumentTypeError(f"invalid {kind.__name__} value: {text!r}") from None
-    return parse
+# Each option's name, the attribute parse_args sets, its value's kind (int or
+# float read as config files read numbers, str, a tuple of choices, or None for
+# a flag), metavar and help line. "-h" is the one short name, of --help.
+OPTIONS = (
+    ("--config", "config", str, "PATH", "flat key = value config file"),
+    ("--trace", "trace", str, "PATH", "trace file to replay"),
+    ("--policy", "policy", str, "NAME[,NAME...]",
+     "policies to run (MarkOnly, EraseBased, DdnRandom, DdnNonRandom[(fill)])"),
+    ("--seed", "seed", int, "SEED", "deterministic RNG seed (required to run)"),
+    ("--out", "out", str, "PATH", "write the report here instead of stdout"),
+    ("--format", "out_format", ("csv", "jsonl"), "{csv,jsonl}", "report format (default csv)"),
+    ("--synthetic", "synthetic", int, "N", "generate N synthetic write/flush/update lines"),
+    ("--update-ratio", "update_ratio", float, "RATIO",
+     "fraction of synthetic writes that get updated (default 1.0)"),
+    ("--print-config", "print_config", None, "", "print the effective configuration and exit"),
+    ("--help", "help", None, "", "show this help message (or -h) and exit"),
+)
 
 
-def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(
-        prog="ddnsim",
-        description=(
-            "Deterministic trace-driven simulator of secure-deletion policies "
-            "on hybrid DRAM+NVM memory."
-        ),
-    )
-    p.add_argument("--config", metavar="PATH", help="flat key = value config file")
-    p.add_argument("--trace", metavar="PATH", help="trace file to replay")
-    p.add_argument(
-        "--policy",
-        metavar="NAME[,NAME...]",
-        help="policies to run (MarkOnly, EraseBased, DdnRandom, DdnNonRandom[(fill)])",
-    )
-    p.add_argument("--seed", type=_number(int), help="deterministic RNG seed (required to run)")
-    p.add_argument("--out", metavar="PATH", help="write the report here instead of stdout")
-    p.add_argument("--format", dest="out_format", choices=("csv", "jsonl"))
-    p.add_argument(
-        "--synthetic",
-        type=_number(int),
-        metavar="N",
-        help="generate a synthetic workload of N write/flush/update lines",
-    )
-    p.add_argument(
-        "--update-ratio",
-        type=_number(float),
-        default=None,
-        help="fraction of synthetic writes that get updated (default 1.0)",
-    )
-    p.add_argument(
-        "--print-config",
-        action="store_true",
-        help="print the effective configuration and exit",
-    )
-    return p
+def _usage(full=False) -> str:
+    """The usage line; ``full`` adds a line per option."""
+    forms = [f"{name} {metavar}".rstrip() for name, _, _, metavar, _ in OPTIONS]
+    lines = ["usage: ddnsim " + " ".join(f"[{form}]" for form in forms)]
+    if full:
+        lines += ["", "Replay a trace under each deletion policy; report their costs and remanence.",
+                  "", "options:", *(f"  {form:<24} {option[4]}" for form, option in zip(forms, OPTIONS))]
+    return "\n".join(lines) + "\n"
+
+
+def _fail(message: str):
+    sys.stderr.write(f"{_usage()}ddnsim: error: {message}\n")
+    raise SystemExit(EXIT_CONFIG)
+
+
+def _options(arg: str):
+    """The options whose names start with ``arg``'s part before any ``=``: none
+    for an unknown option, several for an ambiguous prefix. None where argparse
+    reads ``arg`` as a value: it does not start with "-", is "-", or names no
+    option and is a negative number or holds a space."""
+    if arg[:1] != "-" or arg == "-":
+        return None
+    prefix = arg.partition("=")[0]
+    if prefix == "-h":
+        prefix = "--help"
+    found = [option for option in OPTIONS if option[0].startswith(prefix)] if prefix[:2] == "--" else []
+    # argparse's r"^-\d+$|^-\d*\.\d+$", whose $ also matches before a final newline
+    whole, dot, frac = arg[1:].removesuffix("\n").partition(".")
+    number = (not whole or whole.isdecimal()) and frac.isdecimal() if dot else whole.isdecimal()
+    return None if not found and (number or " " in arg) else found
+
+
+def parse_args(argv=None) -> SimpleNamespace:
+    """Read ``argv`` (default ``sys.argv[1:]``) as argparse reads OPTIONS:
+    ``--name value`` or ``--name=value``, a name or a unique prefix of it, and
+    the last of repeated options winning; an absent option is None (a flag,
+    False). ``-h`` prints the help and exits 0. A usage error writes the usage
+    and ``ddnsim: error: ...`` to stderr and exits 2."""
+    argv = list(sys.argv[1:] if argv is None else argv)
+    args = SimpleNamespace(**{attr: None if kind else False
+                              for _, attr, kind, _, _ in OPTIONS if attr != "help"})
+    extras = []
+    while argv:
+        arg = argv.pop(0)
+        found = _options(arg)
+        if not found:
+            extras.append(arg)
+            continue
+        if len(found) > 1:
+            _fail(f"ambiguous option: {arg} could match {', '.join(o[0] for o in found)}")
+        name, attr, kind, _, _ = found[0]
+        _, eq, value = arg.partition("=")
+        if kind is None:
+            if eq:
+                _fail(f"argument {name}: ignored explicit argument {value!r}")
+            if attr == "help":
+                sys.stdout.write(_usage(full=True))
+                raise SystemExit(EXIT_OK)
+            value = True
+        elif not eq:
+            if not argv or _options(argv[0]) is not None:
+                _fail(f"argument {name}: expected one argument")
+            value = argv.pop(0)
+        if kind in (int, float):
+            try:
+                value = ascii_number(value, kind)
+            except ValueError:
+                _fail(f"argument {name}: invalid {kind.__name__} value: {value!r}")
+        elif type(kind) is tuple and value not in kind:
+            choices = ", ".join(map(repr, kind))
+            _fail(f"argument {name}: invalid choice: {value!r} (choose from {choices})")
+        setattr(args, attr, value)
+    if extras:
+        _fail(f"unrecognized arguments: {' '.join(extras)}")
+    return args
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = parse_args(argv)
 
     try:
         cfg = load_config(args.config) if args.config is not None else RunConfig()

@@ -40,12 +40,6 @@ class LatencyLedger(Record):
         self.rd_us, self.wr_us, self.gen_us = rd_us, wr_us, gen_us
         self.erase_us, self.gc_us = erase_us, gc_us
 
-    def charge_read(self, us: float):
-        self.rd_us += us
-
-    def charge_program(self, us: float):
-        self.wr_us += us
-
     def charge_gen(self, us: float):
         self.gen_us += us
 

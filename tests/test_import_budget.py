@@ -12,7 +12,8 @@ from pathlib import Path
 import ddnsim
 
 SRC = Path(ddnsim.__file__).parents[1]
-UNWANTED = ("dataclasses", "hashlib", "heapq", "inspect", "json", "typing")
+UNWANTED = ("argparse", "dataclasses", "gettext", "hashlib", "heapq", "inspect", "json", "locale",
+            "typing")
 
 PROBE = """
 import sys
@@ -42,11 +43,13 @@ def test_cli_loads_json_only_to_render_jsonl(tmp_path):
 
 
 def test_package_import_loads_no_regex_heap_or_argparse():
-    # The CLI loads re through argparse; the library alone needs neither, and
-    # heapq waits for a DRAM that fills.
-    probe = "import sys; sys.path.insert(0, sys.argv[1]); import ddnsim; " \
-            "print(sorted({'argparse', 'heapq', 're'} & set(sys.modules)))"
-    result = subprocess.run([sys.executable, "-S", "-c", probe, str(SRC)],
-                            capture_output=True, text=True)
-    assert result.returncode == 0, result.stderr
-    assert result.stdout == "[]\n"
+    # Neither the library nor the CLI needs re (parse_policy imports it when it
+    # first runs) or argparse, with its gettext and locale; heapq waits for a
+    # DRAM that fills.
+    for module in ("ddnsim", "ddnsim.cli"):
+        probe = f"import sys; sys.path.insert(0, sys.argv[1]); import {module}; " \
+                "print(sorted({'argparse', 'gettext', 'heapq', 'locale', 're'} & set(sys.modules)))"
+        result = subprocess.run([sys.executable, "-S", "-c", probe, str(SRC)],
+                                capture_output=True, text=True)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout == "[]\n", module

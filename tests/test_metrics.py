@@ -41,9 +41,7 @@ def collector_with(outcomes, ledger=None):
 
 
 def test_ledger_accumulates_by_category():
-    ledger = LatencyLedger()
-    ledger.charge_read(49)
-    ledger.charge_program(600)
+    ledger = LatencyLedger(rd_us=49, wr_us=600)
     ledger.charge_gen(100)
     ledger.charge_erase(4000)
     ledger.charge_gc_migration(649)
@@ -53,11 +51,10 @@ def test_ledger_accumulates_by_category():
 
 
 def test_snapshot_delta():
-    ledger = LatencyLedger()
-    ledger.charge_read(49)
+    ledger = LatencyLedger(rd_us=49)
     before = ledger_costs(ledger)
-    ledger.charge_program(600)
-    ledger.charge_read(49)
+    ledger.wr_us += 600  # a program and a read, added in place as the device adds them
+    ledger.rd_us += 49
     spent = tuple(map(sub, ledger_costs(ledger), before))
     assert spent == ledger_costs(LatencyLedger(rd_us=49, wr_us=600))
 
@@ -102,8 +99,8 @@ def _jsonl(runs):
 
 
 def test_comparison_rows():
-    ddn = _run("DdnRandom", [outcome(rd_us=49.0, wr_us=600.0, gen_us=100.0, residual=1)])
-    ddn.collector.ledger.charge_read(49)
+    deletions = [outcome(rd_us=49.0, wr_us=600.0, gen_us=100.0, residual=1)]
+    ddn = PolicyRun("DdnRandom", collector_with(deletions, LatencyLedger(rd_us=49)), "f1")
     rows = comparison_rows([ddn])
     assert rows[0]["policy"] == "DdnRandom"
     assert rows[0]["rd_us"] == 49.0
