@@ -37,10 +37,11 @@ def _check_level(level: int, bits_per_cell: int):
 @cache
 def _draws(bits_per_cell: int) -> tuple:
     """(first, n, k) per level: an upward move goes to first plus a draw from n values
-    of k bits (none at the top: ``getrandbits(0)`` is 0); then a uniform level's."""
+    of k bits (none at the top: ``getrandbits(0)`` is 0); then a uniform level's; then
+    the bytes of every level in range, which ``bytes.translate`` deletes from a word."""
     top = max_level(bits_per_cell)
     upward = tuple((level + 1, top - level, (top - level).bit_length()) for level in range(top))
-    return upward + ((top, 1, 0),), ((0, top + 1, (top + 1).bit_length()),)
+    return upward + ((top, 1, 0),), ((0, top + 1, (top + 1).bit_length()),), bytes(range(top + 1))
 
 
 def _redraw(levels: bytes, draws: tuple, rng: Random) -> bytes:
@@ -112,8 +113,8 @@ def gen_upward_word(original: bytes, bits_per_cell: int, rng: Random) -> bytes:
     """A uniform level strictly above each cell's, in cell order; a cell at the
     top keeps it. Levels above the top raise ``ValueError`` before anything
     is drawn."""
-    upward = _draws(bits_per_cell)[0]
-    if max(original, default=0) >= len(upward):
+    upward, _, levels = _draws(bits_per_cell)
+    if original.translate(None, levels):  # some level is above the top
         _check_level(max(original), bits_per_cell)
     return _redraw(original, upward, rng)
 

@@ -228,11 +228,11 @@ class NvmController:
             raise ProtocolError(f"ddn_process on unprogrammed page at slot {addr}")
         g, word = dev.geometry, self._fill_word
         if word is None and dev.kind is _OVERWRITABLE:
-            dev.ledger.charge_gen(dev.latency.t_gen_us)
+            dev.ledger.gen_us += dev.latency.t_gen_us
             word = gen_uniform_word(g.cells_per_cache_slot, g.bits_per_cell, self.rng)
         elif word is None:
             current = dev.read_slot(addr)
-            dev.ledger.charge_gen(dev.latency.t_gen_us)
+            dev.ledger.gen_us += dev.latency.t_gen_us
             word = gen_upward_word(current, g.bits_per_cell, self.rng)
         dev.program_slot(addr, word)
         return word

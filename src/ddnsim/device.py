@@ -144,8 +144,7 @@ class CacheTable:
 
     def _release(self, slot: int):
         """The valid copy at slot stops holding it."""
-        self._valid_at[slot] = None
-        self._held[slot] = 0
+        self._valid_at[slot], self._held[slot] = None, 0
         if slot < self._low:
             self._low = slot
 
@@ -165,8 +164,10 @@ class CacheTable:
         """Drop the id's valid copy and return its slot; an id with none is
         left alone (None)."""
         slot = self._slot.pop(cache_id, None)
-        if slot is not None:
-            self._release(slot)
+        if slot is not None:  # _release, in place
+            self._valid_at[slot], self._held[slot] = None, 0
+            if slot < self._low:
+                self._low = slot
         return slot
 
     def held(self, start: int, stop: int) -> bytearray:
@@ -248,6 +249,7 @@ class NvmDevice:
         self._width, self._per_page, self._total = (
             g.cells_per_cache_slot, g.slots_per_page, g.total_slots)
         self._top, self._nand = g.max_level, kind is DeviceKind.NON_OVERWRITABLE
+        self._levels = bytes(range(g.max_level + 1))  # translate() deletes these levels
         self._t_program, self._t_read = self.latency.t_program_us, self.latency.t_read_us
         self._zero_word = bytes(g.cells_per_cache_slot)
         self._alloc_hint = 0
@@ -284,9 +286,11 @@ class NvmDevice:
 
     def read_slot(self, addr: int) -> bytes:
         """Read one slot; costs one page read. Free pages read as all zero."""
-        word = self.peek_slot(addr)
+        if not 0 <= addr < self._total:
+            raise AddressError(f"slot {addr} outside geometry")
+        width = self._width
         self.ledger.rd_us += self._t_read
-        return word
+        return self._cells[addr * width : (addr + 1) * width]
 
     def program_slot(self, addr: int, data: bytes):
         """Write one slot, leaving the rest of the page untouched.
@@ -301,7 +305,7 @@ class NvmDevice:
         index, width = addr // self._per_page, self._width
         if len(data) != width:
             raise ValueError(f"data is {len(data)} cells, slot is {width}")
-        if max(data) > self._top:
+        if data.translate(None, self._levels):  # some level is above the top
             raise ValueError(f"level {max(data)} out of range [0, {self._top}]")
         start, end = addr * width, (addr + 1) * width
         if self._nand:
@@ -337,7 +341,7 @@ class NvmDevice:
         self._allocated[base : base + slots] = occupancy
         self.erase_counts[block] += 1
         self._alloc_hint = min(self._alloc_hint, base)
-        self.ledger.charge_erase(self.latency.t_erase_us)
+        self.ledger.erase_us += self.latency.t_erase_us
 
     def garbage_collect(self, block: int):
         """Move the block's live pages (those holding a valid slot) out, then erase it.
@@ -348,9 +352,10 @@ class NvmDevice:
         per_page, width = g.slots_per_page, g.cells_per_cache_slot
         first_page = block * g.pages_per_block
         held = table.held(first_page * per_page, (first_page + g.pages_per_block) * per_page)
-        bits = folded = int.from_bytes(held, "little")
-        for k in range(1, per_page):  # one byte per page: OR its slots into the first
-            folded |= bits >> 8 * k
+        folded, span = int.from_bytes(held, "little"), 1
+        while span < per_page:  # OR each page's slots into its first byte: shifts of 1,
+            folded |= folded >> 8 * min(span, per_page - span)  # 2, 4, ... slots, the
+            span = min(2 * span, per_page)  # last one overlapping when not a power of 2
         live = folded.to_bytes(len(held), "little")[::per_page] + b"\0"  # 0 ends a run
         count = live.count(1)
         src = end = 0  # the live run [src, end) being moved, in pages of the block

@@ -11,6 +11,7 @@ as the golden cases are, since the benchmark checks speed on the same bytes.
 
 import hashlib
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -50,6 +51,45 @@ def test_traced_cli_run_reaches_every_wrapped_layer(tmp_path):
     }
     assert [len(h.controller.collector.deletions) for h in recorder.hosts] == [20] * 4
     assert len(out.read_text().splitlines()) == 4 * 20
+
+
+# Eight writes, a gap past the idle threshold that flushes them, an invalidation
+# and a de-identification, then a gap past t_secure that scrubs the other six.
+SECURE_TRACE = "".join(f"W {i} 0x{i * 0x2a5 + 1:06x}\n" for i in range(8)) + "T 3\nI 0\nD 1\nT 6\n"
+
+
+def test_traced_secure_run_reaches_the_tick_layers(tmp_path):
+    """The run above has no ``T``, so it never reaches ``host.flush_idle`` or
+    ``controller.secure_tick``; this one pins the spans under them too."""
+    trace, config, out = tmp_path / "s.trace", tmp_path / "s.cfg", tmp_path / "report.jsonl"
+    trace.write_text(SECURE_TRACE)
+    config.write_text("t_secure = 5\nflush_idle_threshold = 2\n")
+    recorder = SpanRecorder()
+    with instrument(recorder):
+        code = cli.main(["--config", str(config), "--trace", str(trace), "--seed", "1",
+                         "--format", "jsonl", "--out", str(out)])
+    assert code == 0
+    assert recorder.nesting_errors() == []
+    _, calls = recorder.totals()
+    # Each policy flushes 8 copies and deletes 2 by request and 6 by secure scrub;
+    # every upward overwrite reads its slot first, and AllMax draws no word.
+    assert calls == {
+        "host.parse_trace": 1, "cells.word_from_hex": 8,
+        "runner.replay.markonly": 1, "runner.replay.erasebased": 1,
+        "runner.replay.ddnrandom": 1, "runner.replay.ddnnonrandom-allmax": 1,
+        "device.construct": 4, "host.run_trace": 4, "host.flush_idle": 16,
+        "controller.flush_write": 32, "device.allocate_slot": 32, "device.program_slot": 60,
+        "controller.handle_invalidation": 8, "controller.secure_tick": 16,
+        "metrics.record_deletion": 32, "controller.ddn_process": 28, "device.read_slot": 20,
+        "cells.gen_word": 21, "device.garbage_collect": 2, "device.erase_block": 2,
+        "metrics.charge_gc_migration": 7, "metrics.render_jsonl": 1,
+    }
+    assert [Counter(d.action for d in h.controller.collector.deletions)
+            for h in recorder.hosts] == [
+        {"mark-only": 2, "secure-scrub": 6}, {"gc-erase": 2, "secure-scrub": 6},
+        {"ddn-overwrite": 2, "secure-scrub": 6}, {"ddn-overwrite": 2, "secure-scrub": 6},
+    ]
+    assert len(out.read_text().splitlines()) == 4 * 8
 
 
 @pytest.mark.parametrize("name", workloads.NAMES)

@@ -1,8 +1,11 @@
 import errno
+import random
 from operator import sub
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from ddnsim import (
     AddressError,
@@ -15,6 +18,8 @@ from ddnsim import (
     NoFreePages,
     NopExceeded,
     NvmDevice,
+    gen_upward_word,
+    max_level,
 )
 
 from ddnsim.metrics import ledger_costs
@@ -201,6 +206,41 @@ def test_program_slot_rejects_level_above_top(make_device):
     assert device.ledger.total_us == 0
     device.program_slot(addr, w(7, 7, 7, 7))
     assert device.peek_slot(addr) == w(7, 7, 7, 7)
+
+
+@given(st.integers(1, 8), st.binary(min_size=1, max_size=24))
+@example(3, bytes((7,)))  # the top itself, and one above it
+@example(3, bytes((0, 8, 1)))
+@settings(max_examples=150, deadline=None)
+def test_level_gates_refuse_exactly_a_level_above_the_top(bits, word):
+    """``program_slot``'s and ``gen_upward_word``'s level checks against
+    ``max``: each refuses a word exactly when a level is above the top, with
+    the one message, before it changes a cell, the ledger or the random stream."""
+    top = max_level(bits)
+    refused, message = max(word) > top, f"level {max(word)} out of range [0, {top}]"
+    geometry = Geometry(blocks=1, pages_per_block=1, cells_per_page=len(word),
+                        bits_per_cell=bits, cells_per_cache_slot=len(word))
+    for kind in DeviceKind:
+        device = NvmDevice(geometry=geometry, kind=kind)
+        state = lambda: (bytes(device._cells), bytes(device._programmed),  # noqa: E731
+                         list(device._program_counts), ledger_costs(device.ledger))
+        before = state()
+        if refused:
+            with pytest.raises(ValueError) as info:
+                device.program_slot(0, word)
+            assert str(info.value) == message
+            assert state() == before
+        else:
+            device.program_slot(0, word)
+    rng = random.Random(bits)
+    before = rng.getstate()
+    if refused:
+        with pytest.raises(ValueError) as info:
+            gen_upward_word(word, bits, rng)
+        assert str(info.value) == message
+        assert rng.getstate() == before
+    else:
+        gen_upward_word(word, bits, rng)
 
 
 def test_erase_block(make_device):

@@ -29,7 +29,7 @@ from reference import ReferenceDevice
 from test_reference import ERRORS, check, device_state, pair, programs, step
 
 
-@given(st.sampled_from(["nand", "nand-long-blocks", "nand-dense"]), programs)
+@given(st.sampled_from(["nand", "nand-long-blocks", "nand-dense", "nand-triple"]), programs)
 # Fill the device, then collect a block whose pages have nowhere to go.
 @example("nand", [("write", n, 5) for n in range(18)] + [("gc", 1, 0)])
 # Collect a page holding one valid and one stale copy, then fill up.
@@ -45,6 +45,9 @@ from test_reference import ERRORS, check, device_state, pair, programs, step
     + [("write", 1, 0), ("gc", 1, 0), ("gc", 0, 0), ("write", 0, 0), ("write", 0, 0)]
     + [("write", 1, 0), ("gc", 0, 0)],
 )
+# Collect a 3-slot page whose one live copy is its last slot.
+@example("nand-triple", [("write", n, 1) for n in range(3)] + [("invalidate", 0, 0)] * 2
+         + [("gc", 0, 0)])
 @settings(max_examples=150, deadline=None)
 def test_indexed_gc_matches_the_page_by_page_reference(kind, program):
     check(kind, program)

