@@ -37,8 +37,7 @@ def _check_level(level: int, bits_per_cell: int):
 @cache
 def _draws(bits_per_cell: int) -> tuple:
     """(first, n, k) per level: an upward move goes to first plus a draw from n values
-    of k bits (none at the top: ``getrandbits(0)`` is 0); then a uniform level's; then
-    the bytes of every level in range, which ``bytes.translate`` deletes from a word."""
+    of k bits (none at the top: ``getrandbits(0)`` is 0); a uniform level's; all levels, as bytes."""
     top = max_level(bits_per_cell)
     upward = tuple((level + 1, top - level, (top - level).bit_length()) for level in range(top))
     return upward + ((top, 1, 0),), ((0, top + 1, (top + 1).bit_length()),), bytes(range(top + 1))

@@ -353,9 +353,10 @@ class NvmDevice:
         first_page = block * g.pages_per_block
         held = table.held(first_page * per_page, (first_page + g.pages_per_block) * per_page)
         folded, span = int.from_bytes(held, "little"), 1
-        while span < per_page:  # OR each page's slots into its first byte: shifts of 1,
-            folded |= folded >> 8 * min(span, per_page - span)  # 2, 4, ... slots, the
-            span = min(2 * span, per_page)  # last one overlapping when not a power of 2
+        while span < per_page:  # OR each page's slots into its first byte, by shifts of
+            shift = span if 2 * span <= per_page else per_page - span  # 1, 2, 4, ... slots
+            folded |= folded >> 8 * shift  # and, if per_page is no power of 2, one that
+            span += shift  # overlaps the slots already folded
         live = folded.to_bytes(len(held), "little")[::per_page] + b"\0"  # 0 ends a run
         count = live.count(1)
         src = end = 0  # the live run [src, end) being moved, in pages of the block

@@ -27,10 +27,10 @@ JSONL_CHUNK = 256  # records per write: about 45 kB; line by line is slower
 class LatencyLedger(Record):
     """Device time in microseconds per operation category.
 
-    The one cost type: a device charges its run's ledger, a deletion's cost
-    is the ledger's difference across it, and a policy's mean cost per
-    deletion is a ledger as well. Deletions of equal cost share one cost
-    ledger, so it is read-only: nothing charges it.
+    The one cost type: a device adds its times to its run's ledger in place,
+    but for ``charge_gc_migration``, the one charge method left, whose calls
+    the benchmark counts. A deletion's cost is the ledger's difference across
+    it, and a mean cost is a ledger too; equal costs share one, read-only.
     """
 
     __slots__ = COST_FIELDS

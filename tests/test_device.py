@@ -25,6 +25,7 @@ from ddnsim import (
 from ddnsim.metrics import ledger_costs
 
 from conftest import SMALL
+from test_reference import device_state
 
 
 def w(*levels):
@@ -209,7 +210,8 @@ def test_program_slot_rejects_level_above_top(make_device):
 
 
 @given(st.integers(1, 8), st.binary(min_size=1, max_size=24))
-@example(3, bytes((7,)))  # the top itself, and one above it
+# At 3 bits per cell: the top level itself, and a level one above it.
+@example(3, bytes((7,)))
 @example(3, bytes((0, 8, 1)))
 @settings(max_examples=150, deadline=None)
 def test_level_gates_refuse_exactly_a_level_above_the_top(bits, word):
@@ -222,14 +224,12 @@ def test_level_gates_refuse_exactly_a_level_above_the_top(bits, word):
                         bits_per_cell=bits, cells_per_cache_slot=len(word))
     for kind in DeviceKind:
         device = NvmDevice(geometry=geometry, kind=kind)
-        state = lambda: (bytes(device._cells), bytes(device._programmed),  # noqa: E731
-                         list(device._program_counts), ledger_costs(device.ledger))
-        before = state()
+        before = device_state(device)
         if refused:
             with pytest.raises(ValueError) as info:
                 device.program_slot(0, word)
             assert str(info.value) == message
-            assert state() == before
+            assert device_state(device) == before
         else:
             device.program_slot(0, word)
     rng = random.Random(bits)
