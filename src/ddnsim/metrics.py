@@ -27,10 +27,10 @@ JSONL_CHUNK = 256  # records per write: about 45 kB; line by line is slower
 class LatencyLedger(Record):
     """Device time in microseconds per operation category.
 
-    The one cost type: a device adds its times to its run's ledger in place,
-    but for ``charge_gc_migration``, the one charge method left, whose calls
-    the benchmark counts. A deletion's cost is the ledger's difference across
-    it, and a mean cost is a ledger too; equal costs share one, read-only.
+    The one cost type: device and controller add their times to a run's ledger
+    in place, save GC's ``charge_gc_migration``, the one charge method left, as
+    the benchmark counts its calls. A deletion's cost is the ledger's change
+    across it, a mean cost is a ledger too, and equal costs share one, read-only.
     """
 
     __slots__ = COST_FIELDS
