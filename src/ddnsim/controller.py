@@ -119,24 +119,28 @@ def parse_policy(text: str) -> DeletionPolicy:
 
 def _overwrite(controller, addr: int, action: str) -> tuple:
     """Overwrite the slot in place; a page out of reprogram budget is erased
-    instead. Returns (the action taken, its error or None)."""
+    instead. Returns (the action taken, its error or None, the residual cells).
+    The slot is read once: a refused program leaves every cell as it was."""
+    pre = controller.device.peek_slot(addr)
     try:
-        controller.ddn_process(addr)
+        word = controller.ddn_process(addr)
     except NopExceeded:
         return _collect(controller, addr, "erase-fallback")
     except MonotoneViolation as exc:
-        return action, str(exc)
-    return action, None
+        return action, str(exc), controller._width
+    return action, None, sum(map(eq, pre, word))
 
 
 def _collect(controller, addr: int, action: str) -> tuple:
-    """Garbage-collect and erase the slot's block. Returns (action, error or None)."""
+    """Garbage-collect and erase the slot's block. Returns (action, error or
+    None, residual cells): an erased slot keeps none, and a collection that
+    finds no room changes nothing."""
     device = controller.device
     try:
         device.garbage_collect(device.geometry.block_of(addr))
     except NoFreePages as exc:
-        return action, str(exc)
-    return action, None
+        return action, str(exc), controller._width
+    return action, None, 0
 
 
 # What a deletion under each policy does, when secure mode does not scrub: its
@@ -244,11 +248,9 @@ class NvmController:
             # No cell moves and nothing is charged; a valid copy's page is programmed.
             outcome = DeletionOutcome(cache_id, now, action, self._free, self._width, self._width)
         else:
-            dev = self.device
-            ledger = dev.ledger
-            pre = dev.peek_slot(addr)
+            ledger = self.device.ledger
             rd, wr, gen, erase, gc = ledger_costs(ledger)
-            action, error = delete(self, addr, action)
+            action, error, residual = delete(self, addr, action)
             # Float == would merge 0.0 with -0.0, but the ledger never decreases,
             # so x - x is +0.0, and latencies are finite: sharing moves no byte.
             spent = (ledger.rd_us - rd, ledger.wr_us - wr, ledger.gen_us - gen,
@@ -256,8 +258,7 @@ class NvmController:
             cost = self._costs.get(spent)
             if cost is None:
                 cost = self._costs[spent] = LatencyLedger(*spent)
-            residual = sum(map(eq, pre, dev.peek_slot(addr))) if dev.is_programmed(addr) else 0
             # Positional: keyword arguments would cost about 0.5 us per deletion.
-            outcome = DeletionOutcome(cache_id, now, action, cost, residual, len(pre), error)
+            outcome = DeletionOutcome(cache_id, now, action, cost, residual, self._width, error)
         self.collector.record_deletion(outcome)
         return outcome

@@ -8,21 +8,26 @@ sum of the charges it caused.
 
 Device state is flat. Pages are numbered ``block * pages_per_block + page``
 and slots ``page_number * slots_per_page + slot``, and a slot's address is
-that number, a plain ``int``. One private anonymous ``mmap`` holds every cell
-level (a level fits in a byte, so ``bits_per_cell <= 8``; a slice is
-``bytes``), and a ``memoryview`` of another, cast to ``"Q"``, each page's
-partial-program count; both are resident only where a run writes them. A
-bytearray holds each page's status, one each slot's occupancy. An erase is a
-slice assignment; GC moves runs of live pages into runs of free pages, a slice
-per run. The cache table maps each id with a valid copy to that copy's slot
-and, per slot, the one valid id it holds (see ``CacheTable``). Reclaim
-allocation is one search of the table's holder mask, upward from a low-water
-mark below which every slot is held.
+that number, a plain ``int``. The per-cell, per-page and per-slot byte
+arrays are private anonymous ``mmap``s, resident only where a run writes
+them: every cell level (a level fits in a byte, so ``bits_per_cell <= 8``),
+each page's status, each slot's occupancy, and, through a ``memoryview`` cast
+to ``"Q"``, each page's partial-program count, which only NAND writes. A
+slice of a mapping is ``bytes``, and ``find`` takes a ``bytes`` needle. An
+erase is a slice assignment; GC moves runs of live pages into runs of free
+pages, a slice per run. The cache table maps each id with a valid copy to
+that copy's slot and, per slot, the one valid id it holds (see
+``CacheTable``). That holder list starts empty and grows before a copy is
+registered at or moved into a slot past its end, so it covers the slots a run
+has touched rather than the device. Reclaim allocation is one search of the
+table's holder mask, upward from a low-water mark below which every slot is
+held.
 """
 
 import math
 import mmap
 from enum import Enum
+from itertools import repeat
 from operator import lt
 
 from .cells import max_level as _max_level
@@ -116,23 +121,53 @@ class LatencyParams(Value):
         return self.t_read_us + self.t_program_us
 
 
+def _zeroed(size: int) -> mmap.mmap:
+    """``size`` zero bytes in a private anonymous mapping, so a memory page of
+    it is resident only once written (reading a hole of a shared one maps it in)."""
+    return mmap.mmap(-1, size, access=mmap.ACCESS_COPY)
+
+
+# Once the cache table's holder list would cover a quarter of the device, it
+# covers all of it: a run that reaches that far (GC's rotating search reaches
+# every page) stops paying for steps and allocates what the whole device needs.
+WHOLE_AT = 4
+
+
 class CacheTable:
     """cache_id -> physical slot of the id's valid flushed copy.
 
     ``_slot`` maps exactly the ids that have a valid copy; invalidating a
     copy drops its id. ``_valid_at`` lists each slot's one valid cache_id or
-    ``None``, and ``_held`` marks the same slots in a ``bytearray`` searched
+    ``None``, and ``_held`` marks the same slots in a byte mapping searched
     at C speed. At most one valid copy holds a slot: ``register`` and
     ``move`` refuse a second, and the device erases no block a valid copy
     lies in. ``_low`` is a low-water mark for ``first_unheld``: every slot
     below it is held.
+
+    ``_valid_at`` starts empty and may end before the last slot; every slot
+    past its end holds no valid copy. ``register`` and ``move`` grow it, by
+    ``_cover``, before they write past its end, since a list assignment past
+    the end would land at the end instead.
     """
 
     def __init__(self, total_slots: int):
         self._slot = {}
-        self._valid_at = [None] * total_slots
-        self._held = bytearray(total_slots)
+        self._valid_at = []
+        self._held = _zeroed(total_slots)
         self._low = 0
+
+    def _cover(self, end: int):
+        """Grow ``_valid_at`` to at least ``end`` slots: to twice its length,
+        or to every slot once that is ``1 / WHOLE_AT`` of them or more, in one
+        resize. A list that cannot grow is a ``DeviceError``."""
+        total = len(self._held)
+        size = min(total, max(end, 2 * len(self._valid_at)))
+        if size * WHOLE_AT >= total:
+            size = total
+        try:
+            self._valid_at.extend(repeat(None, size - len(self._valid_at)))
+        except MemoryError as exc:
+            raise DeviceError(f"cannot grow the cache table to {size} slots") from exc
 
     def slot(self, cache_id) -> int | None:
         """The slot of the id's valid copy; None if it has none."""
@@ -150,7 +185,13 @@ class CacheTable:
 
     def register(self, cache_id: int, addr: int):
         """Make addr the id's valid copy; an earlier copy is released."""
-        holder = self._valid_at[addr]
+        try:
+            holder = self._valid_at[addr]
+        except IndexError:
+            if addr >= len(self._held):
+                raise
+            self._cover(addr + 1)
+            holder = None
         if holder is not None and holder != cache_id:
             raise DeviceError(f"slot {addr} already holds valid cache_id {holder}")
         old = self._slot.get(cache_id)
@@ -170,25 +211,28 @@ class CacheTable:
                 self._low = slot
         return slot
 
-    def held(self, start: int, stop: int) -> bytearray:
+    def held(self, start: int, stop: int) -> bytes:
         """1 for each slot in [start, stop) a valid copy holds, else 0."""
         return self._held[start:stop]
 
     def first_unheld(self) -> int:
         """The lowest slot no valid copy holds, or -1 if every slot is held."""
-        slot = self._held.find(0, self._low)
+        slot = self._held.find(b"\0", self._low)
         self._low = len(self._held) if slot == -1 else slot
         return slot
 
-    def move(self, src: int, dst: int, n: int) -> bytearray:
+    def move(self, src: int, dst: int, n: int) -> bytes:
         """Repoint the valid copies in slots [src, src + n) to the same
         places in [dst, dst + n), which must hold none; returns ``held`` of
         the source. No release is reported: the caller erases the source."""
-        if self._held.find(1, dst, dst + n) != -1:
+        if self._held.find(b"\1", dst, dst + n) != -1:
             raise DeviceError(f"slots {dst}..{dst + n - 1} already hold valid data")
+        end = (src if src > dst else dst) + n
+        if end > len(self._valid_at):
+            self._cover(end)
         ids, mask = self._valid_at[src : src + n], self._held[src : src + n]
         self._valid_at[dst : dst + n], self._valid_at[src : src + n] = ids, [None] * n
-        self._held[dst : dst + n], self._held[src : src + n] = mask, bytearray(n)
+        self._held[dst : dst + n], self._held[src : src + n] = mask, bytes(n)
         if src < self._low:
             self._low = src
         where = self._slot
@@ -226,14 +270,12 @@ class NvmDevice:
         g = self.geometry
         pages = g.blocks * g.pages_per_block
         try:
-            # Private anonymous mappings, so a page of either array is resident only once
-            # written (reading a hole of a shared one maps it in). A slice of the cell
-            # mapping is bytes, cheaper than a memoryview's; the counts need the cast.
-            private = mmap.ACCESS_COPY
-            self._cells = mmap.mmap(-1, pages * g.cells_per_page, access=private)
-            self._programmed = bytearray(pages)  # page status: 0 free, 1 programmed
-            self._program_counts = memoryview(mmap.mmap(-1, 8 * pages, access=private)).cast("Q")
-            self._allocated = bytearray(g.total_slots)
+            # A slice of a mapping is bytes, cheaper than a memoryview's; the counts
+            # need the cast.
+            self._cells = _zeroed(pages * g.cells_per_page)
+            self._programmed = _zeroed(pages)  # page status: 0 free, 1 programmed
+            self._program_counts = memoryview(_zeroed(8 * pages)).cast("Q")
+            self._allocated = _zeroed(g.total_slots)
             self.erase_counts = [0] * g.blocks
             self.cache_table = CacheTable(g.total_slots)
             n = g.pages_per_block  # an erase copies in these states of an erased block
@@ -337,7 +379,10 @@ class NvmDevice:
         cells, status, counts, occupancy = self._erased  # a bytearray copies in directly
         self._cells[first * width : (first + pages) * width] = cells
         self._programmed[first : first + pages] = status
-        self._program_counts[first : first + pages] = counts
+        # Only NAND counts partial programs. Elsewhere every count stays 0, and
+        # writing the zeros again would make the mapping's pages resident.
+        if self._nand:
+            self._program_counts[first : first + pages] = counts
         self._allocated[base : base + slots] = occupancy
         self.erase_counts[block] += 1
         self._alloc_hint = min(self._alloc_hint, base)
@@ -383,20 +428,20 @@ class NvmDevice:
     def _find_free_pages(self, count: int, exclude_block: int) -> list:
         """``count`` erased pages with no allocated slot outside ``exclude_block``, as
         runs ``(first page, length)``. Rotating first-fit: it resumes after the last
-        page taken and wraps around once, jumping with ``bytearray.find`` and reading no
+        page taken and wraps around once, jumping with ``find`` and reading no
         further than the pages still needed. Raises ``NoFreePages`` before any change."""
         g, programmed, allocated = self.geometry, self._programmed, self._allocated
         per_page, skip = g.slots_per_page, exclude_block * g.pages_per_block
         skip_end, start = skip + g.pages_per_block, self._dest_page_hint
         runs, need, lo, hi = [], count, start, len(programmed)
         while need:
-            lo = programmed.find(0, lo, hi)
+            lo = programmed.find(b"\0", lo, hi)
             if lo == -1:  # end of [start, total): wrap to [0, start), once
                 if hi == start:
                     raise NoFreePages(f"need {count} destination pages, found {count - need}")
                 lo, hi = 0, start
                 continue
-            stop = programmed.find(1, lo, lo + need)
+            stop = programmed.find(b"\1", lo, lo + need)
             if stop == -1 or stop > hi:
                 stop = lo + need if lo + need < hi else hi
             if lo < skip_end and stop > skip:  # the run reaches into the victim block
@@ -404,7 +449,7 @@ class NvmDevice:
                     lo = skip_end
                     continue
                 stop = skip
-            resume, taken = stop, allocated.find(1, lo * per_page, stop * per_page)
+            resume, taken = stop, allocated.find(b"\1", lo * per_page, stop * per_page)
             if taken != -1:  # a page holding an allocated slot is not free
                 stop, resume = taken // per_page, taken // per_page + 1
             if stop > lo:
@@ -425,7 +470,7 @@ class NvmDevice:
         """
         if self.reclaim_invalid_slots:
             return self._allocate_with_reclaim()
-        slot = self._allocated.find(0, self._alloc_hint)
+        slot = self._allocated.find(b"\0", self._alloc_hint)
         while slot != -1:  # a programmed NAND page is writable within its budget
             index = slot // self._per_page
             if (not self._programmed[index] or not self._nand
@@ -434,7 +479,7 @@ class NvmDevice:
                 self._alloc_hint = slot + 1
                 return slot
             # The budget is the page's: skip the rest of its slots at once.
-            slot = self._allocated.find(0, (index + 1) * self._per_page)
+            slot = self._allocated.find(b"\0", (index + 1) * self._per_page)
         raise DeviceFull("no writable slot available")
 
     def _allocate_with_reclaim(self) -> int:

@@ -10,6 +10,7 @@ from ddnsim import (
     DeviceKind,
     Geometry,
     Host,
+    NvmDevice,
     PolicyKind,
     ProtocolError,
     RunConfig,
@@ -366,3 +367,46 @@ def test_deletion_records_retain_little_memory():
     records = sum(len(r.collector.deletions) for r in report.runs)
     assert records == 4 * 1500
     assert retained / records <= 200
+
+
+@pytest.mark.parametrize(
+    "policy, options, action",
+    [
+        ("DdnRandom", {}, "ddn-overwrite"),
+        ("DdnRandom", {"kind": DeviceKind.OVERWRITABLE}, "ddn-overwrite"),
+        ("DdnNonRandom", {}, "ddn-overwrite"),
+        ("DdnNonRandom(Level=1)", {}, "ddn-overwrite"),  # refused: it would lower cells
+        ("DdnRandom", {"nop_limit": 0}, "erase-fallback"),
+        ("EraseBased", {}, "gc-erase"),
+        ("MarkOnly", {"t_secure": 2}, "secure-scrub"),
+    ],
+    ids=["nand", "overwritable", "all-max", "refused", "erase-fallback", "gc-erase",
+         "secure-scrub"],
+)
+def test_a_deletion_reads_its_slot_at_most_once(monkeypatch, policy, options, action):
+    """Besides the charged read and program, a deletion makes at most two
+    uncharged device calls: one ``peek_slot`` for the cells before it, and
+    ``ddn_process``'s ``is_programmed`` check. The residual comes from the
+    word written (or the whole slot, when nothing was written), and it still
+    counts the cells that kept their level."""
+    calls = []
+    for name in ("peek_slot", "is_programmed"):
+        original = getattr(NvmDevice, name)
+
+        def counted(self, addr, original=original, name=name):
+            calls.append(name)
+            return original(self, addr)
+
+        monkeypatch.setattr(NvmDevice, name, counted)
+    host = Host(build_controller(policy, **options), flush_idle_threshold=1000)
+    device = host.controller.device
+    _run(host, "W 1 0x2EE\nF\nT 1\nW 2 0x053\nF")  # 2 shares 1's page, a tick younger
+    calls.clear()
+    addr, width = device.cache_table.slot(1), device.geometry.cells_per_cache_slot
+    pre = device._cells[addr * width : (addr + 1) * width]
+    (outcome,) = _run(host, "T 1" if "t_secure" in options else "I 1")
+    assert outcome.action == action
+    assert len(calls) <= 2, calls
+    post = device._cells[addr * width : (addr + 1) * width]
+    assert outcome.residual_cells == sum(a == b for a, b in zip(pre, post))
+    assert (outcome.error is not None) == (outcome.residual_cells == outcome.slot_cells == width)

@@ -1,5 +1,6 @@
 import errno
 import random
+import tracemalloc
 from operator import sub
 from types import SimpleNamespace
 
@@ -9,17 +10,23 @@ from hypothesis import strategies as st
 
 from ddnsim import (
     AddressError,
+    CacheTable,
     DeviceError,
     DeviceFull,
     DeviceKind,
     Geometry,
+    Host,
     LatencyParams,
     MonotoneViolation,
     NoFreePages,
     NopExceeded,
+    NvmController,
     NvmDevice,
     gen_upward_word,
     max_level,
+    parse_policy,
+    parse_trace,
+    synthetic_trace,
 )
 
 from ddnsim.metrics import ledger_costs
@@ -74,7 +81,7 @@ def test_address_errors(make_device):
         with pytest.raises(AddressError):
             device.program_slot(addr, w(1, 1, 1, 1))
     assert device.ledger.total_us == 0
-    assert device._programmed.count(0) == SMALL.blocks * SMALL.pages_per_block
+    assert bytes(device._programmed).count(0) == SMALL.blocks * SMALL.pages_per_block
     with pytest.raises(AddressError):
         device.erase_block(4)
 
@@ -254,7 +261,7 @@ def test_erase_block(make_device):
     assert device.erase_counts[1] == 1
     assert sum(device.erase_counts) == 1
     first, n, width = SMALL.pages_per_block, SMALL.pages_per_block, SMALL.cells_per_page
-    assert device._programmed[first : first + n] == bytes(n)
+    assert bytes(device._programmed[first : first + n]) == bytes(n)
     assert device._program_counts[first : first + n].tolist() == [0] * n
     assert device._cells[first * width : (first + n) * width] == bytes(n * width)
     assert device.peek_slot(addr) == w(0, 0, 0, 0)
@@ -511,3 +518,80 @@ def test_refused_mapping_is_a_device_error(monkeypatch):
     monkeypatch.setattr("ddnsim.device.mmap", SimpleNamespace(mmap=refuse, ACCESS_COPY=0))
     with pytest.raises(DeviceError, match="cannot allocate"):
         NvmDevice(geometry=SMALL)
+
+
+def test_building_a_device_pays_for_no_slot_yet():
+    """At 64 slots per page (1,048,576 slots) a new device traces under
+    0.25 MB: its holder list starts empty, where a list of every slot alone
+    took 8.4 MB, and its byte masks are mappings, not 1 MB bytearrays."""
+    tracemalloc.start()
+    try:
+        NvmDevice(geometry=Geometry(cells_per_page=512))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.25e6
+
+
+@pytest.mark.parametrize("policy", ["MarkOnly", "EraseBased", "DdnRandom", "DdnNonRandom"])
+def test_the_holder_list_covers_the_slots_a_run_touches(monkeypatch, policy):
+    """After 20 W/F/U rounds on the default device (32,768 slots) the holder
+    list reaches the highest slot a copy was registered at or moved into,
+    and less than twice as far: one doubling step past it at most."""
+    reached = [0]
+    register, move = CacheTable.register, CacheTable.move
+
+    def counted_register(self, cache_id, addr):
+        reached[0] = max(reached[0], addr + 1)
+        return register(self, cache_id, addr)
+
+    def counted_move(self, src, dst, n):
+        reached[0] = max(reached[0], src + n, dst + n)
+        return move(self, src, dst, n)
+
+    monkeypatch.setattr(CacheTable, "register", counted_register)
+    monkeypatch.setattr(CacheTable, "move", counted_move)
+    device = NvmDevice()
+    host = Host(NvmController(device, parse_policy(policy), random.Random(1)))
+    host.run_trace(parse_trace(synthetic_trace(20, 1.0, 1, 8, 3), 8, 3))
+    assert len(host.controller.collector.deletions) == 20
+    assert reached[0] <= len(device.cache_table._valid_at) < 2 * reached[0]
+
+
+def test_moves_and_registers_past_the_holder_list_end_land_in_place():
+    table = CacheTable(8192)
+    table.register(1, 5)
+    assert len(table._valid_at) == 6
+    assert table.move(4, 600, 4) == bytearray([0, 1, 0, 0])
+    assert len(table._valid_at) == 604  # the farther end, not twice the old length
+    assert table.slot(1) == 601 and table._valid_at.index(1) == 601
+    table.register(2, 900)
+    assert len(table._valid_at) == 1208  # doubled
+    table.register(3, 1400)  # 2,416 slots would be over a quarter of them: all
+    assert len(table._valid_at) == 8192
+    assert [i for i, cid in enumerate(table._valid_at) if cid is not None] == [601, 900, 1400]
+    assert table.held(0, 8192).count(1) == 3
+    with pytest.raises(IndexError):
+        table.register(4, 8192)
+
+
+def test_a_holder_list_that_cannot_grow_is_a_device_error(monkeypatch, capsys):
+    """Running out of memory while the holder list grows ends the CLI with a
+    device error (exit 4), as a table that cannot be built does, not with a
+    MemoryError traceback. Raising it here takes no memory."""
+    from ddnsim.cli import main
+
+    class NoRoom(list):
+        def extend(self, items):
+            raise MemoryError
+
+    build = CacheTable.__init__
+
+    def without_room(self, total_slots):
+        build(self, total_slots)
+        self._valid_at = NoRoom()
+
+    monkeypatch.setattr(CacheTable, "__init__", without_room)
+    assert main(["--synthetic", "3", "--seed", "1"]) == 4
+    assert capsys.readouterr() == ("", "ddnsim: device error: cannot grow the cache table "
+                                       "to 1 slots\n")

@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 from ddnsim import DeviceError, Geometry, Host, NvmController, TraceEvent, word_from_hex
 
 from conftest import build_controller
+from test_reference import holders
 
 # 128 slots of 4 three-bit cells (3 hex digits)
 GEOMETRY = Geometry(
@@ -178,7 +179,7 @@ def test_next_event_clock_matches_per_tick_loop(
     assert deletions(host) == deletions(ref)
     table, ref_table = host.controller.device.cache_table, ref.controller.device.cache_table
     assert dict(table._slot) == dict(ref_table._slot)
-    assert table._valid_at == ref_table._valid_at
+    assert holders(host.controller.device) == holders(ref.controller.device)
     if t_secure is not None:
         assert dict(host._resident) == {
             cid: tick for cid, tick in ref.flushed_at.items() if ref_table.is_valid(cid)

@@ -62,12 +62,20 @@ def pair(kind):
     return device, reference
 
 
+def holders(device):
+    """The cache table's valid id per slot, None where there is none. The
+    table's list grows as copies reach higher slots, so the slots past its
+    end are padded with None."""
+    valid_at = device.cache_table._valid_at
+    return valid_at + [None] * (device.geometry.total_slots - len(valid_at))
+
+
 def device_state(device):
     """``ReferenceDevice.state()``, read from an ``NvmDevice``."""
     table = device.cache_table
     return (bytes(device._cells), bytes(device._programmed), list(device._program_counts),
             bytes(device._allocated), list(device.erase_counts), dict(table._slot),
-            list(table._valid_at), bytes(table._held), device._dest_page_hint,
+            holders(device), bytes(table._held), device._dest_page_hint,
             ledger_costs(device.ledger))
 
 
