@@ -160,6 +160,7 @@ def main(argv=None) -> int:
                 print(f"ddnsim: config error: {exc}", file=sys.stderr)
                 return EXIT_CONFIG
         events = parse_trace(text, cfg.cells_per_cache_slot, cfg.bits_per_cell)
+        del text  # the events hold all a run needs
         report = run(cfg, events)
     except TraceError as exc:
         print(f"ddnsim: trace error: {exc}", file=sys.stderr)

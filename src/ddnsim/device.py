@@ -17,11 +17,11 @@ slice of a mapping is ``bytes``, and ``find`` takes a ``bytes`` needle. An
 erase is a slice assignment; GC moves runs of live pages into runs of free
 pages, a slice per run. The cache table maps each id with a valid copy to
 that copy's slot and, per slot, the one valid id it holds (see
-``CacheTable``). That holder list starts empty and grows before a copy is
-registered at or moved into a slot past its end, so it covers the slots a run
-has touched rather than the device. Reclaim allocation is one search of the
-table's holder mask, upward from a low-water mark below which every slot is
-held.
+``CacheTable``). That holder list starts empty and, before a copy is
+registered at or moved into a slot past its end, doubles (capped at the slot
+count), so it covers the slots a run has touched, at most twice over, rather
+than the device. Reclaim allocation is one search of the table's holder mask,
+upward from a low-water mark below which every slot is held.
 """
 
 import math
@@ -127,12 +127,6 @@ def _zeroed(size: int) -> mmap.mmap:
     return mmap.mmap(-1, size, access=mmap.ACCESS_COPY)
 
 
-# Once the cache table's holder list would cover a quarter of the device, it
-# covers all of it: a run that reaches that far (GC's rotating search reaches
-# every page) stops paying for steps and allocates what the whole device needs.
-WHOLE_AT = 4
-
-
 class CacheTable:
     """cache_id -> physical slot of the id's valid flushed copy.
 
@@ -157,13 +151,10 @@ class CacheTable:
         self._low = 0
 
     def _cover(self, end: int):
-        """Grow ``_valid_at`` to at least ``end`` slots: to twice its length,
-        or to every slot once that is ``1 / WHOLE_AT`` of them or more, in one
-        resize. A list that cannot grow is a ``DeviceError``."""
-        total = len(self._held)
-        size = min(total, max(end, 2 * len(self._valid_at)))
-        if size * WHOLE_AT >= total:
-            size = total
+        """Grow ``_valid_at`` to at least ``end`` slots, in one resize: to
+        twice its length, capped at the slot count, so a run pays for at most
+        twice the slots it reaches. A list that cannot grow is a ``DeviceError``."""
+        size = min(len(self._held), max(end, 2 * len(self._valid_at)))
         try:
             self._valid_at.extend(repeat(None, size - len(self._valid_at)))
         except MemoryError as exc:

@@ -67,10 +67,15 @@ def _parse_decimal(token: str, lineno: int,
 
 
 def parse_trace(text: str, cells_per_slot: int, bits_per_cell: int) -> list:
-    """Parse trace text into events, rejecting malformed lines by number."""
+    """Parse trace text into events, rejecting malformed lines by number.
+
+    Every event of a written id carries the ``int`` its first ``W`` parsed, so
+    the DRAM, the queues, the cache table and the deletion records of a run
+    share one object per id; an ``I`` or ``D`` of an id never written keeps
+    its own."""
     events = []
     append = events.append
-    written = set()
+    written = {}  # id -> the int its first W parsed
     # The clock sums the T counts; past the int digit limit (0: none) no report
     # could write a tick. Compare to 10 ** limit: len(str(end)) is quadratic.
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
@@ -90,7 +95,7 @@ def parse_trace(text: str, cells_per_slot: int, bits_per_cell: int) -> list:
                 raise TraceError(str(exc), lineno) from exc
             if op == "U" and cache_id not in written:
                 raise TraceError(f"U for cache id {cache_id} before any W", lineno)
-            written.add(cache_id)
+            cache_id = written.setdefault(cache_id, cache_id)
             append(TraceEvent(op, cache_id, payload, None, lineno))
         elif op == "F":
             if len(parts) != 1:
@@ -99,7 +104,8 @@ def parse_trace(text: str, cells_per_slot: int, bits_per_cell: int) -> list:
         elif op == "I" or op == "D":
             if len(parts) != 2:
                 raise TraceError(f"{op} needs <id>", lineno)
-            append(TraceEvent(op, _parse_decimal(parts[1], lineno), None, None, lineno))
+            cache_id = _parse_decimal(parts[1], lineno)
+            append(TraceEvent(op, written.get(cache_id, cache_id), None, None, lineno))
         elif op == "T":
             token = parts[1] if len(parts) == 2 else ""
             ticks = _parse_decimal(token, lineno, "T needs a non-negative tick count")

@@ -31,7 +31,7 @@ from ddnsim import (
 
 from ddnsim.metrics import ledger_costs
 
-from conftest import SMALL
+from conftest import SMALL, build_controller
 from test_reference import device_state
 
 
@@ -567,12 +567,43 @@ def test_moves_and_registers_past_the_holder_list_end_land_in_place():
     assert table.slot(1) == 601 and table._valid_at.index(1) == 601
     table.register(2, 900)
     assert len(table._valid_at) == 1208  # doubled
-    table.register(3, 1400)  # 2,416 slots would be over a quarter of them: all
+    table.register(3, 1400)  # over a quarter of the slots, and still doubled
+    assert len(table._valid_at) == 2416
+    table.register(4, 5000)
+    assert len(table._valid_at) == 5001
+    table.register(5, 6000)  # twice 5,001 would pass the last slot: every slot, no more
     assert len(table._valid_at) == 8192
-    assert [i for i, cid in enumerate(table._valid_at) if cid is not None] == [601, 900, 1400]
-    assert table.held(0, 8192).count(1) == 3
+    held = [i for i, cid in enumerate(table._valid_at) if cid is not None]
+    assert held == [601, 900, 1400, 5000, 6000]
+    assert table.held(0, 8192).count(1) == 5
     with pytest.raises(IndexError):
-        table.register(4, 8192)
+        table.register(6, 8192)
+    assert len(table._valid_at) == 8192
+
+
+def test_a_secure_erase_based_run_past_a_quarter_holds_less_than_the_device(monkeypatch):
+    """An EraseBased secure-mode run whose GC moves copies past a quarter of
+    a 128-slot device grows the holder list by doubling, short of every slot."""
+    reached = [0]
+    move = CacheTable.move
+
+    def counted_move(self, src, dst, n):
+        reached[0] = max(reached[0], src + n, dst + n)
+        return move(self, src, dst, n)
+
+    monkeypatch.setattr(CacheTable, "move", counted_move)
+    geometry = Geometry(blocks=16, pages_per_block=4, cells_per_page=16,
+                        bits_per_cell=3, cells_per_cache_slot=8)
+    host = Host(build_controller("EraseBased", geometry=geometry, t_secure=20),
+                flush_idle_threshold=1)
+    lines = []
+    for batch in range(8):  # 4 writes, their idle flush, one deletion
+        lines += [f"W {cid} 0x{cid:06X}" for cid in range(4 * batch, 4 * batch + 4)]
+        lines += ["T 2", f"D {4 * batch}"]
+    host.run_trace(parse_trace("\n".join(lines + ["T 30"]), 8, 3))  # T 30 scrubs the rest
+    assert len(host.controller.collector.deletions) == 32
+    table = host.controller.device.cache_table
+    assert 128 // 4 < reached[0] <= len(table._valid_at) < 128
 
 
 def test_a_holder_list_that_cannot_grow_is_a_device_error(monkeypatch, capsys):

@@ -77,6 +77,27 @@ def test_parse_trace_u_after_w_is_fine():
     assert [e.kind for e in events] == ["W", "U"]
 
 
+def test_parse_trace_gives_every_event_of_an_id_one_int(tmp_path, capsys):
+    """Every event of a written id carries the ``int`` its first ``W`` parsed,
+    under any spelling of the id, so a run holds one object per id. A ``U``
+    before any ``W`` is still refused at its line, and an ``I`` of an id never
+    written still ends the CLI with exit 3 at its line."""
+    from ddnsim.cli import main
+
+    text = "W 700 0x000ABC\nF\nU 0700 0x000DEF\nW 700 0x000FFF\nF\nD 00700\nI 900\n"
+    events = parse_trace(text, 8, 3)
+    ids = [event.cache_id for event in events if event.kind != "F"]
+    assert ids == [700, 700, 700, 700, 900]
+    assert all(cache_id is ids[0] for cache_id in ids[:4])
+    with pytest.raises(TraceError, match="^line 2: U for cache id 700 before any W$"):
+        parse_trace("F\nU 0700 0x000DEF\nW 700 0x000ABC\n", 8, 3)
+    trace = tmp_path / "unwritten.trace"
+    trace.write_text(text)
+    assert main(["--trace", str(trace), "--seed", "1"]) == 3
+    assert capsys.readouterr() == (
+        "", "ddnsim: trace error: line 7: no valid flushed copy for cache id 900\n")
+
+
 def test_trace_fingerprint_sees_events_not_layout():
     def fingerprint(text):
         return trace_fingerprint(parse_trace(text, 4, 3))

@@ -380,9 +380,9 @@ def test_ledger_additivity_over_a_run(seed):
         assert ledger.total_us == deletion_total + flushes[policy_run.label] * cfg.t_program_us
 
 
-def _records_by_policy(report):
+def _records_by_policy(jsonl_text):
     groups = {}
-    for line in report.jsonl_text.splitlines():
+    for line in jsonl_text.splitlines():
         groups.setdefault(json.loads(line)["policy"], []).append(line)
     return groups
 
@@ -397,4 +397,101 @@ def test_reports_do_not_depend_on_policy_order(name):
     backward = run(cfg, events)
     header, *rows = forward.csv_text.splitlines()
     assert backward.csv_text.splitlines() == [header, *reversed(rows)]
-    assert _records_by_policy(backward) == _records_by_policy(forward)
+    assert _records_by_policy(backward.jsonl_text) == _records_by_policy(forward.jsonl_text)
+
+
+@st.composite
+def tiny_runs(draw):
+    """A valid tiny config and a trace of ``W U I D T F`` lines: 1-3 blocks of
+    2 pages, both device kinds, reclaim on and off, ``t_secure`` on and off,
+    DRAM of 1-4 lines, ``nop_limit`` 0-4 and 1-4 slots per page. A ``U`` is
+    only of a written id, and an ``I`` or ``D`` mostly of an id with a valid
+    copy, as a ``MarkOnly`` replay of the lines before it finds (an ``F``
+    where none has one), until that replay refuses a line."""
+    per_page, overwritable = draw(st.integers(1, 4)), draw(st.booleans())
+    cfg = RunConfig(
+        blocks=draw(st.integers(1, 3)), pages_per_block=2, cells_per_page=2 * per_page,
+        bits_per_cell=2, cells_per_cache_slot=2,
+        device_kind=DeviceKind.OVERWRITABLE if overwritable else DeviceKind.NON_OVERWRITABLE,
+        reclaim_invalid_slots=overwritable and draw(st.booleans()),
+        nop_limit=draw(st.integers(0, 4)), dram_capacity=draw(st.integers(1, 4)),
+        flush_idle_threshold=draw(st.integers(0, 3)),
+        t_secure=draw(st.none() | st.integers(1, 4)), seed=draw(st.integers(0, 99)),
+    )
+    cfg.validate()
+    device = NvmDevice(cfg.geometry(), cfg.device_kind, cfg.latency(), cfg.nop_limit,
+                       cfg.reclaim_invalid_slots)
+    host = Host(NvmController(device, cfg.run_policies()[0], random.Random(0)),
+                cfg.dram_capacity, cfg.flush_idle_threshold)
+    steps = st.tuples(st.sampled_from("WUIDTF"), st.integers(0, 3), st.integers(0, 15))
+    lines, written, replaying = [], set(), True
+    for op, cid, value in draw(st.lists(steps, min_size=4, max_size=24)):
+        if op == "U" and cid not in written:
+            op = "W"
+        elif op in "ID" and value and replaying:  # a value of 0 keeps a stray id
+            valid = [c for c in range(4) if device.cache_table.is_valid(c)]
+            if valid:
+                cid = valid[cid % len(valid)]
+            else:
+                op = "F"
+        if op in "WU":
+            written.add(cid)
+        lines.append({"W": f"W {cid} 0x{value:X}", "U": f"U {cid} 0x{value:X}", "I": f"I {cid}",
+                      "D": f"D {cid}", "T": f"T {value}", "F": "F"}[op])
+        if replaying:
+            try:
+                host.run_trace(parse_trace(lines[-1], cfg.cells_per_cache_slot, cfg.bits_per_cell))
+            except (TraceError, DeviceError):
+                replaying = False
+    return cfg, lines
+
+
+def _outcome(cfg, lines):
+    """The CLI's exit class for a run of ``lines`` (0, 3 for a trace error, 4
+    for a device error) and, when it is 0, the CSV and JSONL reports."""
+    try:
+        report = run(cfg, parse_trace("\n".join(lines), cfg.cells_per_cache_slot, cfg.bits_per_cell))
+    except TraceError:
+        return 3, None, None
+    except DeviceError:
+        return 4, None, None
+    return 0, report.csv_text, report.jsonl_text
+
+
+@given(tiny_runs(), st.data())
+@settings(max_examples=60, deadline=None)
+def test_metamorphic_relations(case, data):
+    """``T a+b`` reports as ``T a`` then ``T b`` and a ``T 0`` anywhere changes
+    nothing; an ``F`` right after an ``F`` changes nothing; and reordering the
+    policies only reorders the CSV rows and JSONL groups, or, for a run that
+    fails, ends in the class of the first policy that fails alone. Reports
+    and exit classes are compared, not messages, which name shifted lines."""
+    cfg, lines = case
+    base = _outcome(cfg, lines)
+    split = []
+    for line in lines:
+        if line[0] == "T":
+            ticks = int(line[2:])
+            first = data.draw(st.integers(0, ticks))
+            split += [f"T {first}", f"T {ticks - first}"]
+        else:
+            split.append(line)
+    split.insert(data.draw(st.integers(0, len(split))), "T 0")
+    assert _outcome(cfg, split) == base
+    assert _outcome(cfg, [f for line in lines for f in [line] + ["F"] * (line == "F")]) == base
+
+    policies = cfg.policies
+    order = data.draw(st.permutations(range(len(policies))))
+    cfg.policies = tuple(policies[i] for i in order)
+    permuted = _outcome(cfg, lines)
+    if base[0] == 0:
+        header, *rows = base[1].splitlines(keepends=True)
+        assert permuted[1] == "".join([header, *(rows[i] for i in order)])
+        assert _records_by_policy(permuted[2]) == _records_by_policy(base[2])
+    else:
+        alone = []
+        for policy in policies:
+            cfg.policies = (policy,)
+            alone.append(_outcome(cfg, lines)[0])
+        assert base[0] == next(filter(None, alone))
+        assert permuted[0] == next(filter(None, (alone[i] for i in order)))
