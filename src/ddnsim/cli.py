@@ -170,12 +170,12 @@ def main(argv=None) -> int:
         return EXIT_DEVICE
 
     for policy_run in report.runs:
-        deletions = policy_run.collector.deletions
-        errors = [d.error for d in deletions if d.error is not None]
-        if errors:
+        collector = policy_run.collector
+        if collector.errors:
             print(
-                f"ddnsim: warning: {policy_run.label}: {len(errors)} of "
-                f"{len(deletions)} deletions failed; first: {errors[0]}",
+                f"ddnsim: warning: {policy_run.label}: {len(collector.errors)} of "
+                f"{len(collector.deletions)} deletions failed; first: "
+                f"{next(iter(collector.errors.values()))}",
                 file=sys.stderr,
             )
 

@@ -30,7 +30,7 @@ from .device import (
     NopExceeded,
     NvmDevice,
 )
-from .metrics import LatencyLedger, MetricsCollector, ledger_costs
+from .metrics import DeletionOutcome, LatencyLedger, MetricsCollector, ledger_costs
 from .values import Value, ascii_number
 
 # Looked up once: an enum member lookup through the class costs ~0.2 us on 3.11.
@@ -153,24 +153,6 @@ _DELETIONS = {
 }
 
 
-class DeletionOutcome:
-    """What one deletion did: action taken, cost by category, residual data.
-
-    ``cost`` is the device ledger's difference across the deletion.
-    ``residual_cells`` counts cells of the deleted slot that still hold their
-    pre-deletion level afterwards; a slot whose page was erased retains
-    nothing.
-    """
-
-    __slots__ = ("cache_id", "tick", "action", "cost", "residual_cells", "slot_cells",
-                 "error")
-
-    def __init__(self, cache_id: int, tick: int, action: str, cost: LatencyLedger,
-                 residual_cells: int = 0, slot_cells: int = 0, error: str | None = None):
-        self.cache_id, self.tick, self.action, self.cost = cache_id, tick, action, cost
-        self.residual_cells, self.slot_cells, self.error = residual_cells, slot_cells, error
-
-
 class NvmController:
     """Handles invalidation requests and secure-mode scrubs, one at a time,
     and records each deletion in ``collector``, which reads the device's ledger."""
@@ -179,9 +161,9 @@ class NvmController:
         self.device = device
         self.policy = policy
         self.rng = rng
-        self.collector = MetricsCollector(device.ledger)
         # Fixed for the run: deletion, slot width, DdnNonRandom fill word.
         g = device.geometry
+        self.collector = MetricsCollector(device.ledger, g.cells_per_cache_slot)
         self._deletion, self._width = _DELETIONS[policy.kind], g.cells_per_cache_slot
         self._fill_word = None
         if policy.kind is PolicyKind.DDN_NON_RANDOM:

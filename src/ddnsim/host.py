@@ -20,6 +20,8 @@ Trace grammar, one event per line (``#`` starts a comment):
 
 ``<id>`` and ``<n>`` are ASCII decimal digits, the ``<n>`` adding up to no more
 digits than ``int`` takes; ``<hexpayload>`` is 0x-prefixed hex exactly one cache slot wide.
+A ``U``, ``I`` or ``D`` needs an earlier ``W`` of its id. ``parse_trace`` gives
+a ``Trace``, which holds the events as columns, not one object per event.
 """
 
 import sys
@@ -53,6 +55,49 @@ class TraceEvent:
         self.line = line
 
 
+class Trace:
+    """A trace held as columns, one entry per event: ``kinds``, the event
+    letters; ``args``, the cache id, or the tick count of a ``T`` (None for
+    ``F``); ``payloads``, the word of a ``W`` or ``U`` (else None); and
+    ``line_map``, a ``(first event index, line)`` pair wherever comment or
+    blank lines break the line count. ``len``, iteration and int indexing give
+    ``TraceEvent``s, a slice gives a ``Trace``, and ``Trace(events)`` converts
+    any iterable of ``TraceEvent``s."""
+
+    __slots__ = ("kinds", "args", "payloads", "line_map")
+
+    def __init__(self, events=()):
+        self.kinds, self.args, self.payloads, self.line_map = bytearray(), [], [], []
+        for event in events:
+            kind, index = event.kind, len(self.kinds)
+            if kind not in ("W", "U", "I", "D", "T", "F"):
+                raise TraceError(f"unhandled event kind {kind!r}", event.line)
+            if event.line != self.line(index):
+                self.line_map.append((index, event.line))
+            self.kinds.append(ord(kind))
+            self.args.append(event.ticks if kind == "T" else event.cache_id)
+            self.payloads.append(event.payload)
+
+    def __len__(self) -> int:
+        return len(self.kinds)
+
+    def __getitem__(self, index):
+        picked = range(len(self.kinds))[index]  # IndexError as for a list, ending iteration
+        if type(picked) is range:
+            return Trace(map(self.__getitem__, picked))
+        kind, arg = chr(self.kinds[picked]), self.args[picked]
+        return TraceEvent(kind, None if kind == "T" else arg, self.payloads[picked],
+                          arg if kind == "T" else None, self.line(picked))
+
+    def line(self, index: int) -> int:
+        """The line number of event ``index`` (not negative)."""
+        from bisect import bisect_right
+
+        pair = bisect_right(self.line_map, (index + 1,))  # after the pairs of first <= index
+        first, line = self.line_map[pair - 1] if pair else (0, 1)
+        return line + index - first
+
+
 def _parse_decimal(token: str, lineno: int,
                    error: str = "cache id must be a decimal integer, got {!r}") -> int:
     """A token of ASCII digits as an int, else ``TraceError(error.format(token))``:
@@ -66,16 +111,17 @@ def _parse_decimal(token: str, lineno: int,
                          "limit", lineno) from None
 
 
-def parse_trace(text: str, cells_per_slot: int, bits_per_cell: int) -> list:
-    """Parse trace text into events, rejecting malformed lines by number.
+def parse_trace(text: str, cells_per_slot: int, bits_per_cell: int) -> Trace:
+    """Parse trace text into a ``Trace``, rejecting malformed lines by number,
+    and a ``U``, ``I`` or ``D`` of an id that no earlier ``W`` wrote.
 
-    Every event of a written id carries the ``int`` its first ``W`` parsed, so
-    the DRAM, the queues, the cache table and the deletion records of a run
-    share one object per id; an ``I`` or ``D`` of an id never written keeps
-    its own."""
-    events = []
-    append = events.append
+    Every event of an id carries the ``int`` its first ``W`` parsed, so the
+    DRAM, the queues, the cache table and the deletion records of a run share
+    one object per id."""
+    trace = Trace()
+    kinds, args, payloads, line_map = trace.kinds, trace.args, trace.payloads, trace.line_map
     written = {}  # id -> the int its first W parsed
+    next_line = 1
     # The clock sums the T counts; past the int digit limit (0: none) no report
     # could write a tick. Compare to 10 ** limit: len(str(end)) is quadratic.
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
@@ -84,7 +130,7 @@ def parse_trace(text: str, cells_per_slot: int, bits_per_cell: int) -> list:
         parts = line.split()
         if not parts or parts[0][0] == "#":
             continue
-        op = parts[0]
+        op, payload = parts[0], None
         if op == "W" or op == "U":
             if len(parts) != 3:
                 raise TraceError(f"{op} needs <id> <hexpayload>", lineno)
@@ -95,27 +141,33 @@ def parse_trace(text: str, cells_per_slot: int, bits_per_cell: int) -> list:
                 raise TraceError(str(exc), lineno) from exc
             if op == "U" and cache_id not in written:
                 raise TraceError(f"U for cache id {cache_id} before any W", lineno)
-            cache_id = written.setdefault(cache_id, cache_id)
-            append(TraceEvent(op, cache_id, payload, None, lineno))
+            arg = written.setdefault(cache_id, cache_id)
         elif op == "F":
             if len(parts) != 1:
                 raise TraceError("F takes no arguments", lineno)
-            append(TraceEvent("F", None, None, None, lineno))
+            arg = None
         elif op == "I" or op == "D":
             if len(parts) != 2:
                 raise TraceError(f"{op} needs <id>", lineno)
             cache_id = _parse_decimal(parts[1], lineno)
-            append(TraceEvent(op, written.get(cache_id, cache_id), None, None, lineno))
+            arg = written.get(cache_id)
+            if arg is None:  # the message the replay gives an id with no valid copy
+                raise TraceError(f"no valid flushed copy for cache id {cache_id}", lineno)
         elif op == "T":
             token = parts[1] if len(parts) == 2 else ""
-            ticks = _parse_decimal(token, lineno, "T needs a non-negative tick count")
-            end += ticks
+            arg = _parse_decimal(token, lineno, "T needs a non-negative tick count")
+            end += arg
             if end >= end_bound:
                 raise TraceError("T counts add up past Python's integer string limit", lineno)
-            append(TraceEvent("T", None, None, ticks, lineno))
         else:
             raise TraceError(f"unknown event {op!r}", lineno)
-    return events
+        if lineno != next_line:
+            line_map.append((len(kinds), lineno))
+        next_line = lineno + 1
+        kinds.append(ord(op))
+        args.append(arg)
+        payloads.append(payload)
+    return trace
 
 
 def _due(queue, now: int, age: int) -> list:
@@ -175,33 +227,32 @@ class Host:
     # -- trace replay -------------------------------------------------------
 
     def run_trace(self, events):
-        """Apply the events in order."""
+        """Apply a ``Trace``, or any iterable of ``TraceEvent``s, in order."""
+        trace = events if isinstance(events, Trace) else Trace(events)
         controller, resident = self.controller, self._resident
         is_valid = controller.device.cache_table.is_valid
+        W, U, T, F = b"WUTF"  # the ints that iterating the letters gives
         try:
-            for event in events:
-                kind = event.kind
-                if kind == "W":
-                    self._write(event.cache_id, event.payload)
-                elif kind == "U":
+            for index, (kind, arg, payload) in enumerate(zip(trace.kinds, trace.args,
+                                                             trace.payloads)):
+                if kind == W:
+                    self._write(arg, payload)
+                elif kind == U:
                     # parse_trace refuses a U before any W of its id; here U is a W that
                     # also deletes a valid flushed copy, which the write leaves as it is.
-                    cache_id = event.cache_id
-                    self._write(cache_id, event.payload)
-                    if is_valid(cache_id):
-                        controller.handle_invalidation(cache_id, self.now)
-                        resident.pop(cache_id, None)
-                elif kind == "I" or kind == "D":
-                    controller.handle_invalidation(event.cache_id, self.now)
-                    resident.pop(event.cache_id, None)
-                elif kind == "T":
-                    self._advance(self.now + event.ticks)
-                elif kind == "F":
+                    self._write(arg, payload)
+                    if is_valid(arg):
+                        controller.handle_invalidation(arg, self.now)
+                        resident.pop(arg, None)
+                elif kind == T:
+                    self._advance(self.now + arg)
+                elif kind == F:
                     self.flush_all()
-                else:
-                    raise TraceError(f"unhandled event kind {kind!r}", event.line)
+                else:  # I or D
+                    controller.handle_invalidation(arg, self.now)
+                    resident.pop(arg, None)
         except ProtocolError as exc:
-            raise TraceError(str(exc), event.line) from exc
+            raise TraceError(str(exc), trace.line(index)) from exc
 
     def apply_event(self, event: TraceEvent):
         """Apply one event."""

@@ -20,7 +20,6 @@ class ReportError(Exception):
 COST_FIELDS = ("rd_us", "wr_us", "gen_us", "erase_us", "gc_us")
 ledger_costs = attrgetter(*COST_FIELDS)
 _COST_GETTERS = tuple(map(attrgetter, COST_FIELDS))
-_cost, _slot_cells, _residual_cells = map(attrgetter, ("cost", "slot_cells", "residual_cells"))
 JSONL_CHUNK = 256  # records per write: about 45 kB; line by line is slower
 
 
@@ -48,31 +47,87 @@ class LatencyLedger(Record):
         return self.rd_us + self.wr_us + self.gen_us + self.erase_us + self.gc_us
 
 
+class DeletionOutcome(Record):
+    """What one deletion did: action taken, cost by category, residual data.
+
+    ``cost`` is the device ledger's difference across the deletion.
+    ``residual_cells`` counts cells of the deleted slot that still hold their
+    pre-deletion level afterwards; a slot whose page was erased retains
+    nothing.
+    """
+
+    __slots__ = ("cache_id", "tick", "action", "cost", "residual_cells", "slot_cells",
+                 "error")
+
+    def __init__(self, cache_id: int, tick: int, action: str, cost: LatencyLedger,
+                 residual_cells: int = 0, slot_cells: int = 0, error: str | None = None):
+        self.cache_id, self.tick, self.action, self.cost = cache_id, tick, action, cost
+        self.residual_cells, self.slot_cells, self.error = residual_cells, slot_cells, error
+
+
 class MetricsCollector:
-    """Accumulates one policy run: its ledger and its deletion records."""
+    """Accumulates one policy run: its ledger and its deletion records, held
+    as columns: ``log`` takes five entries per record (cache id, tick, action,
+    cost, residual cells), ``errors`` maps a record's index to its error, and
+    ``slot_cells``, the same in every record of a run, is held once.
+    ``deletions`` reads the records back as ``DeletionOutcome``s."""
 
-    def __init__(self, ledger: LatencyLedger):
-        self.ledger = ledger
-        self.deletions = []
+    def __init__(self, ledger: LatencyLedger, slot_cells: int):
+        self.ledger, self.slot_cells = ledger, slot_cells
+        self.log = []
+        self.errors = {}
 
-    def record_deletion(self, outcome):
-        self.deletions.append(outcome)
+    def record_deletion(self, outcome: DeletionOutcome):
+        """Add the outcome's fields, but its ``slot_cells``, which is the collector's."""
+        if outcome.error is not None:
+            self.errors[len(self.log) // 5] = outcome.error
+        self.log.extend((outcome.cache_id, outcome.tick, outcome.action, outcome.cost,
+                         outcome.residual_cells))
+
+    @property
+    def deletions(self) -> "Deletions":
+        return Deletions(self)
 
     @property
     def final_remanence_rate(self) -> float:
         """Residual cells over deleted cells, each counted right after its deletion."""
-        invalidated = sum(map(_slot_cells, self.deletions))
+        invalidated = len(self.log) // 5 * self.slot_cells
         if not invalidated:
             return 0.0
-        return sum(map(_residual_cells, self.deletions)) / invalidated
+        return sum(self.log[4::5]) / invalidated
 
     def mean_costs(self) -> LatencyLedger:
         """Mean per-deletion cost over the recorded deletions."""
-        costs = list(map(_cost, self.deletions))
+        costs = self.log[3::5]
         if not costs:
             return LatencyLedger()
         n = len(costs)
         return LatencyLedger(*(sum(map(get, costs)) / n for get in _COST_GETTERS))
+
+
+class Deletions:
+    """A collector's records as a read-only sequence of ``DeletionOutcome``s,
+    built on read. It follows the collector as the run records more, and
+    equals a list of equal outcomes."""
+
+    __slots__ = ("_collector",)  # __eq__ without __hash__: unhashable, as a list is
+
+    def __init__(self, collector: MetricsCollector):
+        self._collector = collector
+
+    def __len__(self) -> int:
+        return len(self._collector.log) // 5
+
+    def __getitem__(self, index):
+        picked = range(len(self))[index]  # IndexError as for a list, ending iteration
+        if type(picked) is range:
+            return list(map(self.__getitem__, picked))
+        c = self._collector
+        return DeletionOutcome(*c.log[5 * picked:5 * picked + 5], c.slot_cells,
+                               c.errors.get(picked))
+
+    def __eq__(self, other):
+        return list(self) == other
 
 
 class PolicyRun:
@@ -135,14 +190,16 @@ def render_deletions_jsonl(runs, write) -> None:
     """
     import json
 
+    step = 5 * JSONL_CHUNK
     for r in runs:
         policy = json.dumps(r.label)
-        for start in range(0, len(r.collector.deletions), JSONL_CHUNK):
+        log, slot_cells = r.collector.log, r.collector.slot_cells
+        for start in range(0, len(log), step):
+            fields = iter(log[start:start + step])
             write("".join([
-                f'{{"tick": {d.tick}, "cache_id": {d.cache_id}, "policy": {policy}, '
+                f'{{"tick": {tick}, "cache_id": {cache_id}, "policy": {policy}, '
                 f'"rd_us": {c.rd_us!r}, "wr_us": {c.wr_us!r}, "gen_us": {c.gen_us!r}, '
                 f'"erase_us": {c.erase_us!r}, "gc_us": {c.gc_us!r}, '
-                f'"residual_cells": {d.residual_cells}, "slot_cells": {d.slot_cells}}}\n'
-                for d in r.collector.deletions[start:start + JSONL_CHUNK]
-                for c in (d.cost,)
+                f'"residual_cells": {residual}, "slot_cells": {slot_cells}}}\n'
+                for cache_id, tick, _, c, residual in zip(*[fields] * 5)
             ]))

@@ -12,7 +12,7 @@ from .cells import hex_digits
 from .config import RunConfig
 from .controller import NvmController
 from .device import NvmDevice
-from .host import Host
+from .host import Host, Trace
 from .metrics import (
     MetricsCollector,
     PolicyRun,
@@ -93,9 +93,11 @@ def run_policy(config: RunConfig, policy, events) -> MetricsCollector:
 def run(config: RunConfig, events) -> RunReport:
     """Run every configured policy over the same events and build reports.
 
-    The runs share one ``events`` list, so they replay the same trace by
-    construction and carry no fingerprint."""
+    The runs share one ``Trace``, built once from any other iterable of
+    ``TraceEvent``s, so they replay the same trace by construction and carry
+    no fingerprint."""
     config.validate()
+    events = events if isinstance(events, Trace) else Trace(events)
     runs = [
         PolicyRun(policy.label, run_policy(config, policy, events))
         for policy in config.run_policies()

@@ -549,6 +549,21 @@ def test_cli_device_full_exit_code(tmp_path, capsys):
     assert "device error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("policies", ["MarkOnly,EraseBased", "EraseBased,MarkOnly"])
+def test_an_unwritten_id_is_a_trace_error_whatever_the_policy_order(tmp_path, capsys, policies):
+    """``parse_trace`` refuses the ``I 3`` before any replay, so MarkOnly's
+    two-slot device filling at line 7 no longer makes the exit code 4 when it
+    runs first."""
+    config = tmp_path / "one-page.cfg"
+    config.write_text("blocks = 1\npages_per_block = 1\ncells_per_page = 16\n")
+    trace = tmp_path / "unwritten.trace"
+    trace.write_text("W 0 0x000000\nF\nI 0\nW 1 0x000000\nF\nI 1\nW 2 0x000000\nF\nI 3\n")
+    assert main(["--config", str(config), "--trace", str(trace), "--seed", "1",
+                 "--policy", policies]) == 3
+    assert capsys.readouterr() == (
+        "", "ddnsim: trace error: line 9: no valid flushed copy for cache id 3\n")
+
+
 @pytest.mark.parametrize("blocks", [10**15, 10**20])
 def test_cli_oversize_geometry_is_a_device_error(tmp_path, capsys, blocks):
     # Both sizes fail to allocate at once (OSError, OverflowError), so the
@@ -772,6 +787,23 @@ def test_cli_closed_stdout_pipe_is_exit_2():
         proc.stderr.close()
         assert proc.wait(timeout=60) == 2, entry
         assert err == b"ddnsim: cannot write stdout: [Errno 32] Broken pipe\n", entry
+
+
+def test_a_failed_deletions_error_reaches_its_record_and_the_cli_warning(tmp_path, capsys):
+    """DdnNonRandom(Level=1) lifts id 1's level-0 cells and refuses to lower
+    id 2's level-7 ones: the second record alone carries the error, and the
+    CLI's warning quotes it."""
+    text = "W 1 0x000000\nW 2 0xFFFFFF\nF\nI 1\nI 2\n"
+    cfg = parse_config_text("seed = 1\npolicies = DdnNonRandom(Level=1)\n")
+    (policy_run,) = run(cfg, parse_trace(text, 8, 3)).runs
+    first, second = policy_run.collector.deletions
+    assert (first.error, first.residual_cells) == (None, 0)
+    assert "would drop" in second.error and second.residual_cells == second.slot_cells == 8
+    trace = tmp_path / "refused.trace"
+    trace.write_text(text)
+    assert main(["--trace", str(trace), "--seed", "1", "--policy", "DdnNonRandom(Level=1)"]) == 0
+    assert capsys.readouterr().err == (
+        f"ddnsim: warning: DdnNonRandom(Level=1): 1 of 2 deletions failed; first: {second.error}\n")
 
 
 def test_cli_warns_once_per_policy_with_failed_deletions(capsys):

@@ -1,15 +1,22 @@
 import hashlib
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from ddnsim import (
     Host,
     TraceError,
     TraceEvent,
+    parse_config_text,
     parse_trace,
+    run,
     trace_fingerprint,
     word_from_hex,
 )
+from ddnsim.host import Trace
+
+from conftest import build_controller
 
 
 def ev_w(cache_id, payload="0xABC", line=0):
@@ -80,15 +87,17 @@ def test_parse_trace_u_after_w_is_fine():
 def test_parse_trace_gives_every_event_of_an_id_one_int(tmp_path, capsys):
     """Every event of a written id carries the ``int`` its first ``W`` parsed,
     under any spelling of the id, so a run holds one object per id. A ``U``
-    before any ``W`` is still refused at its line, and an ``I`` of an id never
-    written still ends the CLI with exit 3 at its line."""
+    before any ``W`` is refused at its line, and so is an ``I`` of an id never
+    written, which ends the CLI with exit 3 and the replay's message."""
     from ddnsim.cli import main
 
     text = "W 700 0x000ABC\nF\nU 0700 0x000DEF\nW 700 0x000FFF\nF\nD 00700\nI 900\n"
-    events = parse_trace(text, 8, 3)
+    events = parse_trace(text.removesuffix("I 900\n"), 8, 3)
     ids = [event.cache_id for event in events if event.kind != "F"]
-    assert ids == [700, 700, 700, 700, 900]
-    assert all(cache_id is ids[0] for cache_id in ids[:4])
+    assert ids == [700, 700, 700, 700]
+    assert all(cache_id is ids[0] for cache_id in ids)
+    with pytest.raises(TraceError, match="^line 7: no valid flushed copy for cache id 900$"):
+        parse_trace(text, 8, 3)
     with pytest.raises(TraceError, match="^line 2: U for cache id 700 before any W$"):
         parse_trace("F\nU 0700 0x000DEF\nW 700 0x000ABC\n", 8, 3)
     trace = tmp_path / "unwritten.trace"
@@ -118,6 +127,88 @@ def test_trace_fingerprint_sees_events_not_layout():
     fingerprints = {fingerprint(text) for text in other_events}
     assert len(fingerprints) == len(other_events) and base not in fingerprints
 
+
+
+# (kind, cache_id, payload hex, ticks, line) of each event of TRACE_TEXT
+TRACE_TEXT = "# header\n\nW 5 0xABC\nW 6 0x001\n  \nT 3\nF\n# a\n# b\nU 5 0x123\nI 6\nD 5\nT 0\n"
+TRACE_EVENTS = [("W", 5, "0xABC", None, 3), ("W", 6, "0x001", None, 4), ("T", None, None, 3, 6),
+                ("F", None, None, None, 7), ("U", 5, "0x123", None, 10), ("I", 6, None, None, 11),
+                ("D", 5, None, None, 12), ("T", None, None, 0, 13)]
+
+
+def _fields(event):
+    return event.kind, event.cache_id, event.payload, event.ticks, event.line
+
+
+def _expected(rows):
+    return [(kind, cid, None if hex_ is None else word_from_hex(hex_, 4, 3), ticks, line)
+            for kind, cid, hex_, ticks, line in rows]
+
+
+def test_a_trace_reads_like_the_list_of_its_events():
+    """Int indexes, negative ones too, give the events a list would, slices
+    give a ``Trace`` of the events the list's slice holds, and an index past
+    either end is an ``IndexError``. Only the comment and blank lines break
+    the line count, so the line map holds three pairs."""
+    trace = parse_trace(TRACE_TEXT, 4, 3)
+    expected = _expected(TRACE_EVENTS)
+    assert len(trace) == len(expected) and [_fields(e) for e in trace] == expected
+    assert trace.line_map == [(0, 3), (2, 6), (4, 10)]
+    for index in range(-len(expected), len(expected)):
+        assert _fields(trace[index]) == expected[index]
+    for index in (len(expected), -len(expected) - 1):
+        with pytest.raises(IndexError):
+            trace[index]
+    for part in (slice(None), slice(2, None), slice(None, -1), slice(-3, -1), slice(1, None, 3),
+                 slice(6, 1, -2), slice(None, None, -1), slice(20, 30), slice(-20, 2)):
+        sliced = trace[part]
+        assert type(sliced) is Trace and [_fields(e) for e in sliced] == expected[part]
+    assert trace[0].cache_id is trace[4].cache_id is trace[6].cache_id
+
+
+def test_a_trace_rebuilt_from_its_events_replays_to_the_same_report():
+    """Replaying the parsed columns, a ``Trace`` rebuilt from the events they
+    read back as, the plain list of those events, or a one-pass iterator over
+    them, which ``run`` converts once for all four policies, gives the same
+    bytes."""
+    cfg = parse_config_text("seed = 3\nt_secure = 20\nflush_idle_threshold = 2\n"
+                            "cells_per_cache_slot = 4\n")
+    writes = [f"W {i} 0x{37 * i:03X}\n" + "\n" * (i % 2) for i in range(30)]
+    text = ("# idle flush, deletions, secure scrubs\n" + "".join(writes[:20])
+            + "T 3\nI 0\nD 1\n# update\nU 2 0x123\nF\nI 3\nT 30\n\n"
+            + "".join(writes[20:]) + "F\nD 20\nI 21\nT 5\n")
+    trace = parse_trace(text, 4, 3)
+    rebuilt = Trace(iter(trace))
+    assert ((rebuilt.kinds, rebuilt.args, rebuilt.payloads, rebuilt.line_map)
+            == (trace.kinds, trace.args, trace.payloads, trace.line_map))
+    reports = [run(cfg, events) for events in (trace, rebuilt, list(trace), iter(trace))]
+    assert len({(r.csv_text, r.jsonl_text) for r in reports}) == 1
+    assert reports[0].jsonl_text.count("\n") > 40
+
+
+@example(gaps=[0])
+@example(gaps=[3, 0, 0])  # a first event after a leading comment block
+@example(gaps=[0, 2, 0, 1])  # a first event on line 1
+@given(st.lists(st.integers(0, 3), min_size=1, max_size=8))
+@settings(max_examples=40, deadline=None)
+def test_each_event_and_replay_error_names_its_line(gaps):
+    """Before each event, ``gap`` comment, blank or space-only lines; one
+    more event, an ``I`` of an id written but never flushed, fails in the
+    replay. Each event reads back its own line, the line map holds a pair
+    exactly where a gap breaks the count, and the error names the I's line."""
+    fillers, lines, numbers = ["# note", "", "   "], [], []
+    for i, gap in enumerate(gaps + [gaps[0]]):
+        lines += [fillers[(i + k) % 3] for k in range(gap)]
+        lines.append(f"W {i} 0x00{i % 8}" if i < len(gaps) else "I 0")
+        numbers.append(len(lines))
+    trace = parse_trace("\n".join(lines), 4, 3)
+    assert [event.line for event in trace] == numbers
+    assert [first for first, _ in trace.line_map] == [i for i, gap in enumerate(gaps + [gaps[0]])
+                                                     if gap]
+    host = Host(build_controller("MarkOnly"), capacity=64, flush_idle_threshold=10)
+    with pytest.raises(TraceError, match=f"^line {numbers[-1]}: no valid flushed copy for "
+                                         "cache id 0$"):
+        host.run_trace(trace)
 
 
 def test_trace_fingerprint_is_the_sha256_of_the_canonical_text():

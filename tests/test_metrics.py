@@ -34,7 +34,9 @@ def outcome(tick=0, cache_id=1, residual=8, slot=8, **costs):
 
 
 def collector_with(outcomes, ledger=None):
-    collector = MetricsCollector(ledger if ledger is not None else LatencyLedger())
+    """A collector holding the outcomes, which share one slot width as a run's do."""
+    slot_cells = outcomes[0].slot_cells if outcomes else 8
+    collector = MetricsCollector(ledger if ledger is not None else LatencyLedger(), slot_cells)
     for o in outcomes:
         collector.record_deletion(o)
     return collector
@@ -213,16 +215,20 @@ _costs = st.one_of(
     st.floats(0.0, 1e18, allow_nan=False, allow_infinity=False),
 )
 _counts = st.integers(0, 2**63)
-_records = st.builds(
-    lambda tick, cache_id, costs, residual, slot: DeletionOutcome(
-        cache_id, tick, "test", LatencyLedger(*costs), residual, slot
-    ),
-    _counts, _counts, st.tuples(*[_costs] * len(COST_FIELDS)), _counts, _counts,
-)
+
+
+def _records(slot):
+    """Records of one run, which share its slot width."""
+    return st.lists(st.builds(
+        lambda tick, cache_id, costs, residual: DeletionOutcome(
+            cache_id, tick, "test", LatencyLedger(*costs), residual, slot
+        ),
+        _counts, _counts, st.tuples(*[_costs] * len(COST_FIELDS)), _counts,
+    ), max_size=4)
 
 
 @settings(max_examples=300)
-@given(st.lists(st.tuples(_labels, st.lists(_records, max_size=4)), max_size=4))
+@given(st.lists(st.tuples(_labels, _counts.flatmap(_records)), max_size=4))
 def test_jsonl_matches_json_dumps(policies):
     """The f-string renderer writes the bytes of json.dumps, record by record."""
     runs = [_run(label, records) for label, records in policies]

@@ -265,24 +265,26 @@ U_RULE_DEVICES = {
 def test_update_is_refused_exactly_for_ids_never_written(
     device, policy, capacity, threshold, steps
 ):
-    """``parse_trace`` refuses a ``U`` exactly when no earlier line wrote its
-    id, and a trace it accepts replays with no ``U``-related error, whatever
-    the DRAM has evicted and reclaim has reused. A ``mark-only`` deletion
-    charges nothing and leaves the whole slot, and no deletion leaves more
-    cells than the slot has."""
+    """``parse_trace`` refuses a ``U`` or ``I`` exactly when no earlier line
+    wrote its id, and a trace it accepts replays with no ``U``-related error,
+    whatever the DRAM has evicted and reclaim has reused. A ``mark-only``
+    deletion charges nothing and leaves the whole slot, and no deletion leaves
+    more cells than the slot has."""
     lines, written, refused = [], set(), []
     for op, cid, bits in steps:
-        if op == "U" and cid not in written:
-            refused.append((len(lines) + 1, f"U {cid} 0x{bits:X}"))
+        text = f"{op} {cid} 0x{bits:X}" if op in "WU" else "F" if op == "F" else f"{op} {cid}"
+        if op in "UI" and cid not in written:
+            refused.append((len(lines) + 1, text))
             continue
-        lines.append(f"{op} {cid} 0x{bits:X}" if op in "WU" else "F" if op == "F"
-                     else f"{op} {cid}")
+        lines.append(text)
         if op == "W":
             written.add(cid)
     if refused:  # put the first refused line back where it was drawn
         (line, text), *_ = refused
-        with pytest.raises(TraceError, match=f"^line {line}: U for cache id "
-                                             f"{text.split()[1]} before any W$"):
+        op, cid = text.split()[:2]
+        message = (f"U for cache id {cid} before any W" if op == "U"
+                   else f"no valid flushed copy for cache id {cid}")
+        with pytest.raises(TraceError, match=f"^line {line}: {message}$"):
             parse_trace("\n".join(lines[:line - 1] + [text] + lines[line - 1:]), 2, 2)
     nvm = NvmDevice(geometry=U_RULE_GEOMETRY, **U_RULE_DEVICES[device])
     host = Host(NvmController(nvm, parse_policy(policy), random.Random(0)),
